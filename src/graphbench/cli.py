@@ -172,11 +172,12 @@ def cmd_rlopt(args) -> int:
                           epsilon_min=args.epsilon_min,
                           optimizer=args.optimizer, input_skip=args.input_skip)
     result = rlopt.run_dqn((args.task, args.difficulty), space, reward_fn, cfg)
-    cost, rate = None, None
     if args.acc_max:
         cost, rate = rlopt.cost_rate(result, space, args.acc_max)
+    else:
+        cost, rate = result.explored / space.k_total, None
     payload = result.to_dict()
-    payload.update({"cost": result.explored / space.k_total, "rate": rate})
+    payload.update({"cost": cost, "rate": rate})
     print(json.dumps(payload, indent=2))
     if args.episodes_csv:
         with open(args.episodes_csv, "w", newline="", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from .errors import ExhaustedAttempts, MalformedInput
 from .generators import (DifficultySplit, GraphFamily, admissible_families,
                          derive_rng, derive_seed, generate, generate_connected)
 from .graphs import Graph
-from .tasks import NP_TASKS, TaskKind, compute_ground_truth, ground_truth_matches
+from .tasks import NP_TASKS, TaskKind, compute_ground_truth, ground_truth_matches, sample_params
 
 
 @dataclass
@@ -94,21 +94,6 @@ def _sample_n_for_task(task: TaskKind, split: DifficultySplit, rng: random.Rando
     return rng.randint(lo, hi)
 
 
-def _sample_params(task: TaskKind, g: Graph, rng: random.Random) -> dict[str, int]:
-    if task is TaskKind.BFS_ORDER:
-        return {"start": rng.randrange(g.n)}
-    if task is TaskKind.CONNECTIVITY:
-        u, v = rng.sample(range(g.n), 2)
-        return {"u": u, "v": v}
-    if task is TaskKind.SHORTEST_PATH:
-        for _ in range(1000):
-            u, v = rng.sample(range(g.n), 2)
-            if graphs.connected(g, u, v):
-                return {"u": u, "v": v}
-        raise ExhaustedAttempts("no connected node pair found")
-    return {}
-
-
 def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
                 index: int, master_seed: int,
                 np_node_cap: int = graphs.DEFAULT_NP_NODE_CAP,
@@ -136,7 +121,7 @@ def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
                 continue
             if seen_hashes is not None and g.edges in seen_hashes:
                 continue
-            params = _sample_params(task, g, rng)
+            params = sample_params(task, g, rng)
             gt = compute_ground_truth(task, g, params, node_cap=np_node_cap)
         except ExhaustedAttempts:
             continue

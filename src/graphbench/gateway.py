@@ -1,5 +1,5 @@
 """Submission layer for rendered prompts: a chat-completions HTTP backend,
-deterministic mock backends for desk-scale testing, a content-addressed disk
+a deterministic mock backend for desk-scale testing, a content-addressed disk
 cache, and bounded-concurrency batch execution.
 
 This is the only concurrent module; everything it calls into is pure.
@@ -10,21 +10,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import requests
 
 from . import prompts as prompt_mod
 from .errors import MalformedResponse, RateLimited, TransportError
-from .graphs import Graph
-from .serialize import SerializationFormat, parse
-from .tasks import TaskKind, compute_ground_truth
+from .graphs import Graph, bfs_levels
+from .tasks import TaskKind
+
+if TYPE_CHECKING:
+    from .corpus import QuerySpec
 
 ENDPOINT_ENV = "GRAPHBENCH_ENDPOINT"
 API_KEY_ENV = "GRAPHBENCH_API_KEY"
@@ -38,6 +39,9 @@ class CompletionRequest:
     temperature: float = 0.7
     top_p: float = 0.9
     max_tokens: int | None = None
+    # The query the prompt was composed from. Only the mock backend reads it;
+    # it is not part of the cache key.
+    query: QuerySpec | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -120,67 +124,6 @@ class HttpBackend:
         )
 
 
-_CONNECTOR_RE = re.compile(
-    r"And the graph representation of: (?P<fmt>[^\n]+?) is \n", re.IGNORECASE)
-_Q_RE = re.compile(r"^Q: (?P<q>.+)$", re.MULTILINE)
-
-_DISPLAY_TO_FMT = {f.display_name.lower(): f for f in SerializationFormat}
-
-
-def parse_prompt(prompt: str) -> tuple[TaskKind, Graph, dict[str, int]]:
-    """Recover (task, graph, params) from a canonical undecorated prompt.
-
-    Works on the final item of the prompt (the last graph block and last
-    question line), which is exactly what a responder must answer.
-    """
-    connectors = list(_CONNECTOR_RE.finditer(prompt))
-    if not connectors:
-        raise MalformedResponse("prompt has no graph connector line")
-    conn = connectors[-1]
-    fmt = _DISPLAY_TO_FMT.get(conn.group("fmt").strip().lower())
-    if fmt is None:
-        raise MalformedResponse(f"unknown serialization name {conn.group('fmt')!r}")
-    tail = prompt[conn.end():]
-    graph_text = tail.split("\n\n", 1)[0]
-    g = parse(graph_text, fmt)
-
-    questions = list(_Q_RE.finditer(prompt))
-    if not questions:
-        raise MalformedResponse("prompt has no question line")
-    q = questions[-1].group("q").strip()
-    ql = q.lower()
-    if "bfs traversal order" in ql:
-        m = re.search(r"from node (\d+)", ql)
-        return TaskKind.BFS_ORDER, _cover(g, int(m.group(1))), {"start": int(m.group(1))}
-    if "cycle" in ql and "hamiltonian" not in ql:
-        return TaskKind.CYCLE, g, {}
-    if "hamiltonian" in ql:
-        return TaskKind.HAMILTONIAN, g, {}
-    if "path between node" in ql:
-        m = re.search(r"between node (\d+) and node (\d+)", ql)
-        u, v = int(m.group(1)), int(m.group(2))
-        return TaskKind.CONNECTIVITY, _cover(g, u, v), {"u": u, "v": v}
-    if "shortest path" in ql:
-        m = re.search(r"from node (\d+) to node (\d+)", ql)
-        u, v = int(m.group(1)), int(m.group(2))
-        return TaskKind.SHORTEST_PATH, _cover(g, u, v), {"u": u, "v": v}
-    if "diameter" in ql:
-        return TaskKind.DIAMETER, g, {}
-    if "triangle" in ql:
-        return TaskKind.TRIANGLE, g, {}
-    if "maximum cut" in ql:
-        return TaskKind.MAX_CUT, g, {}
-    raise MalformedResponse(f"cannot identify task from question {q!r}")
-
-
-def _cover(g: Graph, *nodes: int) -> Graph:
-    """Grow the node count to cover nodes named in the question. Edge-only
-    serializations cannot express isolated nodes, but the question text
-    still implies they exist."""
-    need = max(nodes) + 1
-    return g if need <= g.n else Graph(need, g.edges)
-
-
 def _wrong_answer(task: TaskKind, g: Graph, params: dict[str, int], gt) -> str:
     """An answer in the canonical phrasing that is guaranteed to score 0."""
     if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
@@ -188,7 +131,7 @@ def _wrong_answer(task: TaskKind, g: Graph, params: dict[str, int], gt) -> str:
     if task in (TaskKind.DIAMETER, TaskKind.TRIANGLE):
         return prompt_mod.gold_answer(task, g, params, gt + 1)
     if task is TaskKind.BFS_ORDER:
-        order = prompt_mod._bfs_order(g, params["start"])
+        order = list(bfs_levels(g, params["start"]))
         bad = [order[1], order[0], *order[2:]] if len(order) > 1 else [order[0], order[0]]
         seq = ",".join(map(str, bad))
         return f"The BFS traversal order starting from node {params['start']} is {seq}"
@@ -208,19 +151,19 @@ def _wrong_answer(task: TaskKind, g: Graph, params: dict[str, int], gt) -> str:
 
 
 class MockBackend:
-    """Deterministic responder that reads the prompt, reruns the oracle, and
-    answers in the canonical phrasing.
+    """Deterministic responder that answers the request's query in the
+    canonical phrasing, from the query's stored ground truth.
 
     mode="oracle" always answers correctly; mode="bernoulli" answers
     incorrectly with probability error_rate, decided by a stable hash of the
     prompt so repeats (and cache hits) agree. An optional rate_limit_prob
     makes the first attempt for a matching prompt fail with RateLimited, for
-    retry testing.
+    retry testing. A request without a query cannot be answered and raises
+    ValueError.
     """
 
     def __init__(self, mode: str = "oracle", error_rate: float = 0.0, seed: int = 0,
-                 fixed_tokens_out: int | None = None, rate_limit_prob: float = 0.0,
-                 np_node_cap: int = 64):
+                 fixed_tokens_out: int | None = None, rate_limit_prob: float = 0.0):
         if mode not in ("oracle", "bernoulli"):
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
@@ -228,9 +171,7 @@ class MockBackend:
         self.seed = seed
         self.fixed_tokens_out = fixed_tokens_out
         self.rate_limit_prob = rate_limit_prob
-        self.np_node_cap = np_node_cap
         self.name = f"mock-{mode}"
-        self.calls = 0
         self._attempts: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -239,42 +180,25 @@ class MockBackend:
         return int.from_bytes(digest[:8], "big") / 2**64
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        with self._lock:
-            self.calls += 1
-            if self.rate_limit_prob > 0:
+        q = req.query
+        if q is None:
+            raise ValueError("the mock backend answers from the request's query, "
+                             "and this request carries none")
+        if self.rate_limit_prob > 0:
+            with self._lock:
                 attempt = self._attempts.get(req.prompt, 0)
                 self._attempts[req.prompt] = attempt + 1
-                if attempt == 0 and self._unit(req.prompt, "ratelimit") < self.rate_limit_prob:
-                    raise RateLimited("injected rate limit")
-        task, g, params = parse_prompt(req.prompt)
-        gt = compute_ground_truth(task, g, params, node_cap=self.np_node_cap)
+            if attempt == 0 and self._unit(req.prompt, "ratelimit") < self.rate_limit_prob:
+                raise RateLimited("injected rate limit")
         wrong = (self.mode == "bernoulli"
                  and self._unit(req.prompt, "bernoulli") < self.error_rate)
-        if wrong:
-            text = _wrong_answer(task, g, params, gt)
-        else:
-            text = prompt_mod.gold_answer(task, g, params, gt)
+        answer = _wrong_answer if wrong else prompt_mod.gold_answer
+        text = answer(q.task, q.graph, q.params, q.ground_truth)
         tokens_out = self.fixed_tokens_out
         if tokens_out is None:
             tokens_out = len(text.split())
         return CompletionResponse(text=text, tokens_in=len(req.prompt.split()),
                                   tokens_out=tokens_out, latency_ms=0.0,
-                                  backend=self.name)
-
-
-class CannedBackend:
-    """Replays stored transcripts keyed by the request's cache key or raw
-    prompt; unknown prompts raise MalformedResponse."""
-
-    def __init__(self, responses: dict[str, str]):
-        self.responses = responses
-        self.name = "canned"
-
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
-        text = self.responses.get(req.cache_key(), self.responses.get(req.prompt))
-        if text is None:
-            raise MalformedResponse(f"no canned response for prompt {req.prompt[:60]!r}...")
-        return CompletionResponse(text=text, tokens_out=len(text.split()),
                                   backend=self.name)
 
 

@@ -234,25 +234,6 @@ def generate_connected(family: GraphFamily, n: int, rng: random.Random,
         f"no connected {family.value} graph with n={n} in {max_attempts} attempts")
 
 
-def is_bipartite(g: Graph) -> bool:
-    """BFS two-coloring check, used by the generator property tests."""
-    color: dict[int, int] = {}
-    for s in range(g.n):
-        if s in color:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
 def parse_families(spec: str | Iterable[str]) -> list[GraphFamily]:
     """Family list from a comma-separated flag value like 'bag,erp'."""
     if isinstance(spec, str):

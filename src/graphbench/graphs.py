@@ -78,7 +78,11 @@ class Graph:
 
 
 def bfs_levels(g: Graph, s: int) -> dict[int, int]:
-    """Hop-distance map over exactly the nodes reachable from s."""
+    """Hop-distance map over exactly the nodes reachable from s.
+
+    Keys are in canonical BFS visit order (neighbours in ascending index
+    order), so `list(bfs_levels(g, s))` is the canonical BFS traversal.
+    """
     g.check_node(s)
     dist = {s: 0}
     queue = deque([s])
@@ -107,18 +111,6 @@ def is_connected(g: Graph) -> bool:
     return len(bfs_levels(g, 0)) == g.n
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = sorted(bfs_levels(g, s))
-        seen.update(comp)
-        comps.append(comp)
-    return comps
-
-
 def shortest_distance(g: Graph, u: int, v: int) -> int | None:
     """BFS hop distance from u to v, or None when unreachable."""
     g.check_node(u)
@@ -126,6 +118,24 @@ def shortest_distance(g: Graph, u: int, v: int) -> int | None:
     if u == v:
         return 0
     return bfs_levels(g, u).get(v)
+
+
+def shortest_path(g: Graph, u: int, v: int) -> list[int]:
+    """One shortest u-v path along BFS parents.
+
+    Walking back from v, each step takes the neighbour one level closer to u
+    that BFS from u reached first, which is the node that discovered it.
+    """
+    dist = bfs_levels(g, u)
+    if v not in dist:
+        raise ValueError(f"no path from {u} to {v}")
+    rank = {x: i for i, x in enumerate(dist)}
+    path = [v]
+    while path[-1] != u:
+        x = path[-1]
+        closer = (y for y in g.neighbors(x) if dist.get(y) == dist[x] - 1)
+        path.append(min(closer, key=rank.__getitem__))
+    return path[::-1]
 
 
 def has_cycle(g: Graph) -> bool:

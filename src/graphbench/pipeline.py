@@ -71,7 +71,8 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
             for fmt in formats:
                 prompt = compose_prompt(query, scheme, fmt, bank=bank, deco=deco)
                 req = CompletionRequest(model=model, prompt=prompt,
-                                        temperature=temperature, top_p=top_p)
+                                        temperature=temperature, top_p=top_p,
+                                        query=query)
                 jobs.append((query, scheme, fmt, req))
 
     results = gateway.run_batch([j[3] for j in jobs], max_in_flight=max_in_flight)

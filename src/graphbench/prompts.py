@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from . import templates
-from .errors import EmptyBank, MissingParam
+from .errors import EmptyBank, ExhaustedAttempts, MissingParam
 from .generators import DifficultySplit, admissible_families, derive_rng, generate, generate_connected, sample_n
-from .graphs import Graph, bfs_levels, shortest_distance
+from .graphs import Graph, bfs_levels, shortest_path
 from .serialize import SerializationFormat, serialize
-from .tasks import TaskKind, compute_ground_truth
+from .tasks import TaskKind, compute_ground_truth, sample_params
 
 if TYPE_CHECKING:
     from .corpus import QuerySpec
@@ -157,41 +156,6 @@ class ExemplarBank:
         return len(self.exemplars)
 
 
-def _bfs_order(g: Graph, s: int) -> list[int]:
-    """Canonical BFS order: neighbors visited in ascending index order."""
-    order = [s]
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-    return order
-
-
-def _shortest_path_witness(g: Graph, u: int, v: int) -> list[int]:
-    """One shortest path, following ascending-order BFS parents."""
-    if u == v:
-        return [u]
-    parent = {u: -1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                if y == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(y)
-    raise ValueError(f"no path from {u} to {v}")
-
-
 def _seq(nodes: list[int]) -> str:
     return ",".join(map(str, nodes))
 
@@ -204,9 +168,10 @@ def gold_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> st
     """Terse gold-answer sentence, leading with the scoring key phrase."""
     t = templates.GOLD_ANSWERS[task]
     if task is TaskKind.BFS_ORDER:
-        return t["answer"].format(start=params["start"], seq=_seq(_bfs_order(g, params["start"])))
+        order = list(bfs_levels(g, params["start"]))
+        return t["answer"].format(start=params["start"], seq=_seq(order))
     if task is TaskKind.SHORTEST_PATH:
-        path = _shortest_path_witness(g, params["u"], params["v"])
+        path = shortest_path(g, params["u"], params["v"])
         return t["answer"].format(u=params["u"], v=params["v"], seq=_seq(path))
     if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
         key = "yes" if gt else "no"
@@ -237,8 +202,7 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
         s = params["start"]
         steps = []
         seen = {s}
-        order = _bfs_order(g, s)
-        for u in order:
+        for u in bfs_levels(g, s):
             fresh = [v for v in g.neighbors(u) if v not in seen]
             seen.update(fresh)
             if fresh:
@@ -249,7 +213,7 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
         return " ".join(steps) + f" The traversal ends. {final}"
     if task is TaskKind.SHORTEST_PATH:
         u, v = params["u"], params["v"]
-        path = _shortest_path_witness(g, u, v)
+        path = shortest_path(g, u, v)
         hops = " -> ".join(map(str, path))
         return (f"We run a breadth-first search from node {u} and reach node {v} "
                 f"after {len(path) - 1} steps via {hops}. {final}")
@@ -260,13 +224,13 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
         return f"Every component here is a tree, so no walk can return to its start. {final}"
     if task is TaskKind.CONNECTIVITY:
         u, v = params["u"], params["v"]
-        reach = sorted(bfs_levels(g, u))
+        levels = bfs_levels(g, u)
         if gt:
-            d = shortest_distance(g, u, v)
             return (f"A breadth-first search from node {u} reaches node {v} "
-                    f"after {d} steps. {final}")
+                    f"after {levels[v]} steps. {final}")
+        reach = ", ".join(map(str, sorted(levels)))
         return (f"A breadth-first search from node {u} visits only "
-                f"{{{', '.join(map(str, reach))}}}, which does not include node {v}. {final}")
+                f"{{{reach}}}, which does not include node {v}. {final}")
     if task is TaskKind.DIAMETER:
         return (f"Running BFS from every node and taking the longest of the shortest "
                 f"paths gives {gt}. {final}")
@@ -289,21 +253,6 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
         return (f"Comparing bipartitions by their crossing-edge counts, the best split "
                 f"cuts {gt['size']} edges. {final}")
     raise ValueError(f"unknown task {task!r}")
-
-
-def _sample_params(task: TaskKind, g: Graph, rng: random.Random) -> dict[str, int]:
-    if task is TaskKind.BFS_ORDER:
-        return {"start": rng.randrange(g.n)}
-    if task is TaskKind.CONNECTIVITY:
-        u, v = rng.sample(range(g.n), 2)
-        return {"u": u, "v": v}
-    if task is TaskKind.SHORTEST_PATH:
-        for _ in range(1000):
-            u, v = rng.sample(range(g.n), 2)
-            if shortest_distance(g, u, v) is not None:
-                return {"u": u, "v": v}
-        raise ValueError("no reachable node pair")
-    return {}
 
 
 def build_exemplars(task: TaskKind, scheme: PromptScheme, k: int = 5,
@@ -329,8 +278,8 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme, k: int = 5,
                     g = generate(family, n, rng)
                     if task is TaskKind.SHORTEST_PATH and g.m == 0:
                         continue
-                params = _sample_params(task, g, rng)
-            except ValueError:
+                params = sample_params(task, g, rng)
+            except ExhaustedAttempts:
                 continue
             break
         else:

@@ -23,14 +23,11 @@ def _group_key(rec: Mapping[str, Any], dims: Sequence[str]) -> tuple:
 
 
 def aggregate(records: Sequence[Mapping[str, Any]], group_by: Sequence[str],
-              combo_dims: Sequence[str] | None = None,
-              per_query: bool = False) -> list[dict[str, Any]]:
+              combo_dims: Sequence[str] | None = None) -> list[dict[str, Any]]:
     """Mean accuracy with a 95% CI margin per group.
 
     Within each group, records are bucketed by the remaining factor
     dimensions; the margin is 1.96 * stdev(combination means) / sqrt(#combos).
-    With per_query=True the margin is computed over raw scores instead (a
-    diagnostic view).
     """
     if not records:
         raise EmptyGroup("no records to aggregate")
@@ -44,7 +41,7 @@ def aggregate(records: Sequence[Mapping[str, Any]], group_by: Sequence[str],
     rows = []
     for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
         recs = groups[key]
-        if per_query or not combo_dims:
+        if not combo_dims:
             values = [float(r["score"]) for r in recs]
         else:
             combos: dict[tuple, list[float]] = {}
@@ -66,10 +63,6 @@ def _std(values: Iterable[float]) -> float:
     vals = list(values)
     mean = sum(vals) / len(vals)
     return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
-
-
-def _median(values: Sequence[float]) -> float:
-    return statistics.median(values)
 
 
 def sensitivity(records: Sequence[Mapping[str, Any]], task: str,
@@ -113,8 +106,8 @@ def sensitivity(records: Sequence[Mapping[str, Any]], task: str,
         mean = sum(float(r["score"]) for r in fam) / len(fam)
         rows.append({"graph_type": family, "s_p": s_p, "s_f": s_f, "mean": mean})
 
-    med_p = _median([r["s_p"] for r in rows])
-    med_f = _median([r["s_f"] for r in rows])
+    med_p = statistics.median([r["s_p"] for r in rows])
+    med_f = statistics.median([r["s_f"] for r in rows])
     for r in rows:
         high_p = r["s_p"] > med_p
         high_f = r["s_f"] > med_f

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import enum
+import random
 from typing import Any
 
 from . import graphs
+from .errors import ExhaustedAttempts
 from .graphs import Graph
 
 
@@ -28,6 +30,23 @@ class TaskKind(enum.Enum):
 BOOL_TASKS = {TaskKind.CONNECTIVITY, TaskKind.CYCLE, TaskKind.HAMILTONIAN}
 PAIR_TASKS = {TaskKind.CONNECTIVITY, TaskKind.SHORTEST_PATH}
 NP_TASKS = {TaskKind.HAMILTONIAN, TaskKind.MAX_CUT}
+
+
+def sample_params(task: TaskKind, g: Graph, rng: random.Random) -> dict[str, int]:
+    """Draw the task's node parameters; shortest-path pairs are redrawn until
+    reachable."""
+    if task is TaskKind.BFS_ORDER:
+        return {"start": rng.randrange(g.n)}
+    if task is TaskKind.CONNECTIVITY:
+        u, v = rng.sample(range(g.n), 2)
+        return {"u": u, "v": v}
+    if task is TaskKind.SHORTEST_PATH:
+        for _ in range(1000):
+            u, v = rng.sample(range(g.n), 2)
+            if graphs.connected(g, u, v):
+                return {"u": u, "v": v}
+        raise ExhaustedAttempts("no connected node pair found")
+    return {}
 
 
 def compute_ground_truth(task: TaskKind, g: Graph, params: dict[str, int],

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from graphbench.graphs import Graph
+from graphbench.errors import MalformedResponse
+from graphbench.gateway import CompletionResponse
+from graphbench.graphs import Graph, bfs_levels
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
@@ -11,6 +13,54 @@ def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
         p = rng.uniform(0.1, 0.9)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Sorted node lists of the components, in order of their smallest node."""
+    seen: set[int] = set()
+    comps = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp = sorted(bfs_levels(g, s))
+        seen.update(comp)
+        comps.append(comp)
+    return comps
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Two-coloring check, used by the generator property tests."""
+    color: dict[int, int] = {}
+    for s in range(g.n):
+        if s in color:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors(u):
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+class CannedBackend:
+    """Replays stored transcripts keyed by the request's cache key or raw
+    prompt; unknown prompts raise MalformedResponse."""
+
+    def __init__(self, responses: dict[str, str]):
+        self.responses = responses
+        self.name = "canned"
+
+    def complete(self, req):
+        text = self.responses.get(req.cache_key(), self.responses.get(req.prompt))
+        if text is None:
+            raise MalformedResponse(f"no canned response for prompt {req.prompt[:60]!r}...")
+        return CompletionResponse(text=text, tokens_out=len(text.split()),
+                                  backend=self.name)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import statistics
 import time
 
 
-from conftest import random_graph
+from conftest import is_bipartite, random_graph
 from graphbench import answer_eval
 from graphbench.baselines import analytic_baseline, monte_carlo_baseline
 from graphbench.cli import main as cli_main
@@ -19,7 +19,7 @@ from graphbench.corpus import build_corpus, read_jsonl, write_jsonl
 from graphbench.gateway import Gateway, MockBackend
 from graphbench.generators import DifficultySplit as D
 from graphbench.generators import GraphFamily as GF
-from graphbench.generators import derive_rng, generate, is_bipartite
+from graphbench.generators import derive_rng, generate
 from graphbench.graphs import Graph, diameter, has_cycle, is_connected, triangle_count
 from graphbench.pipeline import accuracy, run_evaluation
 from graphbench.prompts import PromptScheme as S

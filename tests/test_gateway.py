@@ -6,15 +6,17 @@ import time
 
 import pytest
 
+from conftest import CannedBackend
 from graphbench.corpus import build_corpus
 from graphbench.errors import MalformedResponse, RateLimited
-from graphbench.gateway import (CannedBackend, CompletionRequest, CompletionResponse,
-                                Gateway, MockBackend, parse_prompt)
+from graphbench.gateway import CompletionRequest, CompletionResponse, Gateway, MockBackend
 from graphbench.generators import DifficultySplit as D
-from graphbench.pipeline import score_response
+from graphbench.pipeline import accuracy, run_evaluation, score_response
+from graphbench.prompts import DecorationFactors
 from graphbench.prompts import PromptScheme as S
-from graphbench.prompts import compose_prompt
+from graphbench.prompts import build_exemplars, compose_prompt
 from graphbench.serialize import SerializationFormat as F
+from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind as T
 
 
@@ -71,6 +73,14 @@ def test_cache_key_covers_params():
     assert a.cache_key() != b.cache_key()
 
 
+def test_cache_key_ignores_query():
+    q, prompt = sample_prompt()
+    bare = CompletionRequest("m", prompt)
+    with_query = CompletionRequest("m", prompt, query=q)
+    assert with_query.cache_key() == bare.cache_key()
+    assert with_query == bare
+
+
 def test_run_batch_preserves_order():
     backend = CountingBackend(delay=0)
     gw = Gateway(backend)
@@ -97,7 +107,7 @@ def test_retry_on_rate_limit():
     backend = MockBackend(mode="oracle", rate_limit_prob=1.0)
     sleeps = []
     gw = Gateway(backend, max_retries=3, backoff_base=0.25, sleep=sleeps.append)
-    resp = gw.complete(CompletionRequest("m", prompt))
+    resp = gw.complete(CompletionRequest("m", prompt, query=q))
     assert resp.text
     assert sleeps == [0.25]
 
@@ -120,7 +130,8 @@ def test_batch_fault_injection_all_succeed():
     qs = build_corpus([T.CYCLE], [D.EASY], None, 10, master_seed=8)
     backend = MockBackend(mode="oracle", rate_limit_prob=0.4, seed=2)
     gw = Gateway(backend, max_retries=4, sleep=lambda s: None)
-    reqs = [CompletionRequest("m", compose_prompt(q, S.ZERO_SHOT, F.EDGE_LIST)) for q in qs]
+    reqs = [CompletionRequest("m", compose_prompt(q, S.ZERO_SHOT, F.EDGE_LIST), query=q)
+            for q in qs]
     results = gw.run_batch(reqs, max_in_flight=4)
     assert all(r.ok for r in results)
 
@@ -128,7 +139,7 @@ def test_batch_fault_injection_all_succeed():
 def test_mock_oracle_scores_one():
     for task in T:
         q, prompt = sample_prompt(task=task)
-        resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt))
+        resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt, query=q))
         _, s = score_response(q, resp.text)
         assert s == 1, (task, resp.text)
 
@@ -136,7 +147,7 @@ def test_mock_oracle_scores_one():
 def test_mock_bernoulli_is_deterministic_per_prompt():
     q, prompt = sample_prompt()
     backend = MockBackend(mode="bernoulli", error_rate=0.5, seed=7)
-    texts = {backend.complete(CompletionRequest("m", prompt)).text for _ in range(5)}
+    texts = {backend.complete(CompletionRequest("m", prompt, query=q)).text for _ in range(5)}
     assert len(texts) == 1
 
 
@@ -144,7 +155,7 @@ def test_mock_wrong_answers_score_zero():
     backend = MockBackend(mode="bernoulli", error_rate=1.0, seed=0)
     for task in T:
         q, prompt = sample_prompt(task=task, seed=9)
-        resp = backend.complete(CompletionRequest("m", prompt))
+        resp = backend.complete(CompletionRequest("m", prompt, query=q))
         _, s = score_response(q, resp.text)
         assert s == 0, (task, resp.text)
 
@@ -152,27 +163,54 @@ def test_mock_wrong_answers_score_zero():
 def test_mock_fixed_token_reporting():
     q, prompt = sample_prompt()
     backend = MockBackend(mode="oracle", fixed_tokens_out=100)
-    resp = backend.complete(CompletionRequest("m", prompt))
+    resp = backend.complete(CompletionRequest("m", prompt, query=q))
     assert resp.tokens_out == 100 and resp.tokens_in == len(prompt.split())
 
 
+
 def test_parse_prompt_round_trip_all_formats():
+    """The prompt carries its query's graph in every format, and the oracle
+    mock answers that query, params included, without parsing the prompt."""
     for fmt in F:
         for task in (T.BFS_ORDER, T.CONNECTIVITY, T.DIAMETER, T.MAX_CUT):
             q, prompt = sample_prompt(task=task, fmt=fmt, seed=4)
-            got_task, got_graph, got_params = parse_prompt(prompt)
-            assert got_task == q.task
-            assert got_graph == q.graph
-            assert got_params == q.params
+            assert serialize(q.graph, fmt) in prompt
+            resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt, query=q))
+            _, s = score_response(q, resp.text)
+            assert s == 1, (task, fmt, resp.text)
 
 
 def test_parse_prompt_uses_last_item():
-    q, prompt = sample_prompt(task=T.TRIANGLE)
-    from graphbench.prompts import build_exemplars
+    """A k-shot prompt's final item holds the query's graph, and the mock
+    answers that query rather than an exemplar."""
+    q, _ = sample_prompt(task=T.TRIANGLE)
     bank = build_exemplars(T.TRIANGLE, S.K_SHOT, k=3)
     shot = compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST, bank=bank)
-    got_task, got_graph, _ = parse_prompt(shot)
-    assert got_task == T.TRIANGLE and got_graph == q.graph
+    last_answer = bank.exemplars[-1].answer
+    assert serialize(q.graph, F.ADJACENCY_LIST) in shot[shot.rindex(last_answer):]
+    resp = MockBackend(mode="oracle").complete(CompletionRequest("m", shot, query=q))
+    answer, s = score_response(q, resp.text)
+    assert s == 1 and answer == q.ground_truth
+
+def test_mock_without_query_is_an_item_error():
+    q, prompt = sample_prompt()
+    gw = Gateway(MockBackend(mode="oracle"))
+    results = gw.run_batch([CompletionRequest("m", prompt),
+                            CompletionRequest("m", prompt, query=q)])
+    assert not results[0].ok and "query" in results[0].error
+    assert results[1].ok
+
+
+@pytest.mark.parametrize("deco", [DecorationFactors(word_delim="\t"),
+                                  DecorationFactors(qa_delim=" :: ")],
+                         ids=["word_delim_tab", "qa_delim_double_colon"])
+def test_mock_oracle_answers_decorated_prompts(deco):
+    queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=0)
+    records = run_evaluation(queries, [S.ZERO_SHOT, S.K_SHOT], list(F),
+                             Gateway(MockBackend(mode="oracle")), deco=deco)
+    assert len(records) == len(queries) * 2 * len(F)
+    assert [r["error"] for r in records if "error" in r] == []
+    assert accuracy(records) == 1.0
 
 
 def test_canned_backend():

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
+from conftest import is_bipartite
 from graphbench.errors import ExhaustedAttempts, InvalidN
 from graphbench.generators import (ALL_FAMILIES, DifficultySplit, GraphFamily,
                                    admissible_families, derive_rng, derive_seed,
-                                   generate, generate_connected, is_bipartite,
-                                   parse_families, sample_n)
+                                   generate, generate_connected, parse_families,
+                                   sample_n)
 from graphbench.graphs import has_cycle, is_connected, triangle_count
 from graphbench.tasks import TaskKind
 

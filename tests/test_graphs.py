@@ -2,15 +2,15 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from conftest import random_graph
+from conftest import connected_components, random_graph
 from graphbench.errors import DisconnectedGraph, TooLarge
-from graphbench.graphs import (Graph, bfs_levels, connected, connected_components,
-                               cut_size, diameter, has_cycle, hamiltonian_cycle,
-                               max_cut, shortest_distance, triangle_count,
-                               verify_hamiltonian_tour)
+from graphbench.graphs import (Graph, bfs_levels, connected, cut_size, diameter,
+                               has_cycle, hamiltonian_cycle, max_cut, shortest_distance,
+                               shortest_path, triangle_count, verify_hamiltonian_tour)
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -55,6 +55,19 @@ def brute_max_cut(g: Graph) -> int:
         side = {0} | {v for v in range(1, g.n) if bits >> (v - 1) & 1}
         best = max(best, cut_size(g, side))
     return best
+
+
+def queue_bfs(g: Graph, s: int) -> tuple[list[int], dict[int, int | None]]:
+    """Visit order and first-discovery parents from an explicit FIFO queue."""
+    order, parent, queue = [s], {s: None}, deque([s])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+                queue.append(y)
+    return order, parent
 
 
 # -- examples ----------------------------------------------------------------
@@ -106,6 +119,16 @@ def test_shortest_distance_examples():
     assert shortest_distance(star, 4, 4) == 0
     assert shortest_distance(star, 0, 8) == 1
     assert shortest_distance(TWO_PATHS, 0, 5) is None
+
+
+def test_shortest_path_examples():
+    square = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert shortest_path(square, 0, 3) == [0, 1, 3]
+    assert shortest_path(square, 3, 0) == [3, 1, 0]
+    assert shortest_path(TWO_PATHS, 0, 2) == [0, 1, 2]
+    assert shortest_path(TWO_PATHS, 4, 4) == [4]
+    with pytest.raises(ValueError):
+        shortest_path(TWO_PATHS, 0, 5)
 
 
 def test_hamiltonian_examples():
@@ -193,6 +216,24 @@ def test_bfs_levels_are_contiguous():
             neighbor_levels = {levels[u] for u in g.neighbors(v) if u in levels}
             assert lvl - 1 in neighbor_levels
             assert not any(nl < lvl - 1 for nl in neighbor_levels)
+
+
+def test_bfs_order_and_paths_match_queue_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), p=rng.uniform(0.05, 0.6))
+        s = rng.randrange(g.n)
+        order, parent = queue_bfs(g, s)
+        assert list(bfs_levels(g, s)) == order
+        for v in range(g.n):
+            if v not in parent:
+                with pytest.raises(ValueError):
+                    shortest_path(g, s, v)
+                continue
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            assert shortest_path(g, s, v) == path[::-1]
 
 
 def test_diameter_dominates_pairwise_distances():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from graphbench import answer_eval
-from graphbench.corpus import QuerySpec
+from graphbench.corpus import QuerySpec, build_corpus
 from graphbench.errors import EmptyBank, MissingParam
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
@@ -113,6 +113,25 @@ def test_graph_text_is_verbatim_substring():
                                        word_delim="\t", case="upper")):
             prompt = compose_prompt(q, PromptScheme.ZERO_COT, fmt, deco=deco)
             assert rendered in prompt
+
+
+def test_final_item_carries_query_graph():
+    """The query's serialized graph appears verbatim in the final item, the
+    one a responder must answer, after every exemplar."""
+    decos = (IDENTITY_DECORATION, DecorationFactors(word_delim="\t"),
+             DecorationFactors(qa_delim=" :: "),
+             DecorationFactors(sentence_delim=" \n", qa_delim=" \n\t", word_delim="  ",
+                               case="title"))
+    for q in build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=4):
+        bank = build_exemplars(q.task, PromptScheme.K_SHOT, k=3)
+        for fmt in F:
+            rendered = serialize(q.graph, fmt)
+            for deco in decos:
+                assert rendered in compose_prompt(q, PromptScheme.ZERO_SHOT, fmt, deco=deco)
+                shot = compose_prompt(q, PromptScheme.K_SHOT, fmt, bank=bank, deco=deco)
+                last_answer = deco.a_marker(deco.text(bank.exemplars[-1].answer))
+                final_item = shot[shot.rindex(last_answer) + len(last_answer):]
+                assert rendered in final_item, (q.task, fmt, deco)
 
 
 def test_identity_decoration_is_byte_identical():

@@ -2,9 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import connected_components
 from graphbench import answer_eval
-from graphbench.graphs import Graph, bfs_levels, connected_components, has_cycle, triangle_count
-from graphbench.prompts import _bfs_order, gold_answer
+from graphbench.graphs import Graph, bfs_levels, has_cycle, triangle_count
+from graphbench.prompts import gold_answer
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import parse, serialize
 from graphbench.tasks import TaskKind as T
@@ -35,7 +36,7 @@ def test_cycle_matches_component_edge_count(g):
 @given(graphs(min_n=1), st.data())
 def test_canonical_bfs_order_always_verifies(g, data):
     s = data.draw(st.integers(0, g.n - 1))
-    order = _bfs_order(g, s)
+    order = list(bfs_levels(g, s))
     assert answer_eval.verify_bfs_order(g, s, order)
     assert set(order) == set(bfs_levels(g, s))
 
