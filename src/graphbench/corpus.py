@@ -1,5 +1,5 @@
-"""Query corpus assembly, JSONL persistence, external edge-list import,
-dataset statistics, and the ground-truth selfcheck.
+"""Query corpus assembly, JSONL persistence, dataset statistics, and the
+ground-truth selfcheck.
 
 Every query derives its own RNG stream from (master seed, task, split,
 family, index), so rebuilding any slice of a corpus reproduces it exactly.
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import graphs
-from .errors import ExhaustedAttempts, MalformedInput
+from .errors import ExhaustedAttempts
 from .generators import (DifficultySplit, GraphFamily, admissible_families,
                          derive_rng, derive_seed, generate, generate_connected)
 from .graphs import Graph
@@ -86,17 +86,15 @@ def load_queries(path: str | Path) -> list[QuerySpec]:
     return [QuerySpec.from_record(rec) for rec in read_jsonl(path)]
 
 
-def _sample_n_for_task(task: TaskKind, split: DifficultySplit, rng: random.Random,
-                       np_node_cap: int) -> int:
+def _sample_n_for_task(task: TaskKind, split: DifficultySplit, rng: random.Random) -> int:
     lo, hi = split.node_range
     if task in NP_TASKS:
-        hi = min(hi, np_node_cap)
+        hi = min(hi, graphs.NP_NODE_CAP)
     return rng.randint(lo, hi)
 
 
 def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
                 index: int, master_seed: int,
-                np_node_cap: int = graphs.DEFAULT_NP_NODE_CAP,
                 seen_hashes: set[frozenset] | None = None,
                 max_attempts: int = 50) -> QuerySpec:
     """Build one query from its derived seed stream.
@@ -108,7 +106,7 @@ def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
     for attempt in range(max_attempts):
         seed = (master_seed, task.value, split.value, family.value, index, attempt)
         rng = derive_rng(*seed)
-        n = _sample_n_for_task(task, split, rng, np_node_cap)
+        n = _sample_n_for_task(task, split, rng)
         try:
             if task is TaskKind.DIAMETER:
                 g = generate_connected(family, n, rng)
@@ -122,7 +120,7 @@ def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
             if seen_hashes is not None and g.edges in seen_hashes:
                 continue
             params = sample_params(task, g, rng)
-            gt = compute_ground_truth(task, g, params, node_cap=np_node_cap)
+            gt = compute_ground_truth(task, g, params)
         except ExhaustedAttempts:
             continue
         if seen_hashes is not None:
@@ -137,8 +135,7 @@ def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
 
 def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
                  families: Sequence[GraphFamily] | None, count: int,
-                 master_seed: int, per_cell: bool = False,
-                 np_node_cap: int = graphs.DEFAULT_NP_NODE_CAP) -> list[QuerySpec]:
+                 master_seed: int, per_cell: bool = False) -> list[QuerySpec]:
     """Assemble queries for every (task, split, admissible family) cell.
 
     With per_cell=True, `count` items are built per family cell; otherwise
@@ -164,30 +161,8 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
                     counters[f] += 1
             for family, index in plan:
                 out.append(build_query(task, split, family, index, master_seed,
-                                       np_node_cap=np_node_cap,
                                        seen_hashes=seen[family]))
     return out
-
-
-def import_edge_list(path: str | Path) -> Graph:
-    """Read a 'u v' edge-list file, compacting arbitrary node ids to 0..n-1."""
-    ids: set[int] = set()
-    raw_edges: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise MalformedInput(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise MalformedInput(f"{path}:{lineno}: non-integer node id in {line!r}") from None
-            ids.update((u, v))
-            raw_edges.append((u, v))
-    remap = {node: i for i, node in enumerate(sorted(ids))}
-    return Graph.from_edges(len(remap), ((remap[u], remap[v]) for u, v in raw_edges))
 
 
 def corpus_stats(corpus: Sequence[QuerySpec]) -> list[dict[str, Any]]:
@@ -209,8 +184,7 @@ def corpus_stats(corpus: Sequence[QuerySpec]) -> list[dict[str, Any]]:
     return rows
 
 
-def selfcheck(corpus: Sequence[QuerySpec],
-              np_node_cap: int = graphs.DEFAULT_NP_NODE_CAP) -> list[str]:
+def selfcheck(corpus: Sequence[QuerySpec]) -> list[str]:
     """Revalidate every stored ground truth against a fresh oracle run.
 
     Returns the list of failing query ids (empty when the corpus is clean).
@@ -226,8 +200,7 @@ def selfcheck(corpus: Sequence[QuerySpec],
             ok = False
         try:
             if ok:
-                ok = ground_truth_matches(q.task, q.graph, q.params, q.ground_truth,
-                                          node_cap=np_node_cap)
+                ok = ground_truth_matches(q.task, q.graph, q.params, q.ground_truth)
         except Exception:
             ok = False
         if not ok:

@@ -21,16 +21,6 @@ class ExhaustedAttempts(GraphBenchError):
     """Resampling loop hit its attempt budget."""
 
 
-class MalformedInput(GraphBenchError):
-    """Unparseable serialized graph text; message carries a diagnostic."""
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
-        self.position = position
-
-
 class MissingParam(GraphBenchError):
     """Task question requires a node parameter that was not supplied."""
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DisconnectedGraph, TooLarge
 
-# Default node cap for the exact NP-hard solvers. A configuration value,
-# not a constant of the algorithms.
-DEFAULT_NP_NODE_CAP = 25
+# Largest graph the exact NP-hard solvers accept; NP-task corpora never
+# draw more nodes than this.
+NP_NODE_CAP = 25
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -174,30 +174,30 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def triangle_count(g: Graph) -> int:
-    """Number of unordered vertex triples with all three edges present.
+def triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """Every triangle as (a, b, c) with a < b < c, in lexicographic order.
 
-    Counts each triangle once at its smallest vertex by intersecting
-    sorted neighbor lists above the current pair.
+    Each triangle is found once, at its smallest edge (a, b), by
+    intersecting b's sorted neighbors above b with a's neighbors.
     """
-    count = 0
     adj_sets = [set(a) for a in g.adjacency]
-    for u, v in g.edge_list():
-        # u < v by canonical order; count common neighbors w > v
-        for w in g.neighbors(v):
-            if w > v and w in adj_sets[u]:
-                count += 1
-    return count
+    return [(u, v, w) for u, v in g.edge_list()
+            for w in g.neighbors(v) if w > v and w in adj_sets[u]]
 
 
-def hamiltonian_cycle(g: Graph, node_cap: int = DEFAULT_NP_NODE_CAP) -> tuple[bool, list[int] | None]:
+def triangle_count(g: Graph) -> int:
+    """Number of unordered vertex triples with all three edges present."""
+    return len(triangles(g))
+
+
+def hamiltonian_cycle(g: Graph) -> tuple[bool, list[int] | None]:
     """Decide Hamiltonian-cycle existence by backtracking with degree pruning.
 
     Returns (True, witness tour) or (False, None). The witness visits every
     node exactly once, starting at 0, with a closing edge back to 0.
     """
-    if g.n > node_cap:
-        raise TooLarge(f"n={g.n} exceeds node cap {node_cap}")
+    if g.n > NP_NODE_CAP:
+        raise TooLarge(f"n={g.n} exceeds node cap {NP_NODE_CAP}")
     if g.n < 3:
         return False, None
     if any(g.degree(u) < 2 for u in range(g.n)):
@@ -240,14 +240,14 @@ def verify_hamiltonian_tour(g: Graph, seq: Sequence[int]) -> bool:
     return all(g.has_edge(tour[i], tour[(i + 1) % g.n]) for i in range(g.n))
 
 
-def max_cut(g: Graph, node_cap: int = DEFAULT_NP_NODE_CAP) -> tuple[int, set[int]]:
+def max_cut(g: Graph) -> tuple[int, set[int]]:
     """Exact maximum cut by enumerating all 2^(n-1) bipartitions.
 
     Node 0 is pinned to side A to halve the space; masks are evaluated in
     numpy chunks. Returns (crossing edge count, side-A node set).
     """
-    if g.n > node_cap:
-        raise TooLarge(f"n={g.n} exceeds node cap {node_cap}")
+    if g.n > NP_NODE_CAP:
+        raise TooLarge(f"n={g.n} exceeds node cap {NP_NODE_CAP}")
     if g.n == 0:
         return 0, set()
     edges = g.edge_list()

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any
 from . import templates
 from .errors import EmptyBank, ExhaustedAttempts, MissingParam
 from .generators import DifficultySplit, admissible_families, derive_rng, generate, generate_connected, sample_n
-from .graphs import Graph, bfs_levels, shortest_path
+from .graphs import Graph, bfs_levels, shortest_path, triangles
 from .serialize import SerializationFormat, serialize
 from .tasks import TaskKind, compute_ground_truth, sample_params
 
@@ -235,15 +235,7 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
         return (f"Running BFS from every node and taking the longest of the shortest "
                 f"paths gives {gt}. {final}")
     if task is TaskKind.TRIANGLE:
-        tris = []
-        for a in range(g.n):
-            for b in g.neighbors(a):
-                if b <= a:
-                    continue
-                for c in g.neighbors(b):
-                    if c > b and g.has_edge(a, c):
-                        tris.append((a, b, c))
-        listing = ", ".join(str(t) for t in tris[:6]) if tris else "none"
+        listing = ", ".join(str(t) for t in triangles(g)[:6]) or "none"
         return (f"Checking every connected triple for all three edges finds: {listing}. {final}")
     if task is TaskKind.HAMILTONIAN:
         if gt["exists"]:
@@ -310,8 +302,7 @@ def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
 
 def compose_prompt(query: "QuerySpec", scheme: PromptScheme, fmt: SerializationFormat,
                    bank: ExemplarBank | None = None,
-                   deco: DecorationFactors = IDENTITY_DECORATION,
-                   strict_graphml: bool = False) -> str:
+                   deco: DecorationFactors = IDENTITY_DECORATION) -> str:
     """Assemble the full prompt for one query under (scheme, format, deco)."""
     blocks: list[str] = []
     if scheme.has_algorithm_block:
@@ -320,8 +311,8 @@ def compose_prompt(query: "QuerySpec", scheme: PromptScheme, fmt: SerializationF
         if bank is None or len(bank) == 0:
             raise EmptyBank(f"scheme {scheme.value} needs exemplars for task {query.task.value}")
         for ex in bank.exemplars:
-            blocks.append(_item_text(query.task, fmt, serialize(ex.graph, fmt, strict_graphml),
+            blocks.append(_item_text(query.task, fmt, serialize(ex.graph, fmt),
                                      ex.params, deco, scheme.instruct_items, ex.answer, None))
-    blocks.append(_item_text(query.task, fmt, serialize(query.graph, fmt, strict_graphml),
+    blocks.append(_item_text(query.task, fmt, serialize(query.graph, fmt),
                              query.params, deco, scheme.instruct_items, None, scheme.suffix))
     return "\n\n".join(blocks)

@@ -1,16 +1,14 @@
-"""Graph <-> text conversion for the seven serialization formats.
+"""Graph -> text conversion for the seven serialization formats.
 
 Rendering is canonical and deterministic: nodes ascending, adjacency lists
-ascending, edges lexicographic with u < v. Each format also has a parser so
-prompts and mock responses can be round-tripped and validated.
+ascending, edges lexicographic with u < v. The text is written for the model
+to read; nothing in the package reads a graph back from it.
 """
 
 from __future__ import annotations
 
 import enum
-import re
 
-from .errors import MalformedInput
 from .graphs import Graph
 
 
@@ -88,26 +86,25 @@ def _render_gmol(g: Graph) -> str:
 # each line break.
 _GMAL_HEADER = (
     "<?xml version='1.0' encoding='utf-8'?>\n"
-    '<{tag} xmlns="http://{ns}.graphdrawing.org/xmlns" \n'
+    '<GMaL xmlns="http://GMaL.graphdrawing.org/xmlns" \n'
     '         xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" \n'
-    '         xsi:schemaLocation="http://{ns}.graphdrawing.org/xmlns \n'
-    '         http://{ns}.graphdrawing.org/xmlns/1.0/{ns}.xsd">\n'
+    '         xsi:schemaLocation="http://GMaL.graphdrawing.org/xmlns \n'
+    '         http://GMaL.graphdrawing.org/xmlns/1.0/GMaL.xsd">\n'
     '  <graph edgedefault="undirected">\n'
 )
 
 
-def _render_gmal(g: Graph, strict_graphml: bool = False) -> str:
-    tag = "graphml" if strict_graphml else "GMaL"
-    out = [_GMAL_HEADER.format(tag=tag, ns=tag)]
+def _render_gmal(g: Graph) -> str:
+    out = [_GMAL_HEADER]
     for u in range(g.n):
         out.append(f'    <node id="{u}" />\n')
     for u, v in g.edge_list():
         out.append(f'    <edge source="{u}" target="{v}" />\n')
-    out.append(f"  </graph>\n</{tag}>")
+    out.append("  </graph>\n</GMaL>")
     return "".join(out)
 
 
-def serialize(g: Graph, fmt: SerializationFormat, strict_graphml: bool = False) -> str:
+def serialize(g: Graph, fmt: SerializationFormat) -> str:
     """Deterministic canonical text for the graph in the given format."""
     if fmt is SerializationFormat.ADJACENCY_MATRIX:
         return _render_matrix(g)
@@ -122,160 +119,7 @@ def serialize(g: Graph, fmt: SerializationFormat, strict_graphml: bool = False) 
     if fmt is SerializationFormat.GMOL:
         return _render_gmol(g)
     if fmt is SerializationFormat.GMAL:
-        return _render_gmal(g, strict_graphml=strict_graphml)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-_ROW_RE = re.compile(r"\[([^\[\]]*)\]")
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_KEYVAL_RE = re.compile(r"(\d+)\s*:\s*[\[\{]([\d\s,]*)[\]\}]")
-_GMOL_NODE_RE = re.compile(r"node\s*\[\s*id\s+(\d+)")
-_GMOL_EDGE_RE = re.compile(r"edge\s*\[\s*source\s+(\d+)\s+target\s+(\d+)\s*\]")
-_XML_NODE_RE = re.compile(r"<node\s+id=[\"'](\d+)[\"']\s*/?>")
-_XML_EDGE_RE = re.compile(r"<edge\s+source=[\"'](\d+)[\"']\s+target=[\"'](\d+)[\"']\s*/?>")
-
-
-def _finish(edges: list[tuple[int, int]], nodes: set[int], n: int | None,
-            source: str) -> Graph:
-    inferred = (max(nodes) + 1) if nodes else 0
-    if n is None:
-        n = inferred
-    elif inferred > n:
-        raise MalformedInput(f"{source}: node {max(nodes)} exceeds declared n={n}")
-    return Graph.from_edges(n, edges)
-
-
-def _parse_matrix(text: str, n: int | None) -> Graph:
-    rows = []
-    for match in _ROW_RE.finditer(text):
-        cells = match.group(1).split()
-        if not cells:
-            continue
-        if any(c not in ("0", "1") for c in cells):
-            raise MalformedInput("matrix cell is not 0/1", match.start())
-        rows.append([int(c) for c in cells])
-    if not rows:
-        if text.strip() in ("[]", "[[]]", ""):
-            return Graph(0)
-        raise MalformedInput("no matrix rows found")
-    size = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != size:
-            raise MalformedInput(f"row {i} has {len(row)} cells, expected {size}")
-        if row[i] != 0:
-            raise MalformedInput(f"nonzero diagonal at row {i}")
-    edges = []
-    for u in range(size):
-        for v in range(u + 1, size):
-            if rows[u][v] != rows[v][u]:
-                raise MalformedInput(f"asymmetric entry at ({u}, {v})")
-            if rows[u][v]:
-                edges.append((u, v))
-    if n is not None and n != size:
-        raise MalformedInput(f"matrix is {size}x{size}, expected n={n}")
-    return Graph.from_edges(size, edges)
-
-
-def _parse_adjacency(text: str, n: int | None) -> Graph:
-    stripped = text.strip()
-    if not (stripped.startswith("{") and stripped.endswith("}")):
-        raise MalformedInput("adjacency text must be brace-delimited")
-    edges = []
-    nodes: set[int] = set()
-    for match in _KEYVAL_RE.finditer(text):
-        u = int(match.group(1))
-        nodes.add(u)
-        for tok in match.group(2).replace(",", " ").split():
-            v = int(tok)
-            nodes.add(v)
-            if u != v:
-                edges.append((u, v))
-    if not nodes and stripped not in ("{}",):
-        raise MalformedInput("no adjacency entries found")
-    return _finish(edges, nodes, n, "adjacency")
-
-
-def _parse_edge_list(text: str, n: int | None) -> Graph:
-    edges = []
-    nodes: set[int] = set()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        toks = line.split()
-        if len(toks) != 2 or not all(t.isdigit() for t in toks):
-            raise MalformedInput(f"edge list line {lineno} is not 'u v': {line!r}")
-        u, v = int(toks[0]), int(toks[1])
-        nodes.update((u, v))
-        edges.append((u, v))
-    return _finish(edges, nodes, n, "edge list")
-
-
-def _parse_edge_set(text: str, n: int | None) -> Graph:
-    stripped = text.strip()
-    if not (stripped.startswith("{") and stripped.endswith("}")):
-        raise MalformedInput("edge set must be brace-delimited")
-    edges = []
-    nodes: set[int] = set()
-    for match in _PAIR_RE.finditer(text):
-        u, v = int(match.group(1)), int(match.group(2))
-        nodes.update((u, v))
-        edges.append((u, v))
-    if not edges and stripped != "{}":
-        raise MalformedInput("no edge pairs found")
-    return _finish(edges, nodes, n, "edge set")
-
-
-def _parse_gmol(text: str, n: int | None) -> Graph:
-    if text.count("[") != text.count("]"):
-        raise MalformedInput("unbalanced brackets in GMoL text")
-    if "graph" not in text:
-        raise MalformedInput("missing 'graph' block")
-    nodes = {int(m.group(1)) for m in _GMOL_NODE_RE.finditer(text)}
-    edges = []
-    for m in _GMOL_EDGE_RE.finditer(text):
-        u, v = int(m.group(1)), int(m.group(2))
-        nodes.update((u, v))
-        edges.append((u, v))
-    if not nodes:
-        raise MalformedInput("no node blocks found in GMoL text")
-    return _finish(edges, nodes, n, "GMoL")
-
-
-def _parse_gmal(text: str, n: int | None) -> Graph:
-    if "<graph" not in text:
-        raise MalformedInput("missing <graph> element")
-    if "</graph>" not in text:
-        raise MalformedInput("unterminated <graph> element")
-    nodes = {int(m.group(1)) for m in _XML_NODE_RE.finditer(text)}
-    edges = []
-    for m in _XML_EDGE_RE.finditer(text):
-        u, v = int(m.group(1)), int(m.group(2))
-        nodes.update((u, v))
-        edges.append((u, v))
-    if not nodes:
-        raise MalformedInput("no <node> elements found")
-    return _finish(edges, nodes, n, "GMaL")
-
-
-def parse(text: str, fmt: SerializationFormat, n: int | None = None) -> Graph:
-    """Parse serialized text back into a Graph.
-
-    Accepts canonical output as well as reasonable variants (whitespace,
-    unordered keys, reversed endpoints). `n` pins the node count for the
-    edge-only formats, which cannot represent trailing isolated nodes.
-    """
-    if fmt is SerializationFormat.ADJACENCY_MATRIX:
-        return _parse_matrix(text, n)
-    if fmt in (SerializationFormat.ADJACENCY_LIST, SerializationFormat.ADJACENCY_SET):
-        return _parse_adjacency(text, n)
-    if fmt is SerializationFormat.EDGE_LIST:
-        return _parse_edge_list(text, n)
-    if fmt is SerializationFormat.EDGE_SET:
-        return _parse_edge_set(text, n)
-    if fmt is SerializationFormat.GMOL:
-        return _parse_gmol(text, n)
-    if fmt is SerializationFormat.GMAL:
-        return _parse_gmal(text, n)
+        return _render_gmal(g)
     raise ValueError(f"unknown format {fmt!r}")
 
 

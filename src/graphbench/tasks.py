@@ -49,8 +49,7 @@ def sample_params(task: TaskKind, g: Graph, rng: random.Random) -> dict[str, int
     return {}
 
 
-def compute_ground_truth(task: TaskKind, g: Graph, params: dict[str, int],
-                         node_cap: int = graphs.DEFAULT_NP_NODE_CAP) -> Any:
+def compute_ground_truth(task: TaskKind, g: Graph, params: dict[str, int]) -> Any:
     """Run the task's oracle on the graph.
 
     The returned value is JSON-serializable and re-derivable from
@@ -73,23 +72,23 @@ def compute_ground_truth(task: TaskKind, g: Graph, params: dict[str, int],
     if task is TaskKind.TRIANGLE:
         return graphs.triangle_count(g)
     if task is TaskKind.HAMILTONIAN:
-        exists, tour = graphs.hamiltonian_cycle(g, node_cap=node_cap)
+        exists, tour = graphs.hamiltonian_cycle(g)
         return {"exists": exists, "witness": tour}
     if task is TaskKind.MAX_CUT:
-        size, side = graphs.max_cut(g, node_cap=node_cap)
+        size, side = graphs.max_cut(g)
         return {"size": size, "partition": sorted(side)}
     raise ValueError(f"unknown task {task!r}")
 
 
 def ground_truth_matches(task: TaskKind, g: Graph, params: dict[str, int],
-                         stored: Any, node_cap: int = graphs.DEFAULT_NP_NODE_CAP) -> bool:
+                         stored: Any) -> bool:
     """Revalidate a stored ground truth against a fresh oracle run.
 
     For Hamiltonian only the decision must agree (any valid witness is
     acceptable, and the stored one must verify when existence is claimed).
     Max-cut witnesses likewise only need to achieve the stored size.
     """
-    fresh = compute_ground_truth(task, g, params, node_cap=node_cap)
+    fresh = compute_ground_truth(task, g, params)
     if task is TaskKind.HAMILTONIAN:
         if not isinstance(stored, dict) or stored.get("exists") != fresh["exists"]:
             return False

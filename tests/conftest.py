@@ -1,10 +1,13 @@
+import ast
 import random
+import re
 
 import pytest
 
 from graphbench.errors import MalformedResponse
 from graphbench.gateway import CompletionResponse
 from graphbench.graphs import Graph, bfs_levels
+from graphbench.serialize import SerializationFormat as F
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
@@ -45,6 +48,35 @@ def is_bipartite(g: Graph) -> bool:
                 elif color[v] == color[u]:
                     return False
     return True
+
+
+def read_back(text: str, fmt: F, n: int) -> Graph:
+    """Graph read from serialized text by readers independent of the package.
+
+    The node-carrying formats give their own node count; `n` only fills in
+    the isolated nodes that the edge list and edge set cannot express.
+    """
+    if fmt in (F.ADJACENCY_LIST, F.ADJACENCY_SET):
+        adj = ast.literal_eval(text)
+        return Graph.from_edges(len(adj), [(u, v) for u, vs in adj.items() for v in vs])
+    if fmt is F.EDGE_SET:
+        return Graph.from_edges(n, ast.literal_eval(text))
+    if fmt is F.EDGE_LIST:
+        return Graph.from_edges(n, [tuple(map(int, line.split())) for line in text.splitlines()])
+    if fmt is F.ADJACENCY_MATRIX:
+        rows = [[int(c) for c in row.split()] for row in re.findall(r"\[([01 ]*)\]", text)]
+        rows = [row for row in rows if row]
+        size = len(rows)
+        assert all(len(row) == size and row[i] == 0 for i, row in enumerate(rows))
+        assert all(rows[u][v] == rows[v][u] for u in range(size) for v in range(size))
+        return Graph.from_edges(size, [(u, v) for u in range(size)
+                                       for v in range(u + 1, size) if rows[u][v]])
+    nx = pytest.importorskip("networkx")
+    if fmt is F.GMOL:
+        h = nx.parse_gml(text, label="id")
+    else:
+        h = nx.parse_graphml(text.replace("GMaL", "graphml"), node_type=int)
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
 
 
 class CannedBackend:

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from graphbench.cli import main
+from graphbench.cli import _live_reward_fn, build_parser, main
 from graphbench.corpus import read_jsonl, write_jsonl
-from graphbench.rlopt import default_space, make_planted_landscape
+from graphbench.gateway import Gateway, MockBackend
+from graphbench.prompts import CASE_FUNCTIONS
+from graphbench.rlopt import FactorSpace, default_space, make_planted_landscape
 
 
 def run_cli(*argv) -> int:
@@ -103,6 +105,25 @@ def test_rlopt_table_mode(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "episode,prompt_scheme,serialization,model,reward,epsilon"
     assert len(lines) == 41
+
+
+def test_live_reward_applies_decoration_factors(tmp_path):
+    # Each case option changes every prompt, so no combo may be served from
+    # another combo's cache entries.
+    args = build_parser().parse_args(["rlopt", "--task", "cycle", "--samples", "5"])
+    space = FactorSpace((("case", CASE_FUNCTIONS),))
+    gateway = Gateway(MockBackend(mode="oracle"), cache_dir=tmp_path)
+    reward = _live_reward_fn(args, space, gateway)
+    assert [reward(combo) for combo in space.combos()] == [1.0] * 4
+    assert (gateway.network_calls, gateway.cache_hits) == (20, 0)
+
+
+def test_live_reward_rejects_unknown_factor(tmp_path, capsys):
+    factors = tmp_path / "factors.json"
+    factors.write_text(json.dumps([{"name": "temperature", "options": ["0.1", "0.9"]}]))
+    assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "1",
+                   "--episodes", "1") == 1
+    assert "temperature" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

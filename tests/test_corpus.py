@@ -1,18 +1,13 @@
-"""Corpus assembly, JSONL persistence, edge-list import, statistics, and
-the ground-truth selfcheck."""
+"""Corpus assembly, JSONL persistence, statistics, and the ground-truth
+selfcheck."""
 
 import json
 
-import pytest
-
-from graphbench.corpus import (QuerySpec, build_corpus, corpus_stats, import_edge_list,
-                               load_queries, read_jsonl, selfcheck, write_jsonl)
-from graphbench.errors import MalformedInput
+from graphbench.corpus import (QuerySpec, build_corpus, corpus_stats, load_queries,
+                               read_jsonl, selfcheck, write_jsonl)
 from graphbench.generators import DifficultySplit as D
 from graphbench.generators import GraphFamily as GF
-from graphbench.graphs import Graph, is_connected, shortest_distance
-from graphbench.serialize import SerializationFormat as F
-from graphbench.serialize import serialize
+from graphbench.graphs import is_connected, shortest_distance
 from graphbench.tasks import TaskKind as T
 
 ALL_TASKS = list(T)
@@ -96,37 +91,6 @@ def test_np_tasks_respect_node_cap():
 def test_bfs_start_node_in_range():
     qs = build_corpus([T.BFS_ORDER], [D.EASY], None, 20, master_seed=8)
     assert all(0 <= q.params["start"] < q.n for q in qs)
-
-
-def test_import_edge_list(tmp_path):
-    path = tmp_path / "edges.txt"
-    path.write_text("0 1\n1 2\n3 4\n4 5\n")
-    g = import_edge_list(path)
-    assert g.n == 6 and g.m == 4
-
-
-def test_import_edge_list_compacts_ids(tmp_path):
-    path = tmp_path / "edges.txt"
-    path.write_text("10 20\n20 30\n")
-    g = import_edge_list(path)
-    assert g.n == 3 and g.edge_list() == [(0, 1), (1, 2)]
-
-
-def test_import_edge_list_empty_and_malformed(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    assert import_edge_list(empty).n == 0
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 1\n2\n")
-    with pytest.raises(MalformedInput):
-        import_edge_list(bad)
-
-
-def test_import_round_trips_serializer(tmp_path):
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    path = tmp_path / "rt.txt"
-    path.write_text(serialize(g, F.EDGE_LIST) + "\n")
-    assert import_edge_list(path) == g
 
 
 def test_corpus_stats_directions():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CannedBackend
 from graphbench.corpus import build_corpus
-from graphbench.errors import MalformedResponse, RateLimited
+from graphbench.errors import RateLimited
 from graphbench.gateway import CompletionRequest, CompletionResponse, Gateway, MockBackend
 from graphbench.generators import DifficultySplit as D
 from graphbench.pipeline import accuracy, run_evaluation, score_response
@@ -213,12 +213,13 @@ def test_mock_oracle_answers_decorated_prompts(deco):
     assert accuracy(records) == 1.0
 
 
-def test_canned_backend():
-    req = CompletionRequest("m", "question?")
-    backend = CannedBackend({req.cache_key(): "stored answer"})
-    assert backend.complete(req).text == "stored answer"
-    with pytest.raises(MalformedResponse):
-        backend.complete(CompletionRequest("m", "unknown"))
+def test_canned_backend(tmp_path):
+    known = CompletionRequest("m", "question?")
+    gw = Gateway(CannedBackend({known.cache_key(): "stored answer"}), cache_dir=tmp_path)
+    hit, miss = gw.run_batch([known, CompletionRequest("m", "unknown")])
+    assert hit.ok and hit.response.text == "stored answer"
+    assert not miss.ok and miss.error.startswith("MalformedResponse: ")
+    assert gw.network_calls == 2
 
 
 def test_request_validation():

@@ -10,7 +10,8 @@ from conftest import connected_components, random_graph
 from graphbench.errors import DisconnectedGraph, TooLarge
 from graphbench.graphs import (Graph, bfs_levels, connected, cut_size, diameter,
                                has_cycle, hamiltonian_cycle, max_cut, shortest_distance,
-                               shortest_path, triangle_count, verify_hamiltonian_tour)
+                               shortest_path, triangle_count, triangles,
+                               verify_hamiltonian_tour)
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -19,9 +20,13 @@ TWO_PATHS = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 
 # -- brute-force oracles -----------------------------------------------------
 
+def brute_triangle_list(g: Graph) -> list[tuple[int, int, int]]:
+    return [(a, b, c) for a, b, c in itertools.combinations(range(g.n), 3)
+            if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)]
+
+
 def brute_triangles(g: Graph) -> int:
-    return sum(1 for a, b, c in itertools.combinations(range(g.n), 3)
-               if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c))
+    return len(brute_triangle_list(g))
 
 
 def floyd_warshall_diameter(g: Graph) -> int | None:
@@ -159,6 +164,7 @@ def test_triangle_count_matches_brute_force():
     rng = random.Random(7)
     for _ in range(150):
         g = random_graph(rng, rng.randint(2, 12))
+        assert triangles(g) == brute_triangle_list(g)
         assert triangle_count(g) == brute_triangles(g)
 
 

@@ -1,13 +1,14 @@
 """Property-based checks over randomly drawn graphs."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import connected_components
+from conftest import connected_components, read_back
 from graphbench import answer_eval
 from graphbench.graphs import Graph, bfs_levels, has_cycle, triangle_count
 from graphbench.prompts import gold_answer
 from graphbench.serialize import SerializationFormat as F
-from graphbench.serialize import parse, serialize
+from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind as T
 from graphbench.tasks import compute_ground_truth
 
@@ -20,10 +21,11 @@ def graphs(draw, min_n=1, max_n=10):
     return Graph.from_edges(n, edges)
 
 
+@pytest.mark.parametrize("fmt", list(F), ids=lambda f: f.value)
 @settings(max_examples=60, deadline=None)
-@given(graphs(), st.sampled_from(list(F)))
+@given(g=graphs())
 def test_round_trip_preserves_graph(g, fmt):
-    assert parse(serialize(g, fmt), fmt, n=g.n) == g
+    assert read_back(serialize(g, fmt), fmt, g.n) == g
 
 
 @settings(max_examples=60, deadline=None)

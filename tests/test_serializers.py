@@ -1,14 +1,15 @@
-"""Serializer goldens (frozen reference texts) and parser round-trips."""
+"""Serializer goldens (frozen reference texts) and read-back fidelity: every
+format's text, read by an independent reader, gives the graph back."""
 
+import ast
 import random
 
 import pytest
 
-from conftest import random_graph
-from graphbench.errors import MalformedInput
+from conftest import random_graph, read_back
 from graphbench.graphs import Graph
 from graphbench.serialize import SerializationFormat as F
-from graphbench.serialize import parse, serialize
+from graphbench.serialize import serialize
 
 GOLDEN_MATRIX = (
     "[[0 1 0 0 0 0]\n"
@@ -113,22 +114,12 @@ def test_gmal_golden(reference_graph):
     assert serialize(reference_graph, F.GMAL) == GOLDEN_GMAL
 
 
-def test_gmal_strict_graphml_toggle(reference_graph):
-    text = serialize(reference_graph, F.GMAL, strict_graphml=True)
-    assert "<graphml" in text and "</graphml>" in text
-    assert "GMaL" not in text
-    assert parse(text, F.GMAL) == reference_graph
-
-
 def test_adjacency_set_elements(reference_graph):
-    parsed = parse(serialize(reference_graph, F.ADJACENCY_SET), F.ADJACENCY_SET)
-    got = {u: set(parsed.neighbors(u)) for u in range(parsed.n)}
-    assert got == GOLDEN_ADJ_SET_ELEMENTS
+    assert ast.literal_eval(serialize(reference_graph, F.ADJACENCY_SET)) == GOLDEN_ADJ_SET_ELEMENTS
 
 
 def test_edge_set_elements(reference_graph):
-    parsed = parse(serialize(reference_graph, F.EDGE_SET), F.EDGE_SET)
-    assert set(parsed.edge_list()) == {tuple(sorted(e)) for e in GOLDEN_EDGE_SET_ELEMENTS}
+    assert ast.literal_eval(serialize(reference_graph, F.EDGE_SET)) == GOLDEN_EDGE_SET_ELEMENTS
 
 
 def test_empty_matrix_template():
@@ -136,56 +127,9 @@ def test_empty_matrix_template():
     assert serialize(g, F.ADJACENCY_MATRIX) == "[[0 0 0]\n [0 0 0] \n [0 0 0]]"
 
 
-def test_round_trip_all_formats():
+@pytest.mark.parametrize("fmt", list(F), ids=lambda f: f.value)
+def test_round_trip_all_formats(fmt):
     rng = random.Random(42)
     for _ in range(1000):
         g = random_graph(rng, rng.randint(1, 12))
-        for fmt in F:
-            assert parse(serialize(g, fmt), fmt, n=g.n) == g, fmt
-
-
-def test_cross_format_agreement():
-    rng = random.Random(43)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(2, 10))
-        parsed = {fmt: parse(serialize(g, fmt), fmt, n=g.n) for fmt in F}
-        assert len(set(parsed.values())) == 1
-
-
-def test_serialize_parse_serialize_fixed_point():
-    rng = random.Random(44)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 10))
-        for fmt in F:
-            text = serialize(g, fmt)
-            assert serialize(parse(text, fmt, n=g.n), fmt) == text
-
-
-def test_parse_accepts_unordered_and_reversed_input():
-    # key order and endpoint order from real transcripts vary
-    g = parse("{1: [0], 0: [1, 2], 2: [0]}", F.ADJACENCY_LIST)
-    assert g == Graph.from_edges(3, [(0, 1), (0, 2)])
-    g2 = parse("2 0\n1 0", F.EDGE_LIST)
-    assert g2 == Graph.from_edges(3, [(0, 2), (0, 1)])
-
-
-def test_malformed_inputs():
-    with pytest.raises(MalformedInput):
-        parse("graph [\n  node [\n    id 0\n", F.GMOL)
-    with pytest.raises(MalformedInput):
-        parse("[[0 1]\n [1 x]]", F.ADJACENCY_MATRIX)
-    with pytest.raises(MalformedInput):
-        parse("[[0 1]\n [0 0]]", F.ADJACENCY_MATRIX)  # asymmetric
-    with pytest.raises(MalformedInput):
-        parse("0 1\n2", F.EDGE_LIST)
-    with pytest.raises(MalformedInput):
-        parse("<GMaL><graph><node id='0'/>", F.GMAL)
-    with pytest.raises(MalformedInput):
-        parse("0: [1]", F.ADJACENCY_LIST)
-
-
-def test_parse_respects_declared_n():
-    with pytest.raises(MalformedInput):
-        parse("0 9", F.EDGE_LIST, n=3)
-    g = parse("0 1", F.EDGE_LIST, n=5)
-    assert g.n == 5 and g.m == 1
+        assert read_back(serialize(g, fmt), fmt, g.n) == g
