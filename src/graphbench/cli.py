@@ -153,6 +153,13 @@ def cmd_rlopt(args) -> int:
                    "format": "serialization"}
         wanted = [aliases.get(tok.strip(), tok.strip()) for tok in args.order.split(",")]
         by_name = dict(space.dims)
+        unknown = [n for n in wanted if n not in by_name]
+        if unknown:
+            raise ValueError(f"--order names unknown factor(s) {', '.join(unknown)}; "
+                             f"declared factors: {', '.join(space.names)}")
+        if sorted(wanted) != sorted(by_name):
+            raise ValueError(f"--order must name every declared factor exactly once: "
+                             f"{', '.join(space.names)}")
         space = rlopt.FactorSpace(tuple((n, by_name[n]) for n in wanted))
 
     if args.reward.startswith("table:"):

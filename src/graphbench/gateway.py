@@ -65,6 +65,8 @@ class CompletionResponse:
 
 class Backend(Protocol):
     name: str
+    # Every setting that changes the answers; the cache keys on it.
+    identity: str
 
     def complete(self, req: CompletionRequest) -> CompletionResponse: ...
 
@@ -85,6 +87,7 @@ class HttpBackend:
         self.timeout = timeout
         self.session = session or requests.Session()
         self.name = "http"
+        self.identity = f"http\x00{self.endpoint}"
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         body = {
@@ -172,6 +175,7 @@ class MockBackend:
         self.fixed_tokens_out = fixed_tokens_out
         self.rate_limit_prob = rate_limit_prob
         self.name = f"mock-{mode}"
+        self.identity = f"mock\x00{mode}\x00{error_rate!r}\x00{seed!r}"
         self._attempts: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -216,9 +220,10 @@ class BatchResult:
 class Gateway:
     """Caching, retrying front door to a backend.
 
-    The cache is content-addressed on disk, so interrupted runs resume
-    without re-spending completions; identical requests never hit the
-    network twice.
+    The cache is content-addressed on disk by the backend's identity and
+    the request, so interrupted runs resume without re-spending completions,
+    identical requests never hit the network twice, and one backend's
+    answers are never served for another's.
     """
 
     def __init__(self, backend: Backend, cache_dir: str | Path | None = None,
@@ -237,13 +242,15 @@ class Gateway:
         self.cache_hits = 0
         self._lock = threading.Lock()
 
-    def _cache_path(self, key: str) -> Path | None:
+    def _cache_path(self, req: CompletionRequest) -> Path | None:
         if self.cache_dir is None:
             return None
+        payload = f"{self.backend.identity}\x00{req.cache_key()}"
+        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         return self.cache_dir / key[:2] / f"{key}.json"
 
-    def _cache_read(self, req: CompletionRequest) -> CompletionResponse | None:
-        path = self._cache_path(req.cache_key())
+    @staticmethod
+    def _cache_read(path: Path | None) -> CompletionResponse | None:
         if path is None or not path.exists():
             return None
         data = json.loads(path.read_text("utf-8"))
@@ -252,8 +259,8 @@ class Gateway:
                                   latency_ms=data.get("latency_ms", 0.0),
                                   backend=data.get("backend", ""), cached=True)
 
-    def _cache_write(self, req: CompletionRequest, resp: CompletionResponse) -> None:
-        path = self._cache_path(req.cache_key())
+    @staticmethod
+    def _cache_write(path: Path | None, resp: CompletionResponse) -> None:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,7 +272,8 @@ class Gateway:
         tmp.replace(path)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        cached = self._cache_read(req)
+        path = self._cache_path(req)
+        cached = self._cache_read(path)
         if cached is not None:
             with self._lock:
                 self.cache_hits += 1
@@ -282,7 +290,7 @@ class Gateway:
                     raise
                 self.sleep(min(delay, self.backoff_cap))
                 delay *= 2
-        self._cache_write(req, resp)
+        self._cache_write(path, resp)
         return resp
 
     def run_batch(self, requests_in: Sequence[CompletionRequest],

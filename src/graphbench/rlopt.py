@@ -6,11 +6,16 @@ t-th dimension with an epsilon-greedy policy over a per-epoch Q network (a
 three-layer ReLU MLP on one-hot state/action encodings). The terminal update
 regresses on the observed reward; intermediate updates regress on the next
 epoch's max Q. There is no replay buffer; updates are purely online.
+
+Each decision costs one batched forward pass: a Q function predicts every
+option of an epoch at once, and the row computed for epoch t's bootstrap
+target is the row epoch t+1 chooses from.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
@@ -125,8 +130,21 @@ class DQNConfig:
 
 
 class QFunction(Protocol):
-    def predict(self, prefix: Combo) -> float: ...
+    def predict(self, prefix: Combo, options: Sequence[str]) -> list[float]:
+        """Q value of `prefix + (a,)` for every `a` in `options`."""
+        ...
+
     def update(self, prefix: Combo, target: float, lr: float) -> None: ...
+
+
+def _views(buf: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive reshaped views into the flat buffer `buf`."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
 class _QNet:
@@ -139,25 +157,38 @@ class _QNet:
     keeps rarely visited actions from lagging). With skip=True a direct
     linear path from the one-hot input to the output is added, which fits
     the additive part of a reward landscape in a handful of updates.
+
+    Weights, biases and the skip vector are views into one flat parameter
+    buffer, and their gradients views into a second one, so an optimizer
+    step is a few whole-buffer operations. They are element-wise (the NLMS
+    norm is still summed array by array), so the step equals the same
+    update applied to each array in turn, bit for bit.
     """
 
     def __init__(self, in_dim: int, hidden: tuple[int, int], rng: np.random.Generator,
                  optimizer: str = "adam", skip: bool = False):
         self.optimizer = optimizer
         sizes = [in_dim, hidden[0], hidden[1], 1]
-        self.weights = []
-        self.biases = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            scale = np.sqrt(2.0 / fan_in) if i < len(sizes) - 2 else 0.01
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        self.skip = np.zeros(in_dim) if skip else None
-        params = self.weights + self.biases + ([self.skip] if skip else [])
-        self._m = [np.zeros_like(p) for p in params]
-        self._v = [np.zeros_like(p) for p in params]
+        layers = len(sizes) - 1
+        shapes = list(zip(sizes, sizes[1:])) + [(n,) for n in sizes[1:]]
+        if skip:
+            shapes.append((in_dim,))
+        self._params = np.zeros(sum(math.prod(s) for s in shapes))
+        self._grads = np.zeros_like(self._params)
+        params = _views(self._params, shapes)
+        self._grad_views = _views(self._grads, shapes)
+        self.weights = params[:layers]
+        self.biases = params[layers:2 * layers]
+        self.skip = params[-1] if skip else None
+        for i, w in enumerate(self.weights):
+            scale = np.sqrt(2.0 / sizes[i]) if i < layers - 1 else 0.01
+            w[...] = rng.normal(0.0, scale, size=w.shape)
+        self._m = np.zeros_like(self._params)
+        self._v = np.zeros_like(self._params)
         self._t = 0
 
-    def _forward(self, x: np.ndarray):
+    def _forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Activations for one encoded row (1-D) or a batch of rows (2-D)."""
         acts = [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -165,11 +196,12 @@ class _QNet:
             h = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
             acts.append(h)
         if self.skip is not None:
-            acts[-1] = acts[-1] + float(self.skip @ x)
+            acts[-1] = acts[-1] + (x @ self.skip)[..., None]
         return acts
 
-    def predict(self, x: np.ndarray) -> float:
-        return float(self._forward(x)[-1][0])
+    def predict(self, xs: np.ndarray) -> np.ndarray:
+        """Q values of a batch of encoded rows, in one forward pass."""
+        return self._forward(xs)[-1][:, 0]
 
     def update(self, x: np.ndarray, target: float, lr: float) -> None:
         acts = self._forward(x)
@@ -177,38 +209,36 @@ class _QNet:
         err = 2.0 * (pred - target)
         if err == 0.0:
             return
-        grad_out = np.array([err])
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
-        delta = grad_out
-        for i in reversed(range(len(self.weights))):
-            grads_w[i] = np.outer(acts[i], delta)
-            grads_b[i] = delta
+        layers = len(self.weights)
+        grads_w, grads_b = self._grad_views[:layers], self._grad_views[layers:2 * layers]
+        delta = np.array([err])
+        for i in reversed(range(layers)):
+            np.outer(acts[i], delta, out=grads_w[i])
+            grads_b[i][...] = delta
             if i > 0:
                 delta = (self.weights[i] @ delta) * (acts[i] > 0)
-        params = self.weights + self.biases
-        grads = grads_w + grads_b
         if self.skip is not None:
-            params = params + [self.skip]
-            grads = grads + [err * x]
+            np.multiply(err, x, out=self._grad_views[-1])
         self._t += 1
+        params, grads = self._params, self._grads
         if self.optimizer == "nlms":
-            norm_sq = sum(float((g * g).sum()) for g in grads) / err ** 2
+            # Summed array by array: one flat sum would reorder the reduction.
+            norm_sq = sum(float((g * g).sum()) for g in self._grad_views) / err ** 2
             step = lr / max(norm_sq, 1e-12)
-            for p, g in zip(params, grads):
-                p -= step * g
+            params -= step * grads
             return
         if self.optimizer == "sgd":
-            for p, g in zip(params, grads):
-                p -= lr * g
+            params -= lr * grads
             return
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        for j, (p, g) in enumerate(zip(params, grads)):
-            self._m[j] = beta1 * self._m[j] + (1 - beta1) * g
-            self._v[j] = beta2 * self._v[j] + (1 - beta2) * g * g
-            m_hat = self._m[j] / (1 - beta1 ** self._t)
-            v_hat = self._v[j] / (1 - beta2 ** self._t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = self._m, self._v
+        m *= beta1
+        m += (1 - beta1) * grads
+        v *= beta2
+        v += (1 - beta2) * grads * grads
+        m_hat = m / (1 - beta1 ** self._t)
+        v_hat = v / (1 - beta2 ** self._t)
+        params -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 class _Encoder:
@@ -217,23 +247,27 @@ class _Encoder:
     def __init__(self, s0: tuple[str, str], space: FactorSpace):
         tasks = [t.value for t in TaskKind]
         splits = [d.value for d in DifficultySplit]
-        self._s0_vec = np.zeros(len(tasks) + len(splits))
+        self._s0_cols = []
         if s0[0] in tasks:
-            self._s0_vec[tasks.index(s0[0])] = 1.0
+            self._s0_cols.append(tasks.index(s0[0]))
         if s0[1] in splits:
-            self._s0_vec[len(tasks) + splits.index(s0[1])] = 1.0
-        self.space = space
+            self._s0_cols.append(len(tasks) + splits.index(s0[1]))
+        # Column where dimension d's one-hot block starts; the last entry is
+        # the width of a full combination's encoding.
+        self._offsets = list(itertools.accumulate(space.sizes, initial=len(tasks) + len(splits)))
+        self._index = [{a: i for i, a in enumerate(options)} for _, options in space.dims]
 
     def input_dim(self, t: int) -> int:
-        return len(self._s0_vec) + sum(self.space.sizes[:t + 1])
+        return self._offsets[t + 1]
 
-    def encode(self, prefix: Combo) -> np.ndarray:
-        parts = [self._s0_vec]
-        for d, action in enumerate(prefix):
-            onehot = np.zeros(self.space.sizes[d])
-            onehot[self.space.options(d).index(action)] = 1.0
-            parts.append(onehot)
-        return np.concatenate(parts)
+    def encode(self, prefix: Combo, options: Sequence[str]) -> np.ndarray:
+        """One row per option: the encoding of `prefix + (a,)`."""
+        t = len(prefix)
+        rows = np.zeros((len(options), self._offsets[t + 1]))
+        cols = self._s0_cols + [self._offsets[d] + self._index[d][a] for d, a in enumerate(prefix)]
+        rows[:, cols] = 1.0
+        rows[range(len(options)), [self._offsets[t] + self._index[t][a] for a in options]] = 1.0
+        return rows
 
 
 class MLPQ:
@@ -242,11 +276,11 @@ class MLPQ:
         self._encoder = encoder
         self._net = _QNet(encoder.input_dim(t), hidden, rng, optimizer=optimizer, skip=skip)
 
-    def predict(self, prefix: Combo) -> float:
-        return self._net.predict(self._encoder.encode(prefix))
+    def predict(self, prefix: Combo, options: Sequence[str]) -> list[float]:
+        return self._net.predict(self._encoder.encode(prefix, options)).tolist()
 
     def update(self, prefix: Combo, target: float, lr: float) -> None:
-        self._net.update(self._encoder.encode(prefix), target, lr)
+        self._net.update(self._encoder.encode(prefix[:-1], prefix[-1:])[0], target, lr)
 
 
 class TabularQ:
@@ -256,8 +290,8 @@ class TabularQ:
     def __init__(self, values: Mapping[Combo, float]):
         self.values = dict(values)
 
-    def predict(self, prefix: Combo) -> float:
-        return self.values.get(prefix, 0.0)
+    def predict(self, prefix: Combo, options: Sequence[str]) -> list[float]:
+        return [self.values.get(prefix + (a,), 0.0) for a in options]
 
     def update(self, prefix: Combo, target: float, lr: float) -> None:
         current = self.values.get(prefix, 0.0)
@@ -310,19 +344,24 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
 
     for episode in range(1, cfg.episodes + 1):
         prefix: Combo = ()
+        # Q values of net t over (prefix, options(t)). The bootstrap target
+        # at epoch t computes exactly this row for epoch t+1, and only net t
+        # is updated in between, so it is kept for the next greedy choice.
+        row: list[float] | None = None
         for t in range(t_count):
             options = space.options(t)
             if rng.random() < epsilon:
                 action = options[rng.randrange(len(options))]
             else:
-                values = [q_functions[t].predict(prefix + (a,)) for a in options]
-                action = options[int(np.argmax(values))]
+                if row is None:
+                    row = q_functions[t].predict(prefix, options)
+                action = options[int(np.argmax(row))]
             prefix = prefix + (action,)
             if t == t_count - 1:
                 target = evaluate(prefix)
             else:
-                nxt = space.options(t + 1)
-                target = max(q_functions[t + 1].predict(prefix + (a,)) for a in nxt)
+                row = q_functions[t + 1].predict(prefix, space.options(t + 1))
+                target = max(row)
             q_functions[t].update(prefix, target, cfg.learning_rate)
         reward = reward_cache[prefix]
         log.append(EpisodeEntry(episode, prefix, reward, epsilon))

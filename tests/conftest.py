@@ -86,6 +86,7 @@ class CannedBackend:
     def __init__(self, responses: dict[str, str]):
         self.responses = responses
         self.name = "canned"
+        self.identity = "canned"
 
     def complete(self, req):
         text = self.responses.get(req.cache_key(), self.responses.get(req.prompt))

@@ -126,6 +126,35 @@ def test_live_reward_rejects_unknown_factor(tmp_path, capsys):
     assert "temperature" in capsys.readouterr().err
 
 
+def test_rlopt_order_rejects_unknown_factor(capsys):
+    assert run_cli("rlopt", "--order", "prompt_scheme,nope", "--samples", "1",
+                   "--episodes", "1") == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_rlopt_order_must_name_every_factor(capsys):
+    # Leaving `model` out would silently search a smaller space.
+    assert run_cli("rlopt", "--order", "prompt_scheme,serialization", "--samples", "1",
+                   "--episodes", "1") == 1
+    assert "model" in capsys.readouterr().err
+
+
+def test_cache_never_serves_another_backends_answers(tmp_path):
+    q = tmp_path / "q.jsonl"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "6", "--seed", "4", "--out", str(q))
+    common = ("run", "--queries", str(q), "--formats", "adjacency_list,edge_list")
+    shared = tmp_path / "shared"
+    run_cli(*common, "--backend", "mock-oracle", "--cache-dir", str(shared),
+            "--out", str(tmp_path / "oracle.jsonl"))
+    bernoulli = ("--backend", "mock-bernoulli", "--error-rate", "0.5")
+    run_cli(*common, *bernoulli, "--cache-dir", str(shared), "--out", str(tmp_path / "a.jsonl"))
+    run_cli(*common, *bernoulli, "--cache-dir", str(tmp_path / "fresh"),
+            "--out", str(tmp_path / "b.jsonl"))
+    assert any(rec["score"] == 0 for rec in read_jsonl(tmp_path / "b.jsonl"))
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["generate"])  # missing required flags

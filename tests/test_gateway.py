@@ -9,7 +9,8 @@ import pytest
 from conftest import CannedBackend
 from graphbench.corpus import build_corpus
 from graphbench.errors import RateLimited
-from graphbench.gateway import CompletionRequest, CompletionResponse, Gateway, MockBackend
+from graphbench.gateway import (CompletionRequest, CompletionResponse, Gateway, HttpBackend,
+                                MockBackend)
 from graphbench.generators import DifficultySplit as D
 from graphbench.pipeline import accuracy, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
@@ -30,6 +31,7 @@ class CountingBackend:
 
     def __init__(self, delay=0.01):
         self.name = "counting"
+        self.identity = "counting"
         self.delay = delay
         self.active = 0
         self.peak = 0
@@ -81,6 +83,12 @@ def test_cache_key_ignores_query():
     assert with_query == bare
 
 
+def test_http_identity_covers_endpoint():
+    a = HttpBackend(endpoint="http://localhost:1/v1/chat/completions")
+    b = HttpBackend(endpoint="http://localhost:2/v1/chat/completions")
+    assert a.identity != b.identity
+
+
 def test_run_batch_preserves_order():
     backend = CountingBackend(delay=0)
     gw = Gateway(backend)
@@ -114,7 +122,7 @@ def test_retry_on_rate_limit():
 
 def test_retry_budget_exhausted():
     class AlwaysLimited:
-        name = "limited"
+        name = identity = "limited"
 
         def complete(self, req):
             raise RateLimited("always")

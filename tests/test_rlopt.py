@@ -1,12 +1,18 @@
-"""DQN search mechanics: grid search, cost/rate, greedy consistency, and
-replay determinism."""
+"""DQN search mechanics: grid search, cost/rate, greedy consistency,
+replay determinism, and the episode logs the search is pinned to."""
 
+import hashlib
+import random
+
+import numpy as np
 import pytest
 
 from graphbench.errors import EmptyFactor, ZeroDenominator
-from graphbench.rlopt import (DQNConfig, FactorSpace, cost_rate, default_space,
-                              grid_search, make_planted_landscape, make_tabular_q,
-                              run_dqn, scaled_space, table_reward_fn)
+from graphbench.generators import DifficultySplit
+from graphbench.rlopt import (MLPQ, DQNConfig, FactorSpace, _Encoder, cost_rate,
+                              default_space, grid_search, make_planted_landscape,
+                              make_tabular_q, run_dqn, scaled_space, table_reward_fn)
+from graphbench.tasks import TaskKind
 
 S0 = ("diameter", "easy")
 
@@ -153,3 +159,81 @@ def test_planted_landscape_properties():
     assert values[-2] <= 0.5
     median = values[len(values) // 2]
     assert 1.0 - median >= 0.2
+
+
+def additive_reward(space, seed):
+    """A reward over any space without a table: the mean of per-option scores."""
+    rng = random.Random(seed)
+    scores = [{a: rng.random() for a in options} for _, options in space.dims]
+    return lambda combo: round(sum(s[a] for s, a in zip(scores, combo)) / len(scores), 6)
+
+
+def log_digest(result):
+    text = "\n".join(f"{'|'.join(e.combo)} {e.reward!r}" for e in result.log)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of every episode's (combo, reward), recorded from the per-row
+# implementation that predicted one prefix at a time and stepped each
+# parameter array separately. Any change to a decision changes the digest.
+PLANTED_GOLDENS = {
+    "adam": "dbd34299f8c5ad73b95fa3af8bb5e726ec0c1a792f20bb236b09aaf697233237",
+    "sgd": "0057f9afb0c15ba60029cf348bdec446a368aa120ef22f1f569fd8b8a01390a7",
+    "nlms": "08dce8bc8acfd4b08037cb9b864ef7f14f708217c0751cd7f13d350de21e8046",
+}
+SCALED_GOLDENS = {
+    ("adam", False): "e0be06277be7f60653c7ebdac7ba9c0f2a31eebf9daf9c6a9c73aed4c55e8eef",
+    ("adam", True): "0a5a7a424c52ff87351aabfac2d212270b1f9d12bb65f0eb8c84a8f0402f8d79",
+    ("sgd", False): "331c402a2bdb4c18e5282ce330c161e7a6639737fb99db52993e689829975f72",
+    ("sgd", True): "16355b7cc605395ebc3796592ddc08874f24369be0bca3ea289e63635313690a",
+    ("nlms", False): "d78584971ff93fa90beaa8f9942140bf67a6f98ea9254cc34d0fae15e2f7f91c",
+    ("nlms", True): "834dba34d8d1013c2e55c5dcaf710cc1521830763f08f2008a8432c5b50e25ea",
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(PLANTED_GOLDENS))
+def test_planted_search_matches_golden_log(optimizer):
+    space = default_space()
+    table, _ = make_planted_landscape(space, seed=7)
+    result = run_dqn(S0, space, table_reward_fn(table),
+                     DQNConfig(episodes=2000, seed=7, optimizer=optimizer))
+    assert log_digest(result) == PLANTED_GOLDENS[optimizer]
+
+
+@pytest.mark.parametrize("optimizer,skip", sorted(SCALED_GOLDENS))
+def test_scaled_search_matches_golden_log(optimizer, skip):
+    space = scaled_space()
+    result = run_dqn(S0, space, additive_reward(space, 9),
+                     DQNConfig(episodes=300, seed=9, optimizer=optimizer, input_skip=skip))
+    assert log_digest(result) == SCALED_GOLDENS[(optimizer, skip)]
+
+
+def one_hot_row(s0, space, combo):
+    """The network input for `combo`, built one factor at a time."""
+    tasks = [t.value for t in TaskKind]
+    splits = [d.value for d in DifficultySplit]
+    parts = [np.eye(len(tasks))[tasks.index(s0[0])], np.eye(len(splits))[splits.index(s0[1])]]
+    parts += [np.eye(len(options))[options.index(a)] for (_, options), a in zip(space.dims, combo)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd", "nlms"])
+def test_batched_predict_matches_per_row_forward(optimizer, skip):
+    space = default_space()
+    encoder = _Encoder(S0, space)
+    rng = random.Random(0)
+    np_rng = np.random.default_rng(0)
+    for t in range(len(space.dims)):
+        q = MLPQ(encoder, t, (64, 64), np_rng, optimizer=optimizer, skip=skip)
+        for _ in range(50):
+            combo = tuple(rng.choice(options) for _, options in space.dims[:t + 1])
+            q.update(combo, rng.random(), 0.01)
+        for _ in range(20):
+            prefix = tuple(rng.choice(options) for _, options in space.dims[:t])
+            options = space.options(t)
+            batched = q.predict(prefix, options)
+            per_row = [float(q._net._forward(one_hot_row(S0, space, prefix + (a,)))[-1][0])
+                       for a in options]
+            assert batched == pytest.approx(per_row, rel=0, abs=1e-12)
+            assert np.argmax(batched) == np.argmax(per_row)
