@@ -5,48 +5,26 @@ phrases loaded from data/answer_patterns.txt; when a phrase occurs more than
 once the last occurrence wins (models tend to restate their final answer at
 the end). Scoring is strictly 0/1 against the query's ground truth, with
 dedicated verifiers for the multi-valid-answer tasks.
+
+An answer is a plain JSON value, the same one result records store in
+`extracted`, and `prompts.render_answer` writes it back as a sentence:
+  - cycle, connectivity: bool;
+  - diameter, triangle: int;
+  - bfs_order, shortest_path: list of node ids;
+  - hamiltonian: the tour as a list of node ids, or a bool for "no" and for
+    a "yes" without a readable tour;
+  - max_cut: {"size": int, "partition": [sorted side, sorted side] | None};
+  - None when nothing is found, which scores 0.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import Any, Sequence
 
 from .graphs import Graph, cut_size, shortest_distance, verify_hamiltonian_tour
 from .tasks import TaskKind
-
-
-@dataclass(frozen=True)
-class BoolAnswer:
-    value: bool
-
-
-@dataclass(frozen=True)
-class NumberAnswer:
-    value: int
-
-
-@dataclass(frozen=True)
-class SequenceAnswer:
-    nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CutAnswer:
-    size: int
-    partition: tuple[frozenset[int], frozenset[int]] | None
-
-
-@dataclass(frozen=True)
-class NotFound:
-    pass
-
-
-ExtractedAnswer = BoolAnswer | NumberAnswer | SequenceAnswer | CutAnswer | NotFound
-
-NOT_FOUND = NotFound()
 
 
 def _load_patterns() -> dict[tuple[str, str], list[re.Pattern]]:
@@ -66,7 +44,7 @@ _PATTERNS = _load_patterns()
 # Value parsing after a matched key phrase.
 _NUMBER_AFTER = re.compile(r"[\s*_`:~\[]*([0-9][0-9,]*(?:\.[0-9]+)?)")
 _SEQ_TOKEN = re.compile(r"\d+")
-_SET_RE = re.compile(r"\{\s*\d+(?:\s*,\s*\d+)*\s*\}")
+_SET_RE = re.compile(r"\{\s*(?:\d+(?:\s*,\s*\d+)*)?\s*\}")
 
 
 def _strip_markup(text: str) -> str:
@@ -89,14 +67,13 @@ def _parse_number(tail: str) -> int | None:
     return int(value)
 
 
-def _parse_sequence(tail: str) -> tuple[int, ...] | None:
+def _parse_sequence(tail: str) -> list[int] | None:
     """A run of integers separated by commas, arrows, or spaces."""
     tail = _strip_markup(tail)
     run = re.match(r"[\s:]*((?:\d+\s*(?:,|->|→|-->|=>|\s)\s*)*\d+)", tail)
     if not run:
         return None
-    nodes = tuple(int(t) for t in _SEQ_TOKEN.findall(run.group(1)))
-    return nodes if nodes else None
+    return [int(t) for t in _SEQ_TOKEN.findall(run.group(1))]
 
 
 def _last_match(patterns: list[re.Pattern], text: str) -> re.Match | None:
@@ -128,52 +105,44 @@ def _extract_number(task_token: str, text: str) -> int | None:
     return _parse_number(text[m.end():])
 
 
-def _extract_sequence(task_token: str, text: str) -> tuple[int, ...] | None:
+def _extract_sequence(task_token: str, text: str) -> list[int] | None:
     m = _last_match(_PATTERNS.get((task_token, "sequence"), []), text)
     if m is None:
         return None
     return _parse_sequence(text[m.end():])
 
 
-def _extract_partition(text: str) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The last two brace-delimited integer sets in the response."""
+def _extract_partition(text: str) -> list[list[int]] | None:
+    """The last two brace-delimited integer sets in the response, each
+    deduplicated and sorted; "{}" is an empty side."""
     sets = _SET_RE.findall(text)
     if len(sets) < 2:
         return None
-    def to_set(s: str) -> frozenset[int]:
-        return frozenset(int(t) for t in _SEQ_TOKEN.findall(s))
-    return to_set(sets[-2]), to_set(sets[-1])
+    return [sorted({int(t) for t in _SEQ_TOKEN.findall(s)}) for s in sets[-2:]]
 
 
-def extract(task: TaskKind, response: str) -> ExtractedAnswer:
-    """Pull the candidate answer for the task out of free-form response text.
+def extract(task: TaskKind, response: str) -> Any:
+    """Pull the task's answer value out of free-form response text.
 
-    NotFound is a value, not an error: it simply scores 0.
+    Nothing found is None, not an error: it simply scores 0.
     """
     token = task.value
     if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
-        value = _extract_bool(token, response)
-        return BoolAnswer(value) if value is not None else NOT_FOUND
+        return _extract_bool(token, response)
     if task in (TaskKind.TRIANGLE, TaskKind.DIAMETER):
-        value = _extract_number(token, response)
-        return NumberAnswer(value) if value is not None else NOT_FOUND
+        return _extract_number(token, response)
     if task in (TaskKind.BFS_ORDER, TaskKind.SHORTEST_PATH):
-        nodes = _extract_sequence(token, response)
-        return SequenceAnswer(nodes) if nodes is not None else NOT_FOUND
+        return _extract_sequence(token, response)
     if task is TaskKind.HAMILTONIAN:
         decision = _extract_bool(token, response)
-        if decision is None:
-            return NOT_FOUND
         if decision:
-            tour = _extract_sequence(token, response)
-            if tour is not None:
-                return SequenceAnswer(tour)
-        return BoolAnswer(decision)
+            return _extract_sequence(token, response) or True
+        return decision
     if task is TaskKind.MAX_CUT:
         size = _extract_number(token, response)
         if size is None:
-            return NOT_FOUND
-        return CutAnswer(size=size, partition=_extract_partition(response))
+            return None
+        return {"size": size, "partition": _extract_partition(response)}
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -218,15 +187,15 @@ def verify_shortest_path(g: Graph, u: int, v: int, seq: Sequence[int]) -> bool:
     return len(seq) - 1 == shortest_distance(g, u, v)
 
 
-def _score_max_cut(g: Graph, gt: dict, ans: CutAnswer) -> int:
+def _score_max_cut(g: Graph, gt: dict, ans: dict) -> int:
     """The claimed sides must be disjoint, stay inside the node set, and
     cover every node that carries an edge (isolated nodes cannot change the
     cut and may be omitted, e.g. when the prompt's serialization hid them).
     The claimed size and the recomputed crossing count must both equal the
     ground-truth size."""
-    if ans.size != gt["size"] or ans.partition is None:
+    if ans["size"] != gt["size"] or ans["partition"] is None:
         return 0
-    side_a, side_b = ans.partition
+    side_a, side_b = (set(side) for side in ans["partition"])
     if side_a & side_b:
         return 0
     nodes = set(range(g.n))
@@ -234,31 +203,30 @@ def _score_max_cut(g: Graph, gt: dict, ans: CutAnswer) -> int:
     non_isolated = {u for u in nodes if g.degree(u) > 0}
     if not listed <= nodes or not non_isolated <= listed:
         return 0
-    return 1 if cut_size(g, set(side_a)) == gt["size"] else 0
+    return 1 if cut_size(g, side_a) == gt["size"] else 0
 
 
-def score(task: TaskKind, g: Graph, params: dict[str, int], gt, ans: ExtractedAnswer) -> int:
-    """Binary score of an extracted answer against the ground truth."""
-    if isinstance(ans, NotFound):
-        return 0
+def score(task: TaskKind, g: Graph, params: dict[str, int], gt, ans: Any) -> int:
+    """Binary score of an extracted answer value against the ground truth.
+
+    A value of the wrong type for the task (None included) scores 0.
+    """
     if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
-        return int(isinstance(ans, BoolAnswer) and ans.value == gt)
+        return int(type(ans) is bool and ans == gt)
     if task in (TaskKind.TRIANGLE, TaskKind.DIAMETER):
-        return int(isinstance(ans, NumberAnswer) and ans.value == gt)
+        return int(type(ans) is int and ans == gt)
     if task is TaskKind.BFS_ORDER:
-        return int(isinstance(ans, SequenceAnswer)
-                   and verify_bfs_order(g, params["start"], ans.nodes))
+        return int(isinstance(ans, list) and verify_bfs_order(g, params["start"], ans))
     if task is TaskKind.SHORTEST_PATH:
-        return int(isinstance(ans, SequenceAnswer)
-                   and verify_shortest_path(g, params["u"], params["v"], ans.nodes))
+        return int(isinstance(ans, list)
+                   and verify_shortest_path(g, params["u"], params["v"], ans))
     if task is TaskKind.HAMILTONIAN:
         if gt["exists"]:
             # A correct positive needs the explicit decision and a tour that
-            # actually verifies; the extractor only yields a sequence when
-            # the decision was affirmative.
-            return int(isinstance(ans, SequenceAnswer)
-                       and verify_hamiltonian_tour(g, ans.nodes))
-        return int(isinstance(ans, BoolAnswer) and ans.value is False)
+            # actually verifies; the extractor only yields a tour when the
+            # decision was affirmative.
+            return int(isinstance(ans, list) and verify_hamiltonian_tour(g, ans))
+        return int(ans is False)
     if task is TaskKind.MAX_CUT:
-        return _score_max_cut(g, gt, ans) if isinstance(ans, CutAnswer) else 0
+        return _score_max_cut(g, gt, ans) if isinstance(ans, dict) else 0
     raise ValueError(f"unknown task {task!r}")

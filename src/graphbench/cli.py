@@ -19,6 +19,7 @@ from . import baselines as baselines_mod
 from . import corpus as corpus_mod
 from . import reporting
 from . import rlopt
+from .errors import GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
 from .generators import DifficultySplit, parse_families
 from .pipeline import BankStore, accuracy, run_evaluation
@@ -180,7 +181,7 @@ def cmd_rlopt(args) -> int:
                           epsilon_min=args.epsilon_min,
                           optimizer=args.optimizer, input_skip=args.input_skip)
     result = rlopt.run_dqn((args.task, args.difficulty), space, reward_fn, cfg)
-    if args.acc_max:
+    if args.acc_max is not None:
         cost, rate = rlopt.cost_rate(result, space, args.acc_max)
     else:
         cost, rate = result.explored / space.k_total, None
@@ -367,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learning-rate", type=float, default=0.001)
     p.add_argument("--epsilon-decay-mode", default="multiplicative",
-                   choices=["multiplicative", "linear"])
+                   choices=rlopt.DECAY_MODES)
     p.add_argument("--epsilon-min", type=float, default=0.01)
-    p.add_argument("--optimizer", default="adam", choices=["adam", "sgd", "nlms"])
+    p.add_argument("--optimizer", default="adam", choices=rlopt.OPTIMIZERS)
     p.add_argument("--input-skip", action="store_true")
     p.add_argument("--acc-max", type=float, default=None)
     p.add_argument("--episodes-csv", default=None)
@@ -397,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GraphBenchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,6 @@ import requests
 
 from . import prompts as prompt_mod
 from .errors import MalformedResponse, RateLimited, TransportError
-from .graphs import Graph, bfs_levels
 from .tasks import TaskKind
 
 if TYPE_CHECKING:
@@ -127,35 +126,32 @@ class HttpBackend:
         )
 
 
-def _wrong_answer(task: TaskKind, g: Graph, params: dict[str, int], gt) -> str:
-    """An answer in the canonical phrasing that is guaranteed to score 0."""
+def _wrong_value(task: TaskKind, n: int, gold):
+    """The gold answer value, changed so that it scores 0 on an n-node graph."""
     if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
-        return prompt_mod.gold_answer(task, g, params, not gt)
+        return not gold
     if task in (TaskKind.DIAMETER, TaskKind.TRIANGLE):
-        return prompt_mod.gold_answer(task, g, params, gt + 1)
+        return gold + 1
     if task is TaskKind.BFS_ORDER:
-        order = list(bfs_levels(g, params["start"]))
-        bad = [order[1], order[0], *order[2:]] if len(order) > 1 else [order[0], order[0]]
-        seq = ",".join(map(str, bad))
-        return f"The BFS traversal order starting from node {params['start']} is {seq}"
+        # Swap the first two nodes; a lone start node is repeated instead.
+        return [*gold[1:2], gold[0], *gold[2:]] if len(gold) > 1 else gold * 2
     if task is TaskKind.SHORTEST_PATH:
-        return (f"The shortest path from node {params['u']} to node {params['v']} "
-                f"is {params['u']}.")
+        return gold[:1]
     if task is TaskKind.HAMILTONIAN:
-        if gt["exists"]:
-            return "No, there is no Hamiltonian cycle in this graph."
-        tour = ",".join(map(str, list(range(g.n)) + [0]))
-        return f"Yes, there is a Hamiltonian cycle in this graph. The cycle is {tour}."
+        return False if gold else [*range(n), 0]
     if task is TaskKind.MAX_CUT:
-        bad = dict(gt)
-        bad["size"] = gt["size"] + 1
-        return prompt_mod.gold_answer(task, g, params, bad)
+        return {**gold, "size": gold["size"] + 1}
     raise ValueError(f"unknown task {task!r}")
 
 
 class MockBackend:
     """Deterministic responder that answers the request's query in the
     canonical phrasing, from the query's stored ground truth.
+
+    A wrong answer is the gold answer value changed (a bool negated, a
+    number plus one, the first two BFS nodes swapped, a path cut to its
+    start, the Hamiltonian decision flipped, the cut size plus one) and
+    rendered by the same `prompts.render_answer` as the gold one.
 
     mode="oracle" always answers correctly; mode="bernoulli" answers
     incorrectly with probability error_rate, decided by a stable hash of the
@@ -196,8 +192,10 @@ class MockBackend:
                 raise RateLimited("injected rate limit")
         wrong = (self.mode == "bernoulli"
                  and self._unit(req.prompt, "bernoulli") < self.error_rate)
-        answer = _wrong_answer if wrong else prompt_mod.gold_answer
-        text = answer(q.task, q.graph, q.params, q.ground_truth)
+        value = prompt_mod.gold_value(q.task, q.graph, q.params, q.ground_truth)
+        if wrong:
+            value = _wrong_value(q.task, q.graph.n, value)
+        text = prompt_mod.render_answer(q.task, q.params, value)
         tokens_out = self.fixed_tokens_out
         if tokens_out is None:
             tokens_out = len(text.split())
@@ -267,7 +265,9 @@ class Gateway:
         payload = {"text": resp.text, "tokens_in": resp.tokens_in,
                    "tokens_out": resp.tokens_out, "latency_ms": resp.latency_ms,
                    "backend": resp.backend}
-        tmp = path.with_suffix(".tmp")
+        # One temp file per writer: identical requests in flight at once
+        # (here or in another process) each replace the entry whole.
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(payload), "utf-8")
         tmp.replace(path)
 

@@ -2,7 +2,9 @@
 gateway, extract and score answers, and emit result records.
 
 Result records carry the JSONL fields plus the query's task / difficulty /
-graph_type so reports can pivot without a separate join.
+graph_type so reports can pivot without a separate join. A record's
+`extracted` field is the answer value `answer_eval.extract` returned,
+stored as is (None for a failed request).
 """
 
 from __future__ import annotations
@@ -34,25 +36,10 @@ class BankStore:
 
 
 def score_response(query: QuerySpec, response_text: str) -> tuple[Any, int]:
-    """Extract and score one response; returns (normalized answer, score)."""
+    """Extract and score one response; returns (answer value, score)."""
     ans = answer_eval.extract(query.task, response_text)
-    s = answer_eval.score(query.task, query.graph, query.params, query.ground_truth, ans)
-    return _answer_repr(ans), s
-
-
-def _answer_repr(ans: answer_eval.ExtractedAnswer) -> Any:
-    if isinstance(ans, answer_eval.BoolAnswer):
-        return ans.value
-    if isinstance(ans, answer_eval.NumberAnswer):
-        return ans.value
-    if isinstance(ans, answer_eval.SequenceAnswer):
-        return list(ans.nodes)
-    if isinstance(ans, answer_eval.CutAnswer):
-        part = None
-        if ans.partition:
-            part = [sorted(ans.partition[0]), sorted(ans.partition[1])]
-        return {"size": ans.size, "partition": part}
-    return None
+    return ans, answer_eval.score(query.task, query.graph, query.params,
+                                  query.ground_truth, ans)
 
 
 def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],

@@ -81,11 +81,6 @@ class DecorationFactors:
         if self.case is not None and self.case not in CASE_FUNCTIONS:
             raise ValueError(f"case function {self.case!r} not in pool")
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.sentence_delim is None and self.qa_delim is None
-                and self.word_delim is None and self.case is None)
-
     def text(self, sentence: str) -> str:
         """Decorate one natural-language block, line by line."""
         if self.word_delim is None and self.case in (None, "none"):
@@ -160,35 +155,51 @@ def _seq(nodes: list[int]) -> str:
     return ",".join(map(str, nodes))
 
 
-def _side_text(side: list[int]) -> str:
-    return ", ".join(map(str, sorted(side)))
-
-
-def gold_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> str:
-    """Terse gold-answer sentence, leading with the scoring key phrase."""
-    t = templates.GOLD_ANSWERS[task]
+def gold_value(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> Any:
+    """The correct answer value, in the form `answer_eval.extract` returns."""
+    if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY, TaskKind.DIAMETER, TaskKind.TRIANGLE):
+        return gt
     if task is TaskKind.BFS_ORDER:
-        order = list(bfs_levels(g, params["start"]))
-        return t["answer"].format(start=params["start"], seq=_seq(order))
+        return list(bfs_levels(g, params["start"]))
     if task is TaskKind.SHORTEST_PATH:
-        path = shortest_path(g, params["u"], params["v"])
-        return t["answer"].format(u=params["u"], v=params["v"], seq=_seq(path))
-    if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
-        key = "yes" if gt else "no"
-        return t[key].format(**params)
-    if task is TaskKind.DIAMETER or task is TaskKind.TRIANGLE:
-        return t["answer"].format(value=gt)
+        return shortest_path(g, params["u"], params["v"])
     if task is TaskKind.HAMILTONIAN:
-        if gt["exists"]:
-            tour = list(gt["witness"]) + [gt["witness"][0]]
-            return t["yes"].format(seq=_seq(tour))
-        return t["no"]
+        return [*gt["witness"], gt["witness"][0]] if gt["exists"] else False
     if task is TaskKind.MAX_CUT:
         side_a = sorted(gt["partition"])
         side_b = sorted(set(range(g.n)) - set(side_a))
-        return t["answer"].format(size=gt["size"], side_a=_side_text(side_a),
-                                  side_b=_side_text(side_b))
+        return {"size": gt["size"], "partition": [side_a, side_b]}
     raise ValueError(f"unknown task {task!r}")
+
+
+def render_answer(task: TaskKind, params: dict[str, int], value: Any) -> str:
+    """Terse sentence stating an answer value, leading with the scoring key
+    phrase; `answer_eval.extract` reads the value back."""
+    t = templates.GOLD_ANSWERS[task]
+    if task is TaskKind.BFS_ORDER:
+        return t["answer"].format(start=params["start"], seq=_seq(value))
+    if task is TaskKind.SHORTEST_PATH:
+        return t["answer"].format(u=params["u"], v=params["v"], seq=_seq(value))
+    if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
+        return t["yes" if value else "no"].format(**params)
+    if task is TaskKind.DIAMETER or task is TaskKind.TRIANGLE:
+        return t["answer"].format(value=value)
+    if task is TaskKind.HAMILTONIAN:
+        if isinstance(value, list):
+            return f"{t['yes']} {t['tour'].format(seq=_seq(value))}"
+        return t["yes" if value else "no"]
+    if task is TaskKind.MAX_CUT:
+        text = t["answer"].format(size=value["size"])
+        if value["partition"] is None:
+            return text
+        side_a, side_b = (", ".join(map(str, side)) for side in value["partition"])
+        return f"{text} {t['partition'].format(side_a=side_a, side_b=side_b)}"
+    raise ValueError(f"unknown task {task!r}")
+
+
+def gold_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> str:
+    """Terse gold-answer sentence: the correct value, rendered."""
+    return render_answer(task, params, gold_value(task, g, params, gt))
 
 
 def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> str:

@@ -115,6 +115,10 @@ class SearchResult:
         }
 
 
+OPTIMIZERS = ("adam", "sgd", "nlms")
+DECAY_MODES = ("multiplicative", "linear")
+
+
 @dataclass
 class DQNConfig:
     episodes: int = 80
@@ -122,11 +126,19 @@ class DQNConfig:
     epsilon: float = 1.0
     epsilon_min: float = 0.01
     epsilon_decay: float = 0.95
-    decay_mode: str = "multiplicative"  # or "linear"
+    decay_mode: str = "multiplicative"
     hidden: tuple[int, int] = (64, 64)
     optimizer: str = "adam"
     input_skip: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; "
+                             f"expected one of {', '.join(OPTIMIZERS)}")
+        if self.decay_mode not in DECAY_MODES:
+            raise ValueError(f"unknown decay mode {self.decay_mode!r}; "
+                             f"expected one of {', '.join(DECAY_MODES)}")
 
 
 class QFunction(Protocol):
@@ -369,11 +381,9 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
             best_reward, best_combo = reward, prefix
         if cfg.decay_mode == "multiplicative":
             epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
-        elif cfg.decay_mode == "linear":
+        else:
             epsilon = max(cfg.epsilon_min,
                           epsilon - (cfg.epsilon - cfg.epsilon_min) / max(1, cfg.episodes - 1))
-        else:
-            raise ValueError(f"unknown decay mode {cfg.decay_mode!r}")
 
     assert best_combo is not None
     return SearchResult(best_combo=best_combo, best_reward=best_reward,

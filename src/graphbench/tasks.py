@@ -27,8 +27,6 @@ class TaskKind(enum.Enum):
     MAX_CUT = "max_cut"
 
 
-BOOL_TASKS = {TaskKind.CONNECTIVITY, TaskKind.CYCLE, TaskKind.HAMILTONIAN}
-PAIR_TASKS = {TaskKind.CONNECTIVITY, TaskKind.SHORTEST_PATH}
 NP_TASKS = {TaskKind.HAMILTONIAN, TaskKind.MAX_CUT}
 
 

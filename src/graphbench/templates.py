@@ -1,5 +1,5 @@
 """Canonical prompt wording: task framings, questions, algorithm blocks,
-scheme suffixes, and gold-answer sentence templates.
+scheme suffixes, and answer sentence templates.
 
 Where the source corpus shows small wording drift between worked examples,
 one variant is fixed here; composition code never hardcodes prose.
@@ -119,8 +119,10 @@ SUFFIXES = {
 # and the question of every item instead of using a trailing cue.
 INSTRUCT_ITEM_LINE = "Let's construct a graph with the nodes and edges first."
 
-# Terse gold-answer sentences; these lead with the exact key phrases the
-# answer extractor matches on.
+# Terse answer sentences, one per answer value (see prompts.render_answer);
+# these lead with the exact key phrases the answer extractor matches on. A
+# Hamiltonian tour and a max-cut partition are a second sentence after the
+# first, separated by one space.
 GOLD_ANSWERS: dict[TaskKind, dict[str, str]] = {
     TaskKind.BFS_ORDER: {"answer": "The BFS traversal order starting from node {start} is {seq}"},
     TaskKind.SHORTEST_PATH: {"answer": "The shortest path from node {u} to node {v} is {seq}."},
@@ -135,10 +137,12 @@ GOLD_ANSWERS: dict[TaskKind, dict[str, str]] = {
     TaskKind.DIAMETER: {"answer": "The diameter of this graph is {value}."},
     TaskKind.TRIANGLE: {"answer": "The number of triangles is {value}."},
     TaskKind.HAMILTONIAN: {
-        "yes": "Yes, there is a Hamiltonian cycle in this graph. The cycle is {seq}.",
+        "yes": "Yes, there is a Hamiltonian cycle in this graph.",
+        "tour": "The cycle is {seq}.",
         "no": "No, there is no Hamiltonian cycle in this graph.",
     },
     TaskKind.MAX_CUT: {
-        "answer": "The maximum cut size is {size}. The bipartition is {{{side_a}}} and {{{side_b}}}.",
+        "answer": "The maximum cut size is {size}.",
+        "partition": "The bipartition is {{{side_a}}} and {{{side_b}}}.",
     },
 }

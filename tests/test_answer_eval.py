@@ -5,9 +5,7 @@ import itertools
 import random
 
 from conftest import random_graph
-from graphbench.answer_eval import (BoolAnswer, CutAnswer, NotFound, NumberAnswer,
-                                    SequenceAnswer, extract, score,
-                                    verify_bfs_order, verify_shortest_path)
+from graphbench.answer_eval import extract, score, verify_bfs_order, verify_shortest_path
 from graphbench.graphs import Graph
 from graphbench.tasks import TaskKind as T
 
@@ -18,68 +16,72 @@ def test_extract_triangle_number():
     text = ("To count triangles, list each triple {i,j,k} with i<j<k and check all "
             "three edges. Doing so yields these 17 distinct triangles: ... "
             "So the number of triangles is 17.")
-    assert extract(T.TRIANGLE, text) == NumberAnswer(17)
+    assert extract(T.TRIANGLE, text) == 17
 
 
 def test_extract_bfs_sequence():
     text = "The BFS traversal order starting from node 7 is 7,4,0,1,2,3,6,8,5"
-    assert extract(T.BFS_ORDER, text) == SequenceAnswer((7, 4, 0, 1, 2, 3, 6, 8, 5))
+    assert extract(T.BFS_ORDER, text) == [7, 4, 0, 1, 2, 3, 6, 8, 5]
 
 
 def test_extract_bfs_sequence_with_spaces():
     text = "Thus, the BFS traversal order starting from node 7 is 7, 0, 9"
-    assert extract(T.BFS_ORDER, text) == SequenceAnswer((7, 0, 9))
+    assert extract(T.BFS_ORDER, text) == [7, 0, 9]
 
 
 def test_extract_arrow_sequence():
     text = "Reconstructing the path gives 1 -> 0 -> 2.\n\nThe shortest path from node 1 to node 2 is 1,0,2."
-    assert extract(T.SHORTEST_PATH, text) == SequenceAnswer((1, 0, 2))
+    assert extract(T.SHORTEST_PATH, text) == [1, 0, 2]
 
 
 def test_extract_not_found():
-    assert extract(T.CYCLE, "I cannot determine this.") == NotFound()
-    assert extract(T.TRIANGLE, "Hard to say.") == NotFound()
+    assert extract(T.CYCLE, "I cannot determine this.") is None
+    assert extract(T.TRIANGLE, "Hard to say.") is None
 
 
 def test_extract_number_normalization():
-    assert extract(T.DIAMETER, "The diameter is 4.0") == NumberAnswer(4)
-    assert extract(T.DIAMETER, "the diameter of this graph is **4**.") == NumberAnswer(4)
-    assert extract(T.DIAMETER, "the diameter of the given graph is 7.") == NumberAnswer(7)
-    assert extract(T.TRIANGLE, "The number of triangles is 1,024.") == NumberAnswer(1024)
+    assert extract(T.DIAMETER, "The diameter is 4.0") == 4
+    assert extract(T.DIAMETER, "the diameter of this graph is **4**.") == 4
+    assert extract(T.DIAMETER, "the diameter of the given graph is 7.") == 7
+    assert extract(T.TRIANGLE, "The number of triangles is 1,024.") == 1024
 
 
 def test_last_occurrence_wins():
     text = ("At first glance the diameter is 3. After rechecking the distances, "
             "the diameter is 5.")
-    assert extract(T.DIAMETER, text) == NumberAnswer(5)
+    assert extract(T.DIAMETER, text) == 5
     contradictory = ("Yes, there is a cycle in this graph. Wait, on reflection, "
                      "no, there is no cycle in this graph.")
-    assert extract(T.CYCLE, contradictory) == BoolAnswer(False)
+    assert extract(T.CYCLE, contradictory) is False
 
 
 def test_extract_bool_variants():
-    assert extract(T.CYCLE, "yes, there is a cycle in this graph.") == BoolAnswer(True)
-    assert extract(T.CYCLE, "The graph is acyclic.") == BoolAnswer(False)
-    assert extract(T.CONNECTIVITY, "so the answer is: yes") == BoolAnswer(True)
-    assert extract(T.CONNECTIVITY, "there is no path between them") == BoolAnswer(False)
+    assert extract(T.CYCLE, "yes, there is a cycle in this graph.") is True
+    assert extract(T.CYCLE, "The graph is acyclic.") is False
+    assert extract(T.CONNECTIVITY, "so the answer is: yes") is True
+    assert extract(T.CONNECTIVITY, "there is no path between them") is False
 
 
 def test_extract_hamiltonian_forms():
     yes_tour = "Yes, there is a Hamiltonian cycle in this graph. The cycle is 0,1,2,3,0."
-    assert extract(T.HAMILTONIAN, yes_tour) == SequenceAnswer((0, 1, 2, 3, 0))
+    assert extract(T.HAMILTONIAN, yes_tour) == [0, 1, 2, 3, 0]
     yes_bare = "Yes, there is a Hamiltonian cycle in this graph."
-    assert extract(T.HAMILTONIAN, yes_bare) == BoolAnswer(True)
+    assert extract(T.HAMILTONIAN, yes_bare) is True
     no = "No, there is no Hamiltonian cycle in this graph."
-    assert extract(T.HAMILTONIAN, no) == BoolAnswer(False)
-    assert extract(T.HAMILTONIAN, "The tour is 0,1,2,0.") == NotFound()
+    assert extract(T.HAMILTONIAN, no) is False
+    assert extract(T.HAMILTONIAN, "The tour is 0,1,2,0.") is None
 
 
 def test_extract_max_cut():
     text = "The maximum cut size is 6. The bipartition is {0, 1} and {2, 3, 4}."
     got = extract(T.MAX_CUT, text)
-    assert got == CutAnswer(6, (frozenset({0, 1}), frozenset({2, 3, 4})))
+    assert got == {"size": 6, "partition": [[0, 1], [2, 3, 4]]}
     size_only = "The maximum cut size is 6."
-    assert extract(T.MAX_CUT, size_only) == CutAnswer(6, None)
+    assert extract(T.MAX_CUT, size_only) == {"size": 6, "partition": None}
+    repeated = "The maximum cut size is 6. The bipartition is {1, 0, 1} and {4, 2, 3}."
+    assert extract(T.MAX_CUT, repeated)["partition"] == [[0, 1], [2, 3, 4]]
+    edgeless = "The maximum cut size is 0. The bipartition is {0, 1, 2} and {}."
+    assert extract(T.MAX_CUT, edgeless) == {"size": 0, "partition": [[0, 1, 2], []]}
 
 
 # -- BFS-order verifier ------------------------------------------------------
@@ -187,51 +189,56 @@ def test_shortest_path_length_must_be_minimal():
 
 def test_score_exact_numbers():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert score(T.DIAMETER, g, {}, 2, NumberAnswer(2)) == 1
-    assert score(T.DIAMETER, g, {}, 2, NumberAnswer(3)) == 0
-    assert score(T.TRIANGLE, g, {}, 16, NumberAnswer(17)) == 0
-    assert score(T.TRIANGLE, g, {}, 0, NotFound()) == 0
+    assert score(T.DIAMETER, g, {}, 2, 2) == 1
+    assert score(T.DIAMETER, g, {}, 2, 3) == 0
+    assert score(T.TRIANGLE, g, {}, 16, 17) == 0
+    assert score(T.TRIANGLE, g, {}, 0, None) == 0
+    assert score(T.DIAMETER, g, {}, 1, True) == 0
 
 
 def test_score_bool_tasks():
     g = Graph.from_edges(3, [(0, 1)])
-    assert score(T.CYCLE, g, {}, False, BoolAnswer(False)) == 1
-    assert score(T.CYCLE, g, {}, False, BoolAnswer(True)) == 0
-    assert score(T.CONNECTIVITY, g, {"u": 0, "v": 1}, True, BoolAnswer(True)) == 1
+    assert score(T.CYCLE, g, {}, False, False) == 1
+    assert score(T.CYCLE, g, {}, False, True) == 0
+    assert score(T.CONNECTIVITY, g, {"u": 0, "v": 1}, True, True) == 1
+    assert score(T.CONNECTIVITY, g, {"u": 0, "v": 1}, True, 1) == 0
 
 
 def test_score_sequences():
     baf = Graph.from_edges(11, [(3, 2), (4, 1), (5, 2), (6, 5), (7, 0), (8, 2), (9, 7), (10, 3)])
     assert score(T.BFS_ORDER, baf, {"start": 7}, {"start": 7},
-                 SequenceAnswer((7, 0, 9))) == 1
+                 [7, 0, 9]) == 1
     assert score(T.BFS_ORDER, baf, {"start": 7}, {"start": 7},
-                 SequenceAnswer((0, 7, 9))) == 0
+                 [0, 7, 9]) == 0
 
 
 def test_score_hamiltonian():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     gt_true = {"exists": True, "witness": [0, 1, 2, 3]}
-    assert score(T.HAMILTONIAN, c4, {}, gt_true, SequenceAnswer((0, 1, 2, 3, 0))) == 1
-    assert score(T.HAMILTONIAN, c4, {}, gt_true, SequenceAnswer((0, 2, 1, 3))) == 0
-    assert score(T.HAMILTONIAN, c4, {}, gt_true, BoolAnswer(True)) == 0  # no witness
+    assert score(T.HAMILTONIAN, c4, {}, gt_true, [0, 1, 2, 3, 0]) == 1
+    assert score(T.HAMILTONIAN, c4, {}, gt_true, [0, 2, 1, 3]) == 0
+    assert score(T.HAMILTONIAN, c4, {}, gt_true, True) == 0  # no witness
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     gt_false = {"exists": False, "witness": None}
-    assert score(T.HAMILTONIAN, star, {}, gt_false, BoolAnswer(False)) == 1
-    assert score(T.HAMILTONIAN, star, {}, gt_false, BoolAnswer(True)) == 0
+    assert score(T.HAMILTONIAN, star, {}, gt_false, False) == 1
+    assert score(T.HAMILTONIAN, star, {}, gt_false, True) == 0
 
 
 def test_score_max_cut_needs_size_and_partition():
     k23 = Graph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
     gt = {"size": 6, "partition": [0, 1]}
-    good = CutAnswer(6, (frozenset({0, 1}), frozenset({2, 3, 4})))
+    good = {"size": 6, "partition": [[0, 1], [2, 3, 4]]}
     assert score(T.MAX_CUT, k23, {}, gt, good) == 1
-    assert score(T.MAX_CUT, k23, {}, gt, CutAnswer(6, None)) == 0
-    bad_partition = CutAnswer(6, (frozenset({0, 2}), frozenset({1, 3, 4})))
+    assert score(T.MAX_CUT, k23, {}, gt, {"size": 6, "partition": None}) == 0
+    bad_partition = {"size": 6, "partition": [[0, 2], [1, 3, 4]]}
     assert score(T.MAX_CUT, k23, {}, gt, bad_partition) == 0
-    wrong_size = CutAnswer(5, (frozenset({0, 1}), frozenset({2, 3, 4})))
+    wrong_size = {"size": 5, "partition": [[0, 1], [2, 3, 4]]}
     assert score(T.MAX_CUT, k23, {}, gt, wrong_size) == 0
-    overlapping = CutAnswer(6, (frozenset({0, 1, 2}), frozenset({2, 3, 4})))
+    overlapping = {"size": 6, "partition": [[0, 1, 2], [2, 3, 4]]}
     assert score(T.MAX_CUT, k23, {}, gt, overlapping) == 0
+    edgeless = Graph.from_edges(3, [])
+    gt0 = {"size": 0, "partition": [0, 1, 2]}
+    assert score(T.MAX_CUT, edgeless, {}, gt0, {"size": 0, "partition": [[0, 1, 2], []]}) == 1
 
 
 def test_score_is_pure():

@@ -155,6 +155,33 @@ def test_cache_never_serves_another_backends_answers(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+def test_report_sensitivity_errors_are_validation_errors(tmp_path, capsys):
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "2", "--seed", "0", "--out", str(q))
+    run_cli("run", "--queries", str(q), "--formats", "adjacency_list,edge_list",
+            "--out", str(r))
+    capsys.readouterr()
+    # No --task: the sensitivity pivot has no group to analyse (EmptyGroup).
+    assert run_cli("report", "--results", str(r), "--pivot", "sensitivity") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # One scheme only (InsufficientCoverage).
+    assert run_cli("report", "--results", str(r), "--pivot", "sensitivity",
+                   "--task", "cycle", "--split", "easy") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("acc_max", ["-1", "0"])
+def test_rlopt_rejects_nonpositive_acc_max(tmp_path, capsys, acc_max):
+    space = default_space()
+    table, _ = make_planted_landscape(space, seed=5)
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"|".join(k): v for k, v in table.items()}))
+    assert run_cli("rlopt", "--reward", f"table:{table_path}", "--episodes", "2",
+                   "--acc-max", acc_max) == 1
+    assert capsys.readouterr().err.startswith("error: acc_max must be positive")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["generate"])  # missing required flags

@@ -3,6 +3,7 @@ and the mock backends."""
 
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,34 @@ def test_cache_resumes_across_gateways(tmp_path):
     gw2.complete(CompletionRequest("m", "p1"))
     assert backend.calls == 1
     assert gw2.network_calls == 0
+
+
+def test_identical_requests_in_flight_both_write_the_cache(tmp_path, monkeypatch):
+    """Two identical requests miss the cache together and both write it; the
+    second replace must not find its temp file already moved away."""
+    both_called = threading.Barrier(2)
+    both_replacing = threading.Barrier(2)
+
+    class MeetingBackend:
+        name = identity = "meeting"
+
+        def complete(self, req):
+            both_called.wait(timeout=10)
+            return CompletionResponse(text="answer", backend=self.name)
+
+    real_replace = Path.replace
+
+    def replace_together(self, target):
+        both_replacing.wait(timeout=10)
+        return real_replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace_together)
+    gw = Gateway(MeetingBackend(), cache_dir=tmp_path)
+    req = CompletionRequest("m", "p")
+    results = gw.run_batch([req, req], max_in_flight=2)
+    assert [r.error for r in results] == [None, None]
+    assert [p.suffix for p in tmp_path.rglob("*") if p.is_file()] == [".json"]
+    assert Gateway(MeetingBackend(), cache_dir=tmp_path).complete(req).cached
 
 
 def test_cache_key_covers_params():

@@ -12,7 +12,8 @@ from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
 from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, IDENTITY_DECORATION,
                                 PromptScheme, QA_DELIMS, SENTENCE_DELIMS, WORD_DELIMS,
-                                build_exemplars, compose_prompt, question_text)
+                                build_exemplars, compose_prompt, question_text,
+                                render_answer)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind, compute_ground_truth
@@ -186,3 +187,26 @@ def test_kshot_bfs_answer_phrase():
     for ex in bank.exemplars:
         assert ex.answer.startswith(
             f"The BFS traversal order starting from node {ex.params['start']} is ")
+
+
+ANSWER_VALUES = {
+    TaskKind.CYCLE: [True, False],
+    TaskKind.CONNECTIVITY: [True, False],
+    TaskKind.DIAMETER: [0, 7],
+    TaskKind.TRIANGLE: [0, 1024],
+    TaskKind.BFS_ORDER: [[2], [2, 0, 1]],
+    TaskKind.SHORTEST_PATH: [[1], [1, 0, 3]],
+    TaskKind.HAMILTONIAN: [False, True, [0, 1, 2, 0]],
+    TaskKind.MAX_CUT: [{"size": 3, "partition": None},
+                       {"size": 0, "partition": [[0, 1], []]},
+                       {"size": 2, "partition": [[0], [1, 2]]}],
+}
+
+
+@pytest.mark.parametrize("task", list(TaskKind), ids=lambda t: t.value)
+def test_render_answer_round_trips_through_extract(task):
+    params = {"start": 2, "u": 1, "v": 3}
+    for value in ANSWER_VALUES[task]:
+        text = render_answer(task, params, value)
+        got = answer_eval.extract(task, text)
+        assert got == value and type(got) is type(value), (value, text)

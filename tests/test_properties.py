@@ -1,12 +1,14 @@
 """Property-based checks over randomly drawn graphs."""
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import connected_components, read_back
 from graphbench import answer_eval
-from graphbench.graphs import Graph, bfs_levels, has_cycle, triangle_count
-from graphbench.prompts import gold_answer
+from graphbench.graphs import Graph, bfs_levels, has_cycle, is_connected, triangle_count
+from graphbench.prompts import gold_answer, gold_value
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind as T
@@ -43,25 +45,29 @@ def test_canonical_bfs_order_always_verifies(g, data):
     assert set(order) == set(bfs_levels(g, s))
 
 
-@settings(max_examples=40, deadline=None)
-@given(graphs(min_n=3, max_n=8), st.data())
-def test_gold_answers_always_score_one(g, data):
-    task = data.draw(st.sampled_from([T.CYCLE, T.DIAMETER, T.TRIANGLE,
-                                      T.BFS_ORDER, T.CONNECTIVITY]))
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=3, max_n=8), st.sampled_from(list(T)), st.randoms(use_true_random=False))
+# No edges: one side of the maximum cut is empty and is written "{}".
+@example(Graph.from_edges(4, []), T.MAX_CUT, random.Random(0))
+def test_gold_answers_always_score_one(g, task, rng):
+    """The gold sentence reads back as the gold value, which scores 1."""
     params = {}
     if task is T.BFS_ORDER:
-        params = {"start": data.draw(st.integers(0, g.n - 1))}
+        params = {"start": rng.randrange(g.n)}
     elif task is T.CONNECTIVITY:
-        u = data.draw(st.integers(0, g.n - 1))
-        v = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != u))
+        u, v = rng.sample(range(g.n), 2)
         params = {"u": u, "v": v}
-    if task is T.DIAMETER:
-        from graphbench.graphs import is_connected
-        if not is_connected(g):
-            return
+    elif task is T.SHORTEST_PATH:
+        u = rng.randrange(g.n)
+        reachable = sorted(bfs_levels(g, u).keys() - {u})
+        assume(reachable)
+        params = {"u": u, "v": rng.choice(reachable)}
+    elif task is T.DIAMETER:
+        assume(is_connected(g))
     gt = compute_ground_truth(task, g, params)
-    answer = gold_answer(task, g, params, gt)
-    extracted = answer_eval.extract(task, answer)
+    value = gold_value(task, g, params, gt)
+    extracted = answer_eval.extract(task, gold_answer(task, g, params, gt))
+    assert extracted == value
     assert answer_eval.score(task, g, params, gt, extracted) == 1
 
 

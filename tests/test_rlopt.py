@@ -121,8 +121,18 @@ def test_epsilon_decay_modes():
                   DQNConfig(episodes=10, seed=0, decay_mode="linear"))
     leps = [e.epsilon for e in lin.log]
     assert leps[0] == 1.0 and leps[-1] == pytest.approx(0.01)
+    # An unknown mode is rejected before any reward is spent on it.
+    calls = []
     with pytest.raises(ValueError):
-        run_dqn(S0, space, lambda c: 0.5, DQNConfig(episodes=2, decay_mode="bogus"))
+        run_dqn(S0, space, lambda c: calls.append(c) or 0.5,
+                DQNConfig(episodes=2, decay_mode="bogus"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("optimizer", ["bogus", "SGD"])
+def test_config_rejects_unknown_optimizer(optimizer):
+    with pytest.raises(ValueError, match=optimizer):
+        DQNConfig(optimizer=optimizer)
 
 
 def test_cost_band_across_all_task_split_cases():
