@@ -1,5 +1,5 @@
-"""Task-specific random baselines, analytic where a closed form exists and
-Monte Carlo otherwise.
+"""Task-specific random baselines, computed analytically: each is the exact
+expected accuracy of a guessing policy.
 
 Policies: boolean tasks answer True on every query, so the baseline is the
 corpus's True-label fraction; diameter guesses uniformly from [1, N]; triangle
@@ -11,8 +11,6 @@ and baseline at 0.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MixedTasks
@@ -22,22 +20,15 @@ from .tasks import TaskKind
 if TYPE_CHECKING:
     from .corpus import QuerySpec
 
-DEFAULT_TRIANGLE_CAPS = {
+TRIANGLE_CAPS = {
     DifficultySplit.EASY: 50,
     DifficultySplit.MEDIUM: 120,
     DifficultySplit.HARD: 300,
 }
 
 
-@dataclass
-class BaselineConfig:
-    triangle_caps: dict[DifficultySplit, int] = field(
-        default_factory=lambda: dict(DEFAULT_TRIANGLE_CAPS))
-
-
-def _triangle_bound(query: "QuerySpec", cfg: BaselineConfig) -> int:
-    cap = cfg.triangle_caps[query.difficulty]
-    return max(1, min(math.comb(query.n, 3), cap))
+def _triangle_bound(query: "QuerySpec") -> int:
+    return max(1, min(math.comb(query.n, 3), TRIANGLE_CAPS[query.difficulty]))
 
 
 def _check_corpus(corpus: Sequence["QuerySpec"]) -> TaskKind:
@@ -54,10 +45,9 @@ def _truth_value(task: TaskKind, query: "QuerySpec") -> bool:
         else bool(query.ground_truth)
 
 
-def analytic_baseline(corpus: Sequence["QuerySpec"],
-                      cfg: BaselineConfig | None = None) -> float:
-    """Exact expected accuracy of the random-guessing policy."""
-    cfg = cfg or BaselineConfig()
+def random_baseline(corpus: Sequence["QuerySpec"]) -> float:
+    """Exact expected accuracy of the random-guessing policy on a
+    single-task corpus, in [0, 1]."""
     task = _check_corpus(corpus)
     if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY, TaskKind.HAMILTONIAN):
         return sum(_truth_value(task, q) for q in corpus) / len(corpus)
@@ -68,43 +58,10 @@ def analytic_baseline(corpus: Sequence["QuerySpec"],
     if task is TaskKind.TRIANGLE:
         total = 0.0
         for q in corpus:
-            bound = _triangle_bound(q, cfg)
+            bound = _triangle_bound(q)
             if 1 <= q.ground_truth <= bound:
                 total += 1.0 / bound
         return total / len(corpus)
     if task in (TaskKind.BFS_ORDER, TaskKind.SHORTEST_PATH, TaskKind.MAX_CUT):
         return 0.0
     raise ValueError(f"unknown task {task!r}")
-
-
-def monte_carlo_baseline(corpus: Sequence["QuerySpec"], rng: random.Random,
-                         trials: int = 10_000,
-                         cfg: BaselineConfig | None = None) -> float:
-    """Simulate the guessing policy; converges on the analytic value."""
-    cfg = cfg or BaselineConfig()
-    task = _check_corpus(corpus)
-    if task in (TaskKind.BFS_ORDER, TaskKind.SHORTEST_PATH, TaskKind.MAX_CUT):
-        # The answer space is combinatorially large; a sampled guess
-        # essentially never lands, so the simulation is pinned at 0.
-        return 0.0
-    hits = 0
-    for _ in range(trials):
-        q = corpus[rng.randrange(len(corpus))]
-        if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY, TaskKind.HAMILTONIAN):
-            hits += _truth_value(task, q)
-        elif task is TaskKind.DIAMETER:
-            hits += rng.randint(1, q.n) == q.ground_truth
-        elif task is TaskKind.TRIANGLE:
-            hits += rng.randint(1, _triangle_bound(q, cfg)) == q.ground_truth
-    return hits / trials
-
-
-def random_baseline(corpus: Sequence["QuerySpec"], mode: str = "analytic",
-                    rng: random.Random | None = None, trials: int = 10_000,
-                    cfg: BaselineConfig | None = None) -> float:
-    """Baseline accuracy for a single-task corpus, in [0, 1]."""
-    if mode == "analytic":
-        return analytic_baseline(corpus, cfg)
-    if mode == "monte-carlo":
-        return monte_carlo_baseline(corpus, rng or random.Random(0), trials, cfg)
-    raise ValueError(f"unknown baseline mode {mode!r}")

@@ -122,20 +122,14 @@ def cmd_run(args) -> int:
 
 def cmd_baseline(args) -> int:
     queries = corpus_mod.load_queries(args.queries)
-    import random as random_mod
-
     cells: dict[tuple, list] = {}
     for q in queries:
         cells.setdefault((q.task, q.difficulty), []).append(q)
     rows = []
     for (task, split) in sorted(cells, key=lambda k: (k[0].value, k[1].value)):
         sub = cells[(task, split)]
-        analytic = baselines_mod.random_baseline(sub, "analytic")
-        mc = baselines_mod.random_baseline(sub, "monte-carlo",
-                                           rng=random_mod.Random(args.seed),
-                                           trials=args.trials)
         rows.append({"task": task.value, "difficulty": split.value, "queries": len(sub),
-                     "analytic": analytic, "monte_carlo": mc})
+                     "analytic": baselines_mod.random_baseline(sub)})
     text = reporting.rows_to_csv(rows)
     if args.csv_out:
         Path(args.csv_out).write_text(text, "utf-8")
@@ -234,6 +228,8 @@ def _live_reward_fn(args, space: rlopt.FactorSpace, gateway: Gateway):
 
 
 def cmd_report(args) -> int:
+    if args.pivot == "sensitivity" and not (args.task and args.split):
+        raise ValueError("--pivot sensitivity needs --task and --split")
     records = list(corpus_mod.read_jsonl(args.results))
     if args.queries:
         meta = {q.id: q for q in corpus_mod.load_queries(args.queries)}
@@ -345,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="random baselines per (task, split)")
     p.add_argument("--queries", required=True)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: the baselines are exact; kept for existing scripts")
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_baseline)
 

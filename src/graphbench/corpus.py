@@ -1,5 +1,4 @@
-"""Query corpus assembly, JSONL persistence, dataset statistics, and the
-ground-truth selfcheck.
+"""Query corpus assembly, JSONL persistence, and the ground-truth selfcheck.
 
 Every query derives its own RNG stream from (master seed, task, split,
 family, index), so rebuilding any slice of a corpus reproduces it exactly.
@@ -163,25 +162,6 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
                 out.append(build_query(task, split, family, index, master_seed,
                                        seen_hashes=seen[family]))
     return out
-
-
-def corpus_stats(corpus: Sequence[QuerySpec]) -> list[dict[str, Any]]:
-    """Average node and edge counts per (task, family, split) cell."""
-    cells: dict[tuple, list[QuerySpec]] = {}
-    for q in corpus:
-        cells.setdefault((q.task, q.family, q.difficulty), []).append(q)
-    rows = []
-    for (task, family, split), items in sorted(
-            cells.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value, kv[0][2].value)):
-        rows.append({
-            "task": task.value,
-            "graph_type": family.value,
-            "difficulty": split.value,
-            "count": len(items),
-            "avg_nodes": sum(q.n for q in items) / len(items),
-            "avg_edges": sum(q.graph.m for q in items) / len(items),
-        })
-    return rows
 
 
 def selfcheck(corpus: Sequence[QuerySpec]) -> list[str]:

@@ -221,7 +221,9 @@ class Gateway:
     The cache is content-addressed on disk by the backend's identity and
     the request, so interrupted runs resume without re-spending completions,
     identical requests never hit the network twice, and one backend's
-    answers are never served for another's.
+    answers are never served for another's. Without a `cache_dir` nothing
+    is cached; the CLI resolves it from `--cache-dir`, then
+    GRAPHBENCH_CACHE_DIR, then the config file.
     """
 
     def __init__(self, backend: Backend, cache_dir: str | Path | None = None,
@@ -229,8 +231,6 @@ class Gateway:
                  backoff_cap: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.backend = backend
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_DIR_ENV) or None
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.max_retries = max_retries
         self.backoff_base = backoff_base

@@ -1,5 +1,5 @@
-"""Sequential DQN search over serialization-strategy factors, plus the
-exhaustive grid search and the Cost/Rate efficiency metrics.
+"""Sequential DQN search over serialization-strategy factors, and the
+Cost/Rate efficiency metrics that compare it with an exhaustive search.
 
 One decision epoch per factor dimension: epoch t picks an action from the
 t-th dimension with an epsilon-greedy policy over a per-epoch Q network (a
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyFactor, ZeroDenominator
 from .generators import DifficultySplit
-from .prompts import CASE_FUNCTIONS, PromptScheme, QA_DELIMS, SENTENCE_DELIMS, WORD_DELIMS
+from .prompts import PromptScheme
 from .serialize import SerializationFormat
 from .tasks import TaskKind
 
@@ -74,18 +74,6 @@ def default_space(models: Sequence[str] = DEFAULT_MODELS) -> FactorSpace:
         ("serialization", tuple(f.value for f in SerializationFormat)),
         ("model", tuple(models)),
     ))
-
-
-def scaled_space(models: Sequence[str] = DEFAULT_MODELS, extra_factors: int = 4) -> FactorSpace:
-    """The extended space appending up to four decoration factor pools."""
-    pools = [
-        ("sentence_delim", tuple(SENTENCE_DELIMS)),
-        ("qa_delim", tuple(QA_DELIMS)),
-        ("word_delim", tuple(WORD_DELIMS)),
-        ("case", tuple(CASE_FUNCTIONS)),
-    ]
-    base = list(default_space(models).dims)
-    return FactorSpace(tuple(base + pools[:extra_factors]))
 
 
 @dataclass
@@ -295,34 +283,6 @@ class MLPQ:
         self._net.update(self._encoder.encode(prefix[:-1], prefix[-1:])[0], target, lr)
 
 
-class TabularQ:
-    """Exact Q table keyed by action prefix; useful for the greedy-
-    consistency check where networks start at the true values."""
-
-    def __init__(self, values: Mapping[Combo, float]):
-        self.values = dict(values)
-
-    def predict(self, prefix: Combo, options: Sequence[str]) -> list[float]:
-        return [self.values.get(prefix + (a,), 0.0) for a in options]
-
-    def update(self, prefix: Combo, target: float, lr: float) -> None:
-        current = self.values.get(prefix, 0.0)
-        self.values[prefix] = current + lr * (target - current)
-
-
-def make_tabular_q(space: FactorSpace, table: Mapping[Combo, float]) -> list[TabularQ]:
-    """Per-epoch exact Q functions computed from a full reward table."""
-    t_count = len(space.dims)
-    layers: list[dict[Combo, float]] = [dict() for _ in range(t_count)]
-    for combo, reward in table.items():
-        layers[t_count - 1][combo] = float(reward)
-    for t in range(t_count - 2, -1, -1):
-        for combo, value in layers[t + 1].items():
-            prefix = combo[:t + 1]
-            layers[t][prefix] = max(layers[t].get(prefix, float("-inf")), value)
-    return [TabularQ(layer) for layer in layers]
-
-
 def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
             cfg: DQNConfig | None = None,
             q_functions: Sequence[QFunction] | None = None) -> SearchResult:
@@ -391,59 +351,11 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
                         log=log, epsilon_mode=cfg.decay_mode)
 
 
-def grid_search(space: FactorSpace, reward_fn: RewardFn) -> SearchResult:
-    """Evaluate every combination; optimal by construction, Cost = 1."""
-    best_combo: Combo | None = None
-    best_reward = float("-inf")
-    log = []
-    for i, combo in enumerate(space.combos(), 1):
-        reward = float(reward_fn(combo))
-        log.append(EpisodeEntry(i, combo, reward, 0.0))
-        if reward > best_reward:
-            best_reward, best_combo = reward, combo
-    if best_combo is None:
-        raise EmptyFactor("factor space has no combinations")
-    return SearchResult(best_combo=best_combo, best_reward=best_reward,
-                        episodes=len(log), explored=len(log), log=log,
-                        epsilon_mode="grid")
-
-
 def cost_rate(result: SearchResult, space: FactorSpace, acc_max: float) -> tuple[float, float]:
     """Cost = explored/K; Rate = best found accuracy / best possible."""
     if acc_max <= 0:
         raise ZeroDenominator("acc_max must be positive")
     return result.explored / space.k_total, result.best_reward / acc_max
-
-
-def make_planted_landscape(space: FactorSpace, seed: int, noise: float = 0.03,
-                           scale: float = 0.8, cap: float | None = None,
-                           weights: Sequence[float] = (0.45, 0.35, 0.2),
-                           ) -> tuple[dict[Combo, float], Combo]:
-    """Synthetic reward table with one planted optimum at 1.0.
-
-    Non-optimal rewards follow an additive per-factor structure, as real
-    accuracy tables do: matching the planted action in dimension d adds
-    weights[d]*scale. The weights are ordered so that the per-dimension
-    greedy ranking is consistent even when the exact optimum has not been
-    visited (w1 > min(w2, w3) and w2 > w3). `cap` clips non-optimal rewards
-    (e.g. 0.5 for a hard needle-in-haystack table).
-    """
-    rng = random.Random(seed)
-    planted = tuple(options[rng.randrange(len(options))] for _, options in space.dims)
-    t_count = len(space.dims)
-    w = list(weights)[:t_count]
-    if len(w) < t_count:
-        w += [w[-1]] * (t_count - len(w))
-    w = [x / sum(w) for x in w]
-    table: dict[Combo, float] = {}
-    for combo in space.combos():
-        if combo == planted:
-            table[combo] = 1.0
-            continue
-        score = sum(wd for wd, a, p in zip(w, combo, planted) if a == p)
-        value = scale * score + rng.random() * noise
-        table[combo] = min(value, cap if cap is not None else scale)
-    return table, planted
 
 
 def table_reward_fn(table: Mapping[Combo, float]) -> RewardFn:

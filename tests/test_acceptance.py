@@ -12,9 +12,10 @@ import statistics
 import time
 
 
-from conftest import is_bipartite, random_graph
+from conftest import (is_bipartite, make_planted_landscape, make_tabular_q,
+                      monte_carlo_baseline, random_graph)
 from graphbench import answer_eval
-from graphbench.baselines import analytic_baseline, monte_carlo_baseline
+from graphbench.baselines import random_baseline
 from graphbench.cli import main as cli_main
 from graphbench.corpus import build_corpus, read_jsonl, write_jsonl
 from graphbench.gateway import Gateway, MockBackend
@@ -25,8 +26,7 @@ from graphbench.graphs import Graph, diameter, has_cycle, is_connected, triangle
 from graphbench.pipeline import accuracy, run_evaluation
 from graphbench.prompts import PromptScheme as S
 from graphbench.reporting import aggregate
-from graphbench.rlopt import (DQNConfig, cost_rate, default_space, make_planted_landscape,
-                              make_tabular_q, run_dqn, table_reward_fn)
+from graphbench.rlopt import DQNConfig, cost_rate, default_space, run_dqn, table_reward_fn
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind as T
@@ -145,25 +145,25 @@ def test_criterion_5_random_baselines():
     details = []
     cyc = build_corpus([T.CYCLE], [D.EASY], None, 100, master_seed=0)
     frac = sum(bool(q.ground_truth) for q in cyc) / len(cyc)
-    ok &= analytic_baseline(cyc) == frac
+    ok &= random_baseline(cyc) == frac
     conn = build_corpus([T.CONNECTIVITY], [D.EASY], None, 100, master_seed=0)
-    ok &= analytic_baseline(conn) == sum(bool(q.ground_truth) for q in conn) / len(conn)
+    ok &= random_baseline(conn) == sum(bool(q.ground_truth) for q in conn) / len(conn)
     details.append(f"bool tasks = true-fraction ({frac:.2f})")
 
     trials = 10_000
     for task in (T.DIAMETER, T.TRIANGLE):
         qs = build_corpus([task], [D.EASY], None, 80, master_seed=0)
-        analytic = analytic_baseline(qs)
+        analytic = random_baseline(qs)
         mc = monte_carlo_baseline(qs, random.Random(1), trials=trials)
         sigma = math.sqrt(max(analytic * (1 - analytic), 1e-9) / trials)
         ok &= abs(mc - analytic) <= 4 * sigma
         details.append(f"{task.value} |MC-analytic|={abs(mc - analytic):.4f} (4s={4 * sigma:.4f})")
 
     bfs = build_corpus([T.BFS_ORDER], [D.EASY], None, 20, master_seed=0)
-    ok &= analytic_baseline(bfs) == 0.0
+    ok &= random_baseline(bfs) == 0.0
 
     diam = build_corpus([T.DIAMETER], [D.EASY], None, 200, master_seed=0)
-    dbase = analytic_baseline(diam)
+    dbase = random_baseline(diam)
     ok &= 0.08 <= dbase <= 0.15
     details.append(f"easy diameter baseline {dbase:.4f} in [0.08, 0.15]")
     report(5, ok, "; ".join(details))

@@ -1,11 +1,13 @@
-"""Random-baseline formulas and their Monte Carlo agreement."""
+"""Random-baseline formulas and their agreement with a simulation of the
+guessing policy."""
 
 import math
 import random
 
 import pytest
 
-from graphbench.baselines import BaselineConfig, analytic_baseline, monte_carlo_baseline, random_baseline
+from conftest import monte_carlo_baseline
+from graphbench.baselines import TRIANGLE_CAPS, random_baseline
 from graphbench.corpus import build_corpus
 from graphbench.errors import MixedTasks
 from graphbench.generators import DifficultySplit as D
@@ -19,44 +21,42 @@ def corpus_for(task, split=D.EASY, count=40, seed=5):
 def test_cycle_baseline_is_true_fraction():
     qs = corpus_for(T.CYCLE)
     frac = sum(bool(q.ground_truth) for q in qs) / len(qs)
-    assert random_baseline(qs, "analytic") == frac
+    assert random_baseline(qs) == frac
 
 
 def test_connectivity_baseline_is_true_fraction():
     qs = corpus_for(T.CONNECTIVITY)
     frac = sum(bool(q.ground_truth) for q in qs) / len(qs)
-    assert random_baseline(qs, "analytic") == frac
+    assert random_baseline(qs) == frac
 
 
 def test_sequence_tasks_baseline_zero():
     for task in (T.BFS_ORDER, T.SHORTEST_PATH, T.MAX_CUT):
         qs = corpus_for(task, count=10)
-        assert random_baseline(qs, "analytic") == 0.0
-        assert random_baseline(qs, "monte-carlo", rng=random.Random(0), trials=100) == 0.0
+        assert random_baseline(qs) == 0.0
 
 
 def test_diameter_analytic_formula():
     qs = corpus_for(T.DIAMETER)
     expected = sum(1.0 / q.n for q in qs) / len(qs)
-    assert math.isclose(analytic_baseline(qs), expected)
+    assert math.isclose(random_baseline(qs), expected)
 
 
 def test_triangle_analytic_uses_caps():
     qs = corpus_for(T.TRIANGLE)
-    cfg = BaselineConfig()
     expected = 0.0
     for q in qs:
-        bound = min(math.comb(q.n, 3), cfg.triangle_caps[q.difficulty])
+        bound = min(math.comb(q.n, 3), TRIANGLE_CAPS[q.difficulty])
         if 1 <= q.ground_truth <= bound:
             expected += 1.0 / bound
     expected /= len(qs)
-    assert math.isclose(analytic_baseline(qs), expected)
+    assert math.isclose(random_baseline(qs), expected)
 
 
 @pytest.mark.parametrize("task", [T.CYCLE, T.DIAMETER, T.TRIANGLE])
 def test_monte_carlo_within_four_sigma(task):
     qs = corpus_for(task, count=60)
-    analytic = analytic_baseline(qs)
+    analytic = random_baseline(qs)
     trials = 10_000
     mc = monte_carlo_baseline(qs, random.Random(99), trials=trials)
     sigma = math.sqrt(max(analytic * (1 - analytic), 1e-9) / trials)
@@ -66,12 +66,12 @@ def test_monte_carlo_within_four_sigma(task):
 def test_mixed_tasks_rejected():
     qs = corpus_for(T.CYCLE, count=4) + corpus_for(T.DIAMETER, count=4)
     with pytest.raises(MixedTasks):
-        analytic_baseline(qs)
+        random_baseline(qs)
     with pytest.raises(MixedTasks):
-        analytic_baseline([])
+        random_baseline([])
 
 
 def test_easy_diameter_baseline_band():
     qs = corpus_for(T.DIAMETER, count=200, seed=0)
-    value = analytic_baseline(qs)
+    value = random_baseline(qs)
     assert 0.08 <= value <= 0.15

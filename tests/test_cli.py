@@ -8,7 +8,8 @@ from graphbench.cli import _live_reward_fn, build_parser, main
 from graphbench.corpus import read_jsonl, write_jsonl
 from graphbench.gateway import Gateway, MockBackend
 from graphbench.prompts import CASE_FUNCTIONS
-from graphbench.rlopt import FactorSpace, default_space, make_planted_landscape
+from conftest import make_planted_landscape
+from graphbench.rlopt import FactorSpace, default_space
 
 
 def run_cli(*argv) -> int:
@@ -81,13 +82,30 @@ def test_run_uses_cache(tmp_path, capsys):
     assert (tmp_path / "r.jsonl").read_bytes() == first
 
 
+def test_run_caches_to_env_dir_without_flag(tmp_path, monkeypatch, capsys):
+    q, cache = tmp_path / "q.jsonl", tmp_path / "cache"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "2", "--seed", "0", "--out", str(q))
+    monkeypatch.setenv("GRAPHBENCH_CACHE_DIR", str(cache))
+    assert run_cli("run", "--queries", str(q), "--out", str(tmp_path / "r1.jsonl")) == 0
+    assert len([p for p in cache.rglob("*.json")]) == 2
+    assert run_cli("run", "--queries", str(q), "--out", str(tmp_path / "r2.jsonl")) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("network calls 0, cache hits 2)")
+
+
 def test_baseline_output(tmp_path, capsys):
     q = tmp_path / "q.jsonl"
     run_cli("generate", "--task", "bfs_order", "--difficulty", "easy",
             "--count", "5", "--seed", "5", "--out", str(q))
+    capsys.readouterr()
     assert run_cli("baseline", "--queries", str(q)) == 0
-    printed = capsys.readouterr().out
-    assert "bfs_order,easy,5,0.0000,0.0000" in printed
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["task,difficulty,queries,analytic", "bfs_order,easy,5,0.0000"]
+    # The baselines are exact, so --seed (still accepted) changes nothing.
+    assert run_cli("baseline", "--queries", str(q), "--seed", "0") == 0
+    seed0 = capsys.readouterr().out
+    assert run_cli("baseline", "--queries", str(q), "--seed", "1") == 0
+    assert capsys.readouterr().out == seed0
 
 
 def test_rlopt_table_mode(tmp_path, capsys):
@@ -162,9 +180,12 @@ def test_report_sensitivity_errors_are_validation_errors(tmp_path, capsys):
     run_cli("run", "--queries", str(q), "--formats", "adjacency_list,edge_list",
             "--out", str(r))
     capsys.readouterr()
-    # No --task: the sensitivity pivot has no group to analyse (EmptyGroup).
+    # No --task or no --split: rejected before any record is read.
     assert run_cli("report", "--results", str(r), "--pivot", "sensitivity") == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: --pivot sensitivity needs --task and --split\n"
+    assert run_cli("report", "--results", str(r), "--pivot", "sensitivity",
+                   "--task", "cycle") == 1
+    assert capsys.readouterr().err == "error: --pivot sensitivity needs --task and --split\n"
     # One scheme only (InsufficientCoverage).
     assert run_cli("report", "--results", str(r), "--pivot", "sensitivity",
                    "--task", "cycle", "--split", "easy") == 1

@@ -3,8 +3,9 @@ selfcheck."""
 
 import json
 
-from graphbench.corpus import (QuerySpec, build_corpus, corpus_stats, load_queries,
-                               read_jsonl, selfcheck, write_jsonl)
+from conftest import corpus_stats
+from graphbench.corpus import (QuerySpec, build_corpus, load_queries, read_jsonl, selfcheck,
+                               write_jsonl)
 from graphbench.generators import DifficultySplit as D
 from graphbench.generators import GraphFamily as GF
 from graphbench.graphs import is_connected, shortest_distance

@@ -70,6 +70,18 @@ def test_cache_resumes_across_gateways(tmp_path):
     assert gw2.network_calls == 0
 
 
+def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
+    """Only the CLI reads GRAPHBENCH_CACHE_DIR; a Gateway built without a
+    cache_dir caches nothing, whatever the environment says."""
+    monkeypatch.setenv("GRAPHBENCH_CACHE_DIR", str(tmp_path))
+    gw = Gateway(MockBackend())
+    assert gw.cache_dir is None
+    q, prompt = sample_prompt()
+    gw.complete(CompletionRequest("m", prompt, query=q))
+    assert gw.network_calls == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identical_requests_in_flight_both_write_the_cache(tmp_path, monkeypatch):
     """Two identical requests miss the cache together and both write it; the
     second replace must not find its temp file already moved away."""

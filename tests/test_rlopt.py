@@ -7,11 +7,11 @@ import random
 import numpy as np
 import pytest
 
+from conftest import grid_search, make_planted_landscape, make_tabular_q, scaled_space
 from graphbench.errors import EmptyFactor, ZeroDenominator
 from graphbench.generators import DifficultySplit
 from graphbench.rlopt import (MLPQ, DQNConfig, FactorSpace, _Encoder, cost_rate,
-                              default_space, grid_search, make_planted_landscape,
-                              make_tabular_q, run_dqn, scaled_space, table_reward_fn)
+                              default_space, run_dqn, table_reward_fn)
 from graphbench.tasks import TaskKind
 
 S0 = ("diameter", "easy")
