@@ -112,8 +112,11 @@ def cmd_run(args) -> int:
     schemes = _parse_schemes(args.schemes)
     formats = parse_formats(args.formats)
     gateway = _make_gateway(args, config)
-    records = run_evaluation(queries, schemes, formats, gateway, model=args.model,
-                             max_in_flight=args.max_in_flight)
+    try:
+        records = run_evaluation(queries, schemes, formats, gateway, model=args.model,
+                                 max_in_flight=args.max_in_flight)
+    finally:
+        gateway.close()
     n = corpus_mod.write_jsonl(records, args.out)
     print(f"wrote {n} results to {args.out} (accuracy {accuracy(records):.4f}, "
           f"network calls {gateway.network_calls}, cache hits {gateway.cache_hits})")
@@ -157,6 +160,7 @@ def cmd_rlopt(args) -> int:
                              f"{', '.join(space.names)}")
         space = rlopt.FactorSpace(tuple((n, by_name[n]) for n in wanted))
 
+    gateway = None
     if args.reward.startswith("table:"):
         table_path = args.reward.split(":", 1)[1]
         raw = json.loads(Path(table_path).read_text("utf-8"))
@@ -174,7 +178,11 @@ def cmd_rlopt(args) -> int:
                           learning_rate=args.learning_rate,
                           epsilon_min=args.epsilon_min,
                           optimizer=args.optimizer, input_skip=args.input_skip)
-    result = rlopt.run_dqn((args.task, args.difficulty), space, reward_fn, cfg)
+    try:
+        result = rlopt.run_dqn((args.task, args.difficulty), space, reward_fn, cfg)
+    finally:
+        if gateway is not None:
+            gateway.close()
     if args.acc_max is not None:
         cost, rate = rlopt.cost_rate(result, space, args.acc_max)
     else:

@@ -1,6 +1,6 @@
 """Submission layer for rendered prompts: a chat-completions HTTP backend,
-a deterministic mock backend for desk-scale testing, a content-addressed disk
-cache, and bounded-concurrency batch execution.
+a deterministic mock backend for desk-scale testing, a content-addressed
+SQLite cache, and bounded-concurrency batch execution.
 
 This is the only concurrent module; everything it calls into is pure.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,8 @@ if TYPE_CHECKING:
 ENDPOINT_ENV = "GRAPHBENCH_ENDPOINT"
 API_KEY_ENV = "GRAPHBENCH_API_KEY"
 CACHE_DIR_ENV = "GRAPHBENCH_CACHE_DIR"
+# The one database file a Gateway keeps under its cache_dir.
+CACHE_FILE = "cache.sqlite3"
 
 
 @dataclass(frozen=True)
@@ -218,11 +221,14 @@ class BatchResult:
 class Gateway:
     """Caching, retrying front door to a backend.
 
-    The cache is content-addressed on disk by the backend's identity and
-    the request, so interrupted runs resume without re-spending completions,
-    identical requests never hit the network twice, and one backend's
-    answers are never served for another's. Without a `cache_dir` nothing
-    is cached; the CLI resolves it from `--cache-dir`, then
+    The cache is one SQLite file, `cache_dir/cache.sqlite3`, keyed on the
+    backend's identity and the request, so identical requests never hit the
+    network twice and one backend's answers are never served for another's.
+    Each completion is committed as soon as it arrives, so a run that stops
+    part-way keeps every finished entry and a rerun resumes from them; two
+    processes may fill one cache at once. Caches from the older one-file-per-
+    entry layout are not read. Without a `cache_dir` nothing is cached and
+    nothing is created; the CLI resolves it from `--cache-dir`, then
     GRAPHBENCH_CACHE_DIR, then the config file.
     """
 
@@ -239,41 +245,62 @@ class Gateway:
         self.network_calls = 0
         self.cache_hits = 0
         self._lock = threading.Lock()
+        # Opened on first use, and only with a cache_dir; used under _lock.
+        self._db: sqlite3.Connection | None = None
 
-    def _cache_path(self, req: CompletionRequest) -> Path | None:
+    def _cache_key(self, req: CompletionRequest) -> str | None:
         if self.cache_dir is None:
             return None
         payload = f"{self.backend.identity}\x00{req.cache_key()}"
-        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self.cache_dir / key[:2] / f"{key}.json"
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    @staticmethod
-    def _cache_read(path: Path | None) -> CompletionResponse | None:
-        if path is None or not path.exists():
+    def _cache(self) -> sqlite3.Connection:
+        if self._db is None:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            # Autocommit: every INSERT is its own committed transaction.
+            db = sqlite3.connect(self.cache_dir / CACHE_FILE, timeout=60.0,
+                                 isolation_level=None, check_same_thread=False)
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute("CREATE TABLE IF NOT EXISTS completions "
+                       "(key TEXT PRIMARY KEY, payload TEXT NOT NULL) WITHOUT ROWID")
+            self._db = db
+        return self._db
+
+    def _cache_read(self, key: str | None) -> CompletionResponse | None:
+        if key is None:
             return None
-        data = json.loads(path.read_text("utf-8"))
+        with self._lock:
+            row = self._cache().execute("SELECT payload FROM completions WHERE key = ?",
+                                        (key,)).fetchone()
+        if row is None:
+            return None
+        data = json.loads(row[0])
         return CompletionResponse(text=data["text"], tokens_in=data.get("tokens_in"),
                                   tokens_out=data.get("tokens_out"),
                                   latency_ms=data.get("latency_ms", 0.0),
                                   backend=data.get("backend", ""), cached=True)
 
-    @staticmethod
-    def _cache_write(path: Path | None, resp: CompletionResponse) -> None:
-        if path is None:
+    def _cache_write(self, key: str | None, resp: CompletionResponse) -> None:
+        if key is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"text": resp.text, "tokens_in": resp.tokens_in,
                    "tokens_out": resp.tokens_out, "latency_ms": resp.latency_ms,
                    "backend": resp.backend}
-        # One temp file per writer: identical requests in flight at once
-        # (here or in another process) each replace the entry whole.
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(payload), "utf-8")
-        tmp.replace(path)
+        with self._lock:
+            self._cache().execute("INSERT OR REPLACE INTO completions VALUES (?, ?)",
+                                  (key, json.dumps(payload)))
+
+    def close(self) -> None:
+        """Close the cache database, if one is open; later use reopens it."""
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        path = self._cache_path(req)
-        cached = self._cache_read(path)
+        key = self._cache_key(req)
+        cached = self._cache_read(key)
         if cached is not None:
             with self._lock:
                 self.cache_hits += 1
@@ -290,7 +317,7 @@ class Gateway:
                     raise
                 self.sleep(min(delay, self.backoff_cap))
                 delay *= 2
-        self._cache_write(path, resp)
+        self._cache_write(key, resp)
         return resp
 
     def run_batch(self, requests_in: Sequence[CompletionRequest],
@@ -298,11 +325,18 @@ class Gateway:
         """Complete every request with at most max_in_flight outstanding.
 
         Output order matches input order; per-item failures are recorded in
-        place and never abort the batch.
+        place and never abort the batch. Equal requests in one batch that
+        carry the same query object (or none) are completed once and share
+        that response or error, so however often one repeats it counts one
+        network call (plus retries) or one cache hit.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         results = [BatchResult(request=r) for r in requests_in]
+        keys = [(r, id(r.query)) for r in requests_in]
+        first: dict[tuple[CompletionRequest, int], int] = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
 
         def work(i: int) -> None:
             try:
@@ -311,5 +345,8 @@ class Gateway:
                 results[i].error = f"{type(exc).__name__}: {exc}"
 
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            list(pool.map(work, range(len(requests_in))))
+            list(pool.map(work, first.values()))
+        for res, key in zip(results, keys):
+            done = results[first[key]]
+            res.response, res.error = done.response, done.error
         return results

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from . import templates
@@ -146,9 +146,22 @@ class ExemplarBank:
     task: TaskKind
     scheme: PromptScheme
     exemplars: list[Exemplar]
+    # Rendered items per (task, format, decoration, instruct line).
+    _items: dict[tuple, list[str]] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.exemplars)
+
+    def items(self, task: TaskKind, fmt: SerializationFormat, deco: DecorationFactors,
+              instruct_line: bool) -> list[str]:
+        """The exemplars as prompt items, rendered once per key."""
+        key = (task, fmt, deco, instruct_line)
+        if key not in self._items:
+            self._items[key] = [_item_text(task, fmt, serialize(ex.graph, fmt), ex.params,
+                                           deco, instruct_line, ex.answer, None)
+                                for ex in self.exemplars]
+        return self._items[key]
 
 
 def _seq(nodes: list[int]) -> str:
@@ -321,9 +334,7 @@ def compose_prompt(query: "QuerySpec", scheme: PromptScheme, fmt: SerializationF
     if scheme.shot_bearing:
         if bank is None or len(bank) == 0:
             raise EmptyBank(f"scheme {scheme.value} needs exemplars for task {query.task.value}")
-        for ex in bank.exemplars:
-            blocks.append(_item_text(query.task, fmt, serialize(ex.graph, fmt),
-                                     ex.params, deco, scheme.instruct_items, ex.answer, None))
+        blocks.extend(bank.items(query.task, fmt, deco, scheme.instruct_items))
     blocks.append(_item_text(query.task, fmt, serialize(query.graph, fmt),
                              query.params, deco, scheme.instruct_items, None, scheme.suffix))
     return "\n\n".join(blocks)

@@ -63,9 +63,6 @@ class FactorSpace:
     def options(self, t: int) -> tuple[str, ...]:
         return self.dims[t][1]
 
-    def combos(self):
-        return itertools.product(*(options for _, options in self.dims))
-
 
 def default_space(models: Sequence[str] = DEFAULT_MODELS) -> FactorSpace:
     """The T=3 search space: prompt scheme, serialization format, model."""

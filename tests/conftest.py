@@ -1,7 +1,11 @@
 import ast
+import itertools
 import math
 import random
 import re
+import sqlite3
+from contextlib import closing
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from graphbench.baselines import TRIANGLE_CAPS
 from graphbench.corpus import QuerySpec
 from graphbench.errors import EmptyFactor, MalformedResponse
-from graphbench.gateway import CompletionResponse
+from graphbench.gateway import CACHE_FILE, CompletionResponse
 from graphbench.graphs import Graph, bfs_levels
 from graphbench.prompts import CASE_FUNCTIONS, QA_DELIMS, SENTENCE_DELIMS, WORD_DELIMS
 from graphbench.rlopt import (DEFAULT_MODELS, Combo, EpisodeEntry, FactorSpace, RewardFn,
@@ -168,12 +172,17 @@ def make_tabular_q(space: FactorSpace, table: Mapping[Combo, float]) -> list[Tab
     return [TabularQ(layer) for layer in layers]
 
 
+def combos(space: FactorSpace):
+    """Every combination of the space, in option order."""
+    return itertools.product(*(options for _, options in space.dims))
+
+
 def grid_search(space: FactorSpace, reward_fn: RewardFn) -> SearchResult:
     """Evaluate every combination; optimal by construction, Cost = 1."""
     best_combo: Combo | None = None
     best_reward = float("-inf")
     log = []
-    for i, combo in enumerate(space.combos(), 1):
+    for i, combo in enumerate(combos(space), 1):
         reward = float(reward_fn(combo))
         log.append(EpisodeEntry(i, combo, reward, 0.0))
         if reward > best_reward:
@@ -206,7 +215,7 @@ def make_planted_landscape(space: FactorSpace, seed: int, noise: float = 0.03,
         w += [w[-1]] * (t_count - len(w))
     w = [x / sum(w) for x in w]
     table: dict[Combo, float] = {}
-    for combo in space.combos():
+    for combo in combos(space):
         if combo == planted:
             table[combo] = 1.0
             continue
@@ -242,3 +251,10 @@ def rng():
 def reference_graph():
     """The six-node, four-edge graph used for all serializer goldens."""
     return Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+def cache_entries(cache_dir: Path) -> int:
+    """How many completions a gateway's cache under cache_dir holds."""
+    uri = (Path(cache_dir) / CACHE_FILE).resolve().as_uri() + "?mode=ro"
+    with closing(sqlite3.connect(uri, uri=True)) as db:
+        return db.execute("SELECT count(*) FROM completions").fetchone()[0]

@@ -6,9 +6,9 @@ import pytest
 
 from graphbench.cli import _live_reward_fn, build_parser, main
 from graphbench.corpus import read_jsonl, write_jsonl
-from graphbench.gateway import Gateway, MockBackend
+from graphbench.gateway import CACHE_FILE, Gateway, MockBackend
 from graphbench.prompts import CASE_FUNCTIONS
-from conftest import make_planted_landscape
+from conftest import cache_entries, combos, make_planted_landscape
 from graphbench.rlopt import FactorSpace, default_space
 
 
@@ -88,7 +88,9 @@ def test_run_caches_to_env_dir_without_flag(tmp_path, monkeypatch, capsys):
             "--count", "2", "--seed", "0", "--out", str(q))
     monkeypatch.setenv("GRAPHBENCH_CACHE_DIR", str(cache))
     assert run_cli("run", "--queries", str(q), "--out", str(tmp_path / "r1.jsonl")) == 0
-    assert len([p for p in cache.rglob("*.json")]) == 2
+    # `run` closes the cache, which folds SQLite's side files into the one file.
+    assert [p.name for p in cache.iterdir()] == [CACHE_FILE]
+    assert cache_entries(cache) == 2
     assert run_cli("run", "--queries", str(q), "--out", str(tmp_path / "r2.jsonl")) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("network calls 0, cache hits 2)")
 
@@ -132,7 +134,7 @@ def test_live_reward_applies_decoration_factors(tmp_path):
     space = FactorSpace((("case", CASE_FUNCTIONS),))
     gateway = Gateway(MockBackend(mode="oracle"), cache_dir=tmp_path)
     reward = _live_reward_fn(args, space, gateway)
-    assert [reward(combo) for combo in space.combos()] == [1.0] * 4
+    assert [reward(combo) for combo in combos(space)] == [1.0] * 4
     assert (gateway.network_calls, gateway.cache_hits) == (20, 0)
 
 

@@ -1,17 +1,24 @@
 """Gateway behavior: caching, ordered bounded-concurrency batches, retry,
 and the mock backends."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from conftest import CannedBackend
+import graphbench
+from conftest import CannedBackend, cache_entries
 from graphbench.corpus import build_corpus
-from graphbench.errors import RateLimited
-from graphbench.gateway import (CompletionRequest, CompletionResponse, Gateway, HttpBackend,
-                                MockBackend)
+from graphbench.errors import RateLimited, TransportError
+from graphbench.gateway import (CACHE_FILE, CompletionRequest, CompletionResponse, Gateway,
+                                HttpBackend, MockBackend)
 from graphbench.generators import DifficultySplit as D
 from graphbench.pipeline import accuracy, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
@@ -82,11 +89,12 @@ def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_identical_requests_in_flight_both_write_the_cache(tmp_path, monkeypatch):
-    """Two identical requests miss the cache together and both write it; the
-    second replace must not find its temp file already moved away."""
+def test_identical_requests_in_flight_both_write_the_cache(tmp_path):
+    """Two gateways on one cache miss the same key together and both write
+    it; the store keeps one entry, which a fresh gateway serves. (One
+    gateway sends equal requests of a batch once and writes under its lock,
+    so the race needs two writers.)"""
     both_called = threading.Barrier(2)
-    both_replacing = threading.Barrier(2)
 
     class MeetingBackend:
         name = identity = "meeting"
@@ -95,19 +103,100 @@ def test_identical_requests_in_flight_both_write_the_cache(tmp_path, monkeypatch
             both_called.wait(timeout=10)
             return CompletionResponse(text="answer", backend=self.name)
 
-    real_replace = Path.replace
-
-    def replace_together(self, target):
-        both_replacing.wait(timeout=10)
-        return real_replace(self, target)
-
-    monkeypatch.setattr(Path, "replace", replace_together)
-    gw = Gateway(MeetingBackend(), cache_dir=tmp_path)
     req = CompletionRequest("m", "p")
-    results = gw.run_batch([req, req], max_in_flight=2)
-    assert [r.error for r in results] == [None, None]
-    assert [p.suffix for p in tmp_path.rglob("*") if p.is_file()] == [".json"]
+    gateways = [Gateway(MeetingBackend(), cache_dir=tmp_path) for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        texts = [r.text for r in pool.map(lambda gw: gw.complete(req), gateways)]
+    assert texts == ["answer", "answer"]
+    assert [gw.network_calls for gw in gateways] == [1, 1]
+    assert cache_entries(tmp_path) == 1
     assert Gateway(MeetingBackend(), cache_dir=tmp_path).complete(req).cached
+    # The one database and SQLite's side files: no shards, no temp files.
+    assert {p.name for p in tmp_path.iterdir()} <= {
+        CACHE_FILE, f"{CACHE_FILE}-wal", f"{CACHE_FILE}-shm"}
+
+
+def test_cache_resumes_after_a_partial_batch(tmp_path):
+    """A batch whose backend fails half-way keeps every completion it got,
+    and a fresh gateway serves each of them from the cache."""
+
+    class FailsHalfway(CountingBackend):
+        def complete(self, req):
+            if self.calls == 5:
+                raise TransportError("connection lost")
+            return super().complete(req)
+
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(10)]
+    first = Gateway(FailsHalfway(delay=0), cache_dir=tmp_path).run_batch(reqs, max_in_flight=1)
+    assert [r.ok for r in first] == [True] * 5 + [False] * 5
+    assert cache_entries(tmp_path) == 5
+    backend = CountingBackend(delay=0)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    again = gw.run_batch(reqs, max_in_flight=2)
+    assert [r.response.cached for r in again] == [True] * 5 + [False] * 5
+    assert [r.response.text for r in again] == [f"echo:p{i}" for i in range(10)]
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (5, 5, 5)
+
+
+FILL_CACHE = """
+import os, sys
+from graphbench.gateway import CompletionRequest, CompletionResponse, Gateway
+
+class Echo:
+    name = identity = "counting"
+
+    def complete(self, req):
+        return CompletionResponse(text="echo:" + req.prompt, backend=self.name)
+
+cache_dir, step = sys.argv[1], int(sys.argv[2])
+reqs = [CompletionRequest("m", f"p{i}") for i in range(200)[::step]]
+results = Gateway(Echo(), cache_dir=cache_dir).run_batch(reqs, max_in_flight=2)
+assert all(r.ok for r in results), [r.error for r in results if not r.ok]
+os._exit(0)  # no clean close: committed entries must already be durable
+"""
+
+
+def test_two_processes_fill_one_cache(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(graphbench.__file__).parents[1])}
+    procs = [subprocess.Popen([sys.executable, "-c", FILL_CACHE, str(tmp_path), step],
+                              env=env, stderr=subprocess.PIPE, text=True)
+             for step in ("1", "-1")]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    assert cache_entries(tmp_path) == 200
+    backend = CountingBackend(delay=0)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    results = gw.run_batch([CompletionRequest("m", f"p{i}") for i in range(200)])
+    assert [r.response.text for r in results] == [f"echo:p{i}" for i in range(200)]
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (200, 0, 0)
+
+
+def test_legacy_per_file_entries_are_never_served(tmp_path):
+    """A cache_dir left by the one-file-per-entry layout is not read."""
+    backend = CountingBackend(delay=0)
+    req = CompletionRequest("m", "p")
+    key = hashlib.sha256(f"{backend.identity}\x00{req.cache_key()}".encode()).hexdigest()
+    legacy = tmp_path / key[:2] / f"{key}.json"
+    legacy.parent.mkdir()
+    legacy.write_text(json.dumps({"text": "stale", "tokens_in": None, "tokens_out": None,
+                                  "latency_ms": 0.0, "backend": "counting"}), "utf-8")
+    gw = Gateway(backend, cache_dir=tmp_path)
+    resp = gw.complete(req)
+    assert resp.text == "echo:p" and not resp.cached
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (0, 1, 1)
+
+
+def test_equal_requests_in_one_batch_call_the_backend_once():
+    backend = CountingBackend(delay=0)
+    gw = Gateway(backend)
+    req = CompletionRequest("m", "p")
+    a, b = gw.run_batch([req, CompletionRequest("m", "p")], max_in_flight=2)
+    assert (backend.calls, gw.network_calls) == (1, 1)
+    assert a.response is b.response and a.response.text == "echo:p"
+    bare = CompletionRequest("m", "p")
+    failed = Gateway(MockBackend()).run_batch([bare, bare])
+    assert failed[0].error == failed[1].error and "query" in failed[0].error
 
 
 def test_cache_key_covers_params():

@@ -10,9 +10,10 @@ from graphbench.corpus import QuerySpec, build_corpus
 from graphbench.errors import EmptyBank, MissingParam
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
-from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, IDENTITY_DECORATION,
-                                PromptScheme, QA_DELIMS, SENTENCE_DELIMS, WORD_DELIMS,
-                                build_exemplars, compose_prompt, question_text,
+from graphbench import prompts
+from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, ExemplarBank,
+                                IDENTITY_DECORATION, PromptScheme, QA_DELIMS, SENTENCE_DELIMS,
+                                WORD_DELIMS, build_exemplars, compose_prompt, question_text,
                                 render_answer)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
@@ -180,6 +181,28 @@ def test_exemplar_bank_determinism():
     b = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT, k=5)
     assert [(e.graph, e.params, e.answer) for e in a.exemplars] == \
         [(e.graph, e.params, e.answer) for e in b.exemplars]
+
+
+def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
+    """Prompts from a reused bank equal those from a fresh one, whatever the
+    order of formats, decorations and schemes, and each exemplar graph is
+    serialized once per format."""
+    queries = build_corpus([TaskKind.CYCLE], [DifficultySplit.EASY], None, 4, master_seed=2)
+    bank = build_exemplars(TaskKind.CYCLE, PromptScheme.INSTRUCT, k=3)
+    cells = [(scheme, fmt, deco)
+             for deco in (IDENTITY_DECORATION, DecorationFactors(case="upper", qa_delim=" :: "))
+             for scheme in (PromptScheme.INSTRUCT, PromptScheme.K_SHOT)
+             for fmt in (F.EDGE_LIST, F.GMOL)]
+    fresh = [compose_prompt(q, scheme, fmt, ExemplarBank(bank.task, bank.scheme, bank.exemplars),
+                            deco) for q in queries for scheme, fmt, deco in cells]
+    calls = []
+    monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.append(fmt) or serialize(g, fmt))
+    reused = [compose_prompt(q, scheme, fmt, bank, deco)
+              for q in queries for scheme, fmt, deco in cells]
+    assert reused == fresh
+    # One call per prompt for the query graph, and one per exemplar for
+    # each of the 8 (scheme, format, decoration) keys.
+    assert len(calls) == len(fresh) + len(cells) * len(bank)
 
 
 def test_kshot_bfs_answer_phrase():

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import grid_search, make_planted_landscape, make_tabular_q, scaled_space
+from conftest import combos, grid_search, make_planted_landscape, make_tabular_q, scaled_space
 from graphbench.errors import EmptyFactor, ZeroDenominator
 from graphbench.generators import DifficultySplit
 from graphbench.rlopt import (MLPQ, DQNConfig, FactorSpace, _Encoder, cost_rate,
@@ -56,7 +56,7 @@ def test_cost_rate_arithmetic():
 
 def test_grid_search_is_exhaustive_and_optimal():
     space = tiny_space()
-    table = {c: 0.1 for c in space.combos()}
+    table = {c: 0.1 for c in combos(space)}
     table[("y", "q")] = 0.9
     result = grid_search(space, table_reward_fn(table))
     assert result.explored == space.k_total
@@ -105,8 +105,8 @@ def test_replay_determinism():
 def test_explored_counts_distinct_combos():
     space = tiny_space()
     result = run_dqn(S0, space, lambda c: 0.5, DQNConfig(episodes=50, seed=2))
-    combos = {e.combo for e in result.log}
-    assert result.explored == len(combos) <= space.k_total
+    seen = {e.combo for e in result.log}
+    assert result.explored == len(seen) <= space.k_total
     assert result.best_reward == max(e.reward for e in result.log)
 
 
