@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import enum
 import json
 import os
 import sys
 from pathlib import Path
+from typing import TypeVar
 
 from . import baselines as baselines_mod
 from . import corpus as corpus_mod
@@ -21,32 +23,33 @@ from . import reporting
 from . import rlopt
 from .errors import GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
-from .generators import DifficultySplit, parse_families
+from .generators import DifficultySplit, GraphFamily
 from .pipeline import BankStore, accuracy, run_evaluation
 from .prompts import DecorationFactors, PromptScheme
-from .serialize import SerializationFormat, parse_formats, serialize
+from .serialize import SerializationFormat, serialize
 from .tasks import TaskKind
 
-
-def _parse_tasks(spec: str) -> list[TaskKind]:
-    return [TaskKind(tok.strip().lower()) for tok in spec.split(",") if tok.strip()]
+E = TypeVar("E", bound=enum.Enum)
 
 
-def _parse_splits(spec: str) -> list[DifficultySplit]:
-    return [DifficultySplit(tok.strip().lower()) for tok in spec.split(",") if tok.strip()]
+# What an unknown token of each comma-list flag is called in its error.
+_KINDS = {TaskKind: "task", DifficultySplit: "difficulty", GraphFamily: "graph type",
+          PromptScheme: "prompt scheme", SerializationFormat: "format"}
 
 
-def _parse_schemes(spec: str) -> list[PromptScheme]:
-    by_value = {s.value.lower(): s for s in PromptScheme}
+def _parse_list(enum_cls: type[E], spec: str) -> list[E]:
+    """Members named by a comma-separated flag value, matched on their
+    values without regard to case."""
+    by_value = {m.value.lower(): m for m in enum_cls}
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        scheme = by_value.get(tok.lower())
-        if scheme is None:
-            raise ValueError(f"unknown prompt scheme {tok!r}")
-        out.append(scheme)
+        if tok.lower() not in by_value:
+            raise ValueError(f"unknown {_KINDS[enum_cls]} {tok!r}; expected one of "
+                             f"{', '.join(m.value for m in enum_cls)}")
+        out.append(by_value[tok.lower()])
     return out
 
 
@@ -57,25 +60,22 @@ def _load_config(path: str | None) -> dict:
 
 
 def _make_gateway(args, config: dict) -> Gateway:
-    backend_name = getattr(args, "backend", "mock-oracle")
-    if backend_name == "http":
+    if args.backend == "http":
         backend = HttpBackend(endpoint=config.get("endpoint"), api_key=config.get("api_key"))
-    elif backend_name == "mock-oracle":
+    elif args.backend == "mock-oracle":
         backend = MockBackend(mode="oracle")
-    elif backend_name == "mock-bernoulli":
-        backend = MockBackend(mode="bernoulli", error_rate=getattr(args, "error_rate", 0.2),
-                              seed=getattr(args, "seed", 0))
+    elif args.backend == "mock-bernoulli":
+        backend = MockBackend(mode="bernoulli", error_rate=args.error_rate, seed=args.seed)
     else:
-        raise ValueError(f"unknown backend {backend_name!r}")
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV) \
-        or config.get("cache_dir")
+        raise ValueError(f"unknown backend {args.backend!r}")
+    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or config.get("cache_dir")
     return Gateway(backend, cache_dir=cache_dir)
 
 
 def cmd_generate(args) -> int:
-    tasks = _parse_tasks(args.task)
-    splits = _parse_splits(args.difficulty)
-    families = parse_families(args.graph_types) if args.graph_types else None
+    tasks = _parse_list(TaskKind, args.task)
+    splits = _parse_list(DifficultySplit, args.difficulty)
+    families = _parse_list(GraphFamily, args.graph_types) if args.graph_types else None
     queries = corpus_mod.build_corpus(tasks, splits, families, args.count,
                                       master_seed=args.seed, per_cell=args.per_cell)
     n = corpus_mod.write_jsonl((q.to_record() for q in queries), args.out)
@@ -85,8 +85,8 @@ def cmd_generate(args) -> int:
 
 def cmd_render(args) -> int:
     queries = corpus_mod.load_queries(args.queries)
-    schemes = _parse_schemes(args.schemes)
-    formats = parse_formats(args.formats)
+    schemes = _parse_list(PromptScheme, args.schemes)
+    formats = _parse_list(SerializationFormat, args.formats)
     bank_store = BankStore()
     from .prompts import compose_prompt
 
@@ -109,8 +109,8 @@ def cmd_render(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     queries = corpus_mod.load_queries(args.queries)
-    schemes = _parse_schemes(args.schemes)
-    formats = parse_formats(args.formats)
+    schemes = _parse_list(PromptScheme, args.schemes)
+    formats = _parse_list(SerializationFormat, args.formats)
     gateway = _make_gateway(args, config)
     try:
         records = run_evaluation(queries, schemes, formats, gateway, model=args.model,
@@ -208,7 +208,9 @@ def _live_reward_fn(args, space: rlopt.FactorSpace, gateway: Gateway):
     """Reward = accuracy over N generated graphs for the combo's settings.
 
     Every factor is applied to the evaluation; a factor name the evaluation
-    has no setting for is rejected before anything runs.
+    has no setting for is rejected before anything runs. A batch with a
+    failed request raises GraphBenchError rather than score the failure as
+    a wrong answer.
     """
     unknown = [name for name in space.names if name not in _LIVE_DIMS]
     if unknown:
@@ -223,13 +225,17 @@ def _live_reward_fn(args, space: rlopt.FactorSpace, gateway: Gateway):
 
     def reward(combo):
         by = dict(zip(names, combo))
-        scheme = _parse_schemes(by.get("prompt_scheme", "0-shot"))[0]
-        fmt = parse_formats(by.get("serialization", "adjacency_list"))[0]
+        scheme = _parse_list(PromptScheme, by.get("prompt_scheme", "0-shot"))[0]
+        fmt = _parse_list(SerializationFormat, by.get("serialization", "adjacency_list"))[0]
         deco = DecorationFactors(**{d: by[d] for d in _DECORATION_DIMS if d in by})
         records = run_evaluation(queries, [scheme], [fmt], gateway,
                                  model=by.get("model", args.model), deco=deco,
                                  max_in_flight=args.max_in_flight,
                                  bank_store=bank_store)
+        failed = [r["error"] for r in records if "error" in r]
+        if failed:
+            raise GraphBenchError(f"live reward for combo {'|'.join(combo)}: {len(failed)} of "
+                                  f"{len(records)} requests failed (first: {failed[0]})")
         return accuracy(records)
 
     return reward

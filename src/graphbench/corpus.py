@@ -85,6 +85,10 @@ def load_queries(path: str | Path) -> list[QuerySpec]:
     return [QuerySpec.from_record(rec) for rec in read_jsonl(path)]
 
 
+# Draws per query before build_query gives up on its cell.
+MAX_QUERY_ATTEMPTS = 50
+
+
 def _sample_n_for_task(task: TaskKind, split: DifficultySplit, rng: random.Random) -> int:
     lo, hi = split.node_range
     if task in NP_TASKS:
@@ -93,16 +97,16 @@ def _sample_n_for_task(task: TaskKind, split: DifficultySplit, rng: random.Rando
 
 
 def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
-                index: int, master_seed: int,
-                seen_hashes: set[frozenset] | None = None,
-                max_attempts: int = 50) -> QuerySpec:
+                index: int, master_seed: int, seen_hashes: set[frozenset]) -> QuerySpec:
     """Build one query from its derived seed stream.
 
     `seen_hashes` holds edge sets already used in the cell; exact duplicates
-    are resampled. Shortest-path pairs are redrawn until reachable, and
-    graphs with no reachable pair at all are resampled.
+    are resampled, and the new graph's edge set is added. Shortest-path
+    pairs are redrawn until reachable, and graphs with no reachable pair at
+    all are resampled. After MAX_QUERY_ATTEMPTS draws it raises
+    ExhaustedAttempts.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_QUERY_ATTEMPTS):
         seed = (master_seed, task.value, split.value, family.value, index, attempt)
         rng = derive_rng(*seed)
         n = _sample_n_for_task(task, split, rng)
@@ -116,14 +120,13 @@ def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
             # Hamiltonian cells resample those draws.
             if task is TaskKind.HAMILTONIAN and any(g.degree(u) == 0 for u in range(g.n)):
                 continue
-            if seen_hashes is not None and g.edges in seen_hashes:
+            if g.edges in seen_hashes:
                 continue
             params = sample_params(task, g, rng)
             gt = compute_ground_truth(task, g, params)
         except ExhaustedAttempts:
             continue
-        if seen_hashes is not None:
-            seen_hashes.add(g.edges)
+        seen_hashes.add(g.edges)
         qid = f"{task.value}-{split.value}-{family.value}-{index:05d}"
         return QuerySpec(id=qid, task=task, difficulty=split, family=family,
                          graph=g, params=params, ground_truth=gt,
@@ -160,7 +163,7 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
                     counters[f] += 1
             for family, index in plan:
                 out.append(build_query(task, split, family, index, master_seed,
-                                       seen_hashes=seen[family]))
+                                       seen[family]))
     return out
 
 

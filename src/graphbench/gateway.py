@@ -32,6 +32,13 @@ API_KEY_ENV = "GRAPHBENCH_API_KEY"
 CACHE_DIR_ENV = "GRAPHBENCH_CACHE_DIR"
 # The one database file a Gateway keeps under its cache_dir.
 CACHE_FILE = "cache.sqlite3"
+# A rate-limited request is retried MAX_RETRIES times, waiting BACKOFF_BASE
+# seconds, then twice as long each time, never more than BACKOFF_CAP.
+MAX_RETRIES = 5
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 30.0
+# Seconds an HTTP request may take before it fails as a TransportError.
+HTTP_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -77,16 +84,16 @@ class HttpBackend:
     """POST to a chat-completions style endpoint.
 
     The endpoint URL and key come from arguments or the GRAPHBENCH_ENDPOINT /
-    GRAPHBENCH_API_KEY environment variables.
+    GRAPHBENCH_API_KEY environment variables. A request that takes longer
+    than HTTP_TIMEOUT seconds fails as a TransportError.
     """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
-                 timeout: float = 120.0, session: requests.Session | None = None):
+                 session: requests.Session | None = None):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
         if not self.endpoint:
             raise TransportError(f"no endpoint configured (set {ENDPOINT_ENV})")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
-        self.timeout = timeout
         self.session = session or requests.Session()
         self.name = "http"
         self.identity = f"http\x00{self.endpoint}"
@@ -106,7 +113,7 @@ class HttpBackend:
         start = time.monotonic()
         try:
             resp = self.session.post(self.endpoint, json=body, headers=headers,
-                                     timeout=self.timeout)
+                                     timeout=HTTP_TIMEOUT)
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         latency = (time.monotonic() - start) * 1000.0
@@ -158,28 +165,23 @@ class MockBackend:
 
     mode="oracle" always answers correctly; mode="bernoulli" answers
     incorrectly with probability error_rate, decided by a stable hash of the
-    prompt so repeats (and cache hits) agree. An optional rate_limit_prob
-    makes the first attempt for a matching prompt fail with RateLimited, for
-    retry testing. A request without a query cannot be answered and raises
-    ValueError.
+    prompt so repeats (and cache hits) agree. It reports the words of the
+    prompt as input tokens and the words of the answer as output tokens, and
+    never fails a request, except that one without a query cannot be
+    answered and raises ValueError.
     """
 
-    def __init__(self, mode: str = "oracle", error_rate: float = 0.0, seed: int = 0,
-                 fixed_tokens_out: int | None = None, rate_limit_prob: float = 0.0):
+    def __init__(self, mode: str = "oracle", error_rate: float = 0.0, seed: int = 0):
         if mode not in ("oracle", "bernoulli"):
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
         self.error_rate = error_rate
         self.seed = seed
-        self.fixed_tokens_out = fixed_tokens_out
-        self.rate_limit_prob = rate_limit_prob
         self.name = f"mock-{mode}"
         self.identity = f"mock\x00{mode}\x00{error_rate!r}\x00{seed!r}"
-        self._attempts: dict[str, int] = {}
-        self._lock = threading.Lock()
 
-    def _unit(self, prompt: str, salt: str) -> float:
-        digest = hashlib.sha256(f"{self.seed}\x00{salt}\x00{prompt}".encode()).digest()
+    def _unit(self, prompt: str) -> float:
+        digest = hashlib.sha256(f"{self.seed}\x00bernoulli\x00{prompt}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
@@ -187,23 +189,14 @@ class MockBackend:
         if q is None:
             raise ValueError("the mock backend answers from the request's query, "
                              "and this request carries none")
-        if self.rate_limit_prob > 0:
-            with self._lock:
-                attempt = self._attempts.get(req.prompt, 0)
-                self._attempts[req.prompt] = attempt + 1
-            if attempt == 0 and self._unit(req.prompt, "ratelimit") < self.rate_limit_prob:
-                raise RateLimited("injected rate limit")
         wrong = (self.mode == "bernoulli"
-                 and self._unit(req.prompt, "bernoulli") < self.error_rate)
+                 and self._unit(req.prompt) < self.error_rate)
         value = prompt_mod.gold_value(q.task, q.graph, q.params, q.ground_truth)
         if wrong:
             value = _wrong_value(q.task, q.graph.n, value)
         text = prompt_mod.render_answer(q.task, q.params, value)
-        tokens_out = self.fixed_tokens_out
-        if tokens_out is None:
-            tokens_out = len(text.split())
         return CompletionResponse(text=text, tokens_in=len(req.prompt.split()),
-                                  tokens_out=tokens_out, latency_ms=0.0,
+                                  tokens_out=len(text.split()), latency_ms=0.0,
                                   backend=self.name)
 
 
@@ -230,17 +223,16 @@ class Gateway:
     entry layout are not read. Without a `cache_dir` nothing is cached and
     nothing is created; the CLI resolves it from `--cache-dir`, then
     GRAPHBENCH_CACHE_DIR, then the config file.
+
+    A backend call that raises RateLimited is retried up to MAX_RETRIES
+    times, after waits of BACKOFF_BASE seconds doubling up to BACKOFF_CAP;
+    `sleep` performs each wait.
     """
 
     def __init__(self, backend: Backend, cache_dir: str | Path | None = None,
-                 max_retries: int = 5, backoff_base: float = 0.5,
-                 backoff_cap: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.backend = backend
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.sleep = sleep
         self.network_calls = 0
         self.cache_hits = 0
@@ -305,17 +297,17 @@ class Gateway:
             with self._lock:
                 self.cache_hits += 1
             return cached
-        delay = self.backoff_base
-        for attempt in range(self.max_retries + 1):
+        delay = BACKOFF_BASE
+        for attempt in range(MAX_RETRIES + 1):
             with self._lock:
                 self.network_calls += 1
             try:
                 resp = self.backend.complete(req)
                 break
             except RateLimited:
-                if attempt == self.max_retries:
+                if attempt == MAX_RETRIES:
                     raise
-                self.sleep(min(delay, self.backoff_cap))
+                self.sleep(min(delay, BACKOFF_CAP))
                 delay *= 2
         self._cache_write(key, resp)
         return resp

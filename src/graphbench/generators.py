@@ -11,7 +11,6 @@ import enum
 import hashlib
 import math
 import random
-from typing import Iterable
 
 from .errors import ExhaustedAttempts, InvalidN
 from .graphs import Graph
@@ -213,6 +212,10 @@ _GENERATORS = {
 }
 
 
+# Draws generate_connected makes before it gives up.
+MAX_CONNECTED_ATTEMPTS = 200
+
+
 def generate(family: GraphFamily, n: int, rng: random.Random) -> Graph:
     """Generate one graph of exactly n nodes from the family's construction."""
     gen, min_n = _GENERATORS[family]
@@ -221,21 +224,14 @@ def generate(family: GraphFamily, n: int, rng: random.Random) -> Graph:
     return gen(n, rng)
 
 
-def generate_connected(family: GraphFamily, n: int, rng: random.Random,
-                       max_attempts: int = 200) -> Graph:
-    """Resample until the graph is connected (needed for diameter queries)."""
+def generate_connected(family: GraphFamily, n: int, rng: random.Random) -> Graph:
+    """Resample until the graph is connected (needed for diameter queries);
+    raises ExhaustedAttempts after MAX_CONNECTED_ATTEMPTS draws."""
     from .graphs import is_connected
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_CONNECTED_ATTEMPTS):
         g = generate(family, n, rng)
         if is_connected(g):
             return g
     raise ExhaustedAttempts(
-        f"no connected {family.value} graph with n={n} in {max_attempts} attempts")
-
-
-def parse_families(spec: str | Iterable[str]) -> list[GraphFamily]:
-    """Family list from a comma-separated flag value like 'bag,erp'."""
-    if isinstance(spec, str):
-        spec = spec.split(",")
-    return [GraphFamily(token.strip().lower()) for token in spec if str(token).strip()]
+        f"no connected {family.value} graph with n={n} in {MAX_CONNECTED_ATTEMPTS} attempts")

@@ -22,8 +22,7 @@ from .tasks import TaskKind
 class BankStore:
     """Lazily built, memoized exemplar banks per (task, scheme)."""
 
-    def __init__(self, k: int = 5):
-        self.k = k
+    def __init__(self):
         self._banks: dict[tuple[TaskKind, PromptScheme], ExemplarBank] = {}
 
     def get(self, task: TaskKind, scheme: PromptScheme) -> ExemplarBank | None:
@@ -31,7 +30,7 @@ class BankStore:
             return None
         key = (task, scheme)
         if key not in self._banks:
-            self._banks[key] = build_exemplars(task, scheme, k=self.k)
+            self._banks[key] = build_exemplars(task, scheme)
         return self._banks[key]
 
 
@@ -46,9 +45,7 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
                    formats: Sequence[SerializationFormat], gateway: Gateway,
                    model: str = "mock", max_in_flight: int = 4,
                    deco: DecorationFactors = IDENTITY_DECORATION,
-                   bank_store: BankStore | None = None,
-                   temperature: float = 0.7, top_p: float = 0.9,
-                   ) -> list[dict[str, Any]]:
+                   bank_store: BankStore | None = None) -> list[dict[str, Any]]:
     """Evaluate every (query, scheme, format) cell and return result records."""
     bank_store = bank_store or BankStore()
     jobs: list[tuple[QuerySpec, PromptScheme, SerializationFormat, CompletionRequest]] = []
@@ -57,9 +54,7 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
             bank = bank_store.get(query.task, scheme)
             for fmt in formats:
                 prompt = compose_prompt(query, scheme, fmt, bank=bank, deco=deco)
-                req = CompletionRequest(model=model, prompt=prompt,
-                                        temperature=temperature, top_p=top_p,
-                                        query=query)
+                req = CompletionRequest(model=model, prompt=prompt, query=query)
                 jobs.append((query, scheme, fmt, req))
 
     results = gateway.run_batch([j[3] for j in jobs], max_in_flight=max_in_flight)

@@ -10,7 +10,6 @@ serialized graph substring is never touched by decoration.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -128,6 +127,10 @@ def framing_text(task: TaskKind, params: dict[str, int] | None = None) -> str:
         return templates.FRAMINGS[task].format(**(params or {}))
     except KeyError as exc:
         raise MissingParam(f"{task.value} framing needs parameter {exc}") from None
+
+
+# Worked examples in every shot-bearing prompt.
+EXEMPLARS_PER_BANK = 5
 
 
 @dataclass
@@ -271,19 +274,19 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
     raise ValueError(f"unknown task {task!r}")
 
 
-def build_exemplars(task: TaskKind, scheme: PromptScheme, k: int = 5,
-                    rng: random.Random | None = None) -> ExemplarBank:
-    """Build k oracle-validated exemplars on Easy-split graphs.
+def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
+    """Build EXEMPLARS_PER_BANK oracle-validated exemplars on Easy-split
+    graphs.
 
-    Exemplar graphs come from a reserved seed stream so they never collide
-    with evaluation graphs.
+    Exemplar graphs come from a reserved seed stream, derived from the task,
+    the scheme and the bank size, so they never collide with evaluation
+    graphs.
     """
-    if rng is None:
-        rng = derive_rng("exemplar-bank", task.value, scheme.value, k)
+    rng = derive_rng("exemplar-bank", task.value, scheme.value, EXEMPLARS_PER_BANK)
     families = sorted(admissible_families(task), key=lambda f: f.value)
     narrated = scheme in (PromptScheme.COT, PromptScheme.INSTRUCT, PromptScheme.ALGORITHM)
     exemplars = []
-    for i in range(k):
+    for i in range(EXEMPLARS_PER_BANK):
         family = families[i % len(families)]
         for _ in range(100):
             n = sample_n(DifficultySplit.EASY, rng)

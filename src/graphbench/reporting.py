@@ -22,8 +22,8 @@ def _group_key(rec: Mapping[str, Any], dims: Sequence[str]) -> tuple:
     return tuple(rec.get(d) for d in dims)
 
 
-def aggregate(records: Sequence[Mapping[str, Any]], group_by: Sequence[str],
-              combo_dims: Sequence[str] | None = None) -> list[dict[str, Any]]:
+def aggregate(records: Sequence[Mapping[str, Any]],
+              group_by: Sequence[str]) -> list[dict[str, Any]]:
     """Mean accuracy with a 95% CI margin per group.
 
     Within each group, records are bucketed by the remaining factor
@@ -32,8 +32,7 @@ def aggregate(records: Sequence[Mapping[str, Any]], group_by: Sequence[str],
     if not records:
         raise EmptyGroup("no records to aggregate")
     group_by = list(group_by)
-    if combo_dims is None:
-        combo_dims = [d for d in FACTOR_DIMS if d not in group_by]
+    combo_dims = [d for d in FACTOR_DIMS if d not in group_by]
     groups: dict[tuple, list[Mapping[str, Any]]] = {}
     for rec in records:
         groups.setdefault(_group_key(rec, group_by), []).append(rec)
@@ -41,13 +40,10 @@ def aggregate(records: Sequence[Mapping[str, Any]], group_by: Sequence[str],
     rows = []
     for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
         recs = groups[key]
-        if not combo_dims:
-            values = [float(r["score"]) for r in recs]
-        else:
-            combos: dict[tuple, list[float]] = {}
-            for r in recs:
-                combos.setdefault(_group_key(r, combo_dims), []).append(float(r["score"]))
-            values = [sum(v) / len(v) for v in combos.values()]
+        combos: dict[tuple, list[float]] = {}
+        for r in recs:
+            combos.setdefault(_group_key(r, combo_dims), []).append(float(r["score"]))
+        values = [sum(v) / len(v) for v in combos.values()]
         mean = sum(values) / len(values)
         margin = 0.0
         if len(values) > 1:

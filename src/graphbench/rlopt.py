@@ -64,12 +64,12 @@ class FactorSpace:
         return self.dims[t][1]
 
 
-def default_space(models: Sequence[str] = DEFAULT_MODELS) -> FactorSpace:
+def default_space() -> FactorSpace:
     """The T=3 search space: prompt scheme, serialization format, model."""
     return FactorSpace((
         ("prompt_scheme", tuple(s.value for s in PromptScheme)),
         ("serialization", tuple(f.value for f in SerializationFormat)),
-        ("model", tuple(models)),
+        ("model", DEFAULT_MODELS),
     ))
 
 

@@ -121,8 +121,3 @@ def serialize(g: Graph, fmt: SerializationFormat) -> str:
     if fmt is SerializationFormat.GMAL:
         return _render_gmal(g)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_formats(spec: str) -> list[SerializationFormat]:
-    """Format list from a comma-separated flag value."""
-    return [SerializationFormat(tok.strip().lower()) for tok in spec.split(",") if tok.strip()]

@@ -1,9 +1,11 @@
 import ast
+import hashlib
 import itertools
 import math
 import random
 import re
 import sqlite3
+import threading
 from contextlib import closing
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -12,12 +14,12 @@ import pytest
 
 from graphbench.baselines import TRIANGLE_CAPS
 from graphbench.corpus import QuerySpec
-from graphbench.errors import EmptyFactor, MalformedResponse
-from graphbench.gateway import CACHE_FILE, CompletionResponse
+from graphbench.errors import EmptyFactor, MalformedResponse, RateLimited
+from graphbench.gateway import CACHE_FILE, CompletionResponse, MockBackend
 from graphbench.graphs import Graph, bfs_levels
 from graphbench.prompts import CASE_FUNCTIONS, QA_DELIMS, SENTENCE_DELIMS, WORD_DELIMS
-from graphbench.rlopt import (DEFAULT_MODELS, Combo, EpisodeEntry, FactorSpace, RewardFn,
-                              SearchResult, default_space)
+from graphbench.rlopt import (Combo, EpisodeEntry, FactorSpace, RewardFn, SearchResult,
+                              default_space)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.tasks import TaskKind as T
 
@@ -132,16 +134,15 @@ def monte_carlo_baseline(corpus: Sequence[QuerySpec], rng: random.Random,
     return hits / trials
 
 
-def scaled_space(models: Sequence[str] = DEFAULT_MODELS, extra_factors: int = 4) -> FactorSpace:
-    """The extended space appending up to four decoration factor pools."""
-    pools = [
+def scaled_space() -> FactorSpace:
+    """The default space extended with the four decoration factor pools."""
+    pools = (
         ("sentence_delim", tuple(SENTENCE_DELIMS)),
         ("qa_delim", tuple(QA_DELIMS)),
         ("word_delim", tuple(WORD_DELIMS)),
         ("case", tuple(CASE_FUNCTIONS)),
-    ]
-    base = list(default_space(models).dims)
-    return FactorSpace(tuple(base + pools[:extra_factors]))
+    )
+    return FactorSpace(default_space().dims + pools)
 
 
 class TabularQ:
@@ -223,6 +224,26 @@ def make_planted_landscape(space: FactorSpace, seed: int, noise: float = 0.03,
         value = scale * score + rng.random() * noise
         table[combo] = min(value, cap if cap is not None else scale)
     return table, planted
+
+
+class RateLimitedMock:
+    """A MockBackend whose first attempt at a prompt raises RateLimited when
+    a stable hash of the prompt falls below `prob`; later attempts answer."""
+
+    def __init__(self, prob: float, **mock_args):
+        self.mock = MockBackend(**mock_args)
+        self.name, self.identity = self.mock.name, self.mock.identity
+        self.prob = prob
+        self.attempts: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        with self._lock:
+            self.attempts[req.prompt] = attempt = self.attempts.get(req.prompt, 0) + 1
+        digest = hashlib.sha256(f"ratelimit\x00{req.prompt}".encode()).digest()
+        if attempt == 1 and int.from_bytes(digest[:8], "big") / 2**64 < self.prob:
+            raise RateLimited("injected rate limit")
+        return self.mock.complete(req)
 
 
 class CannedBackend:

@@ -4,12 +4,17 @@ import json
 
 import pytest
 
+from graphbench import cli
 from graphbench.cli import _live_reward_fn, build_parser, main
 from graphbench.corpus import read_jsonl, write_jsonl
+from graphbench.errors import TransportError
 from graphbench.gateway import CACHE_FILE, Gateway, MockBackend
-from graphbench.prompts import CASE_FUNCTIONS
+from graphbench.generators import DifficultySplit, GraphFamily
+from graphbench.prompts import CASE_FUNCTIONS, PromptScheme
 from conftest import cache_entries, combos, make_planted_landscape
 from graphbench.rlopt import FactorSpace, default_space
+from graphbench.serialize import SerializationFormat
+from graphbench.tasks import TaskKind
 
 
 def run_cli(*argv) -> int:
@@ -138,6 +143,21 @@ def test_live_reward_applies_decoration_factors(tmp_path):
     assert (gateway.network_calls, gateway.cache_hits) == (20, 0)
 
 
+def test_live_reward_refuses_failed_requests(monkeypatch, capsys):
+    # An outage must stop the search, not teach it that every combo scores 0.
+    class Down:
+        name = identity = "down"
+
+        def complete(self, req):
+            raise TransportError("connection refused")
+
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(Down()))
+    assert run_cli("rlopt", "--samples", "2", "--episodes", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: live reward for combo ")
+    assert "2 of 2 requests failed (first: TransportError: connection refused)" in err
+
+
 def test_live_reward_rejects_unknown_factor(tmp_path, capsys):
     factors = tmp_path / "factors.json"
     factors.write_text(json.dumps([{"name": "temperature", "options": ["0.1", "0.9"]}]))
@@ -217,3 +237,23 @@ def test_unknown_scheme_is_validation_error(tmp_path):
             "--count", "2", "--seed", "0", "--out", str(q))
     assert run_cli("run", "--queries", str(q), "--schemes", "nope",
                    "--out", str(tmp_path / "r.jsonl")) == 1
+
+
+@pytest.mark.parametrize("command, flag, enum_cls, kind, valid", [
+    ("generate", "--task", TaskKind, "task", "CYCLE"),
+    ("generate", "--difficulty", DifficultySplit, "difficulty", "Easy"),
+    ("generate", "--graph-types", GraphFamily, "graph type", "ERM"),
+    ("render", "--schemes", PromptScheme, "prompt scheme", "0-cot"),
+    ("render", "--formats", SerializationFormat, "format", "Edge_List"),
+])
+def test_comma_list_flags(tmp_path, capsys, command, flag, enum_cls, kind, valid):
+    q = tmp_path / "q.jsonl"
+    argv = {"generate": ["generate", "--task", "cycle", "--count", "1", "--out", str(q)],
+            "render": ["render", "--queries", str(q), "--out", str(tmp_path / "p.jsonl")]}
+    assert run_cli(*argv["generate"]) == 0
+    # Values match without regard to case, and empty tokens are skipped.
+    assert run_cli(*argv[command], flag, f"{valid}, ,") == 0
+    capsys.readouterr()
+    assert run_cli(*argv[command], flag, f"{valid},nope") == 1
+    expected = ", ".join(m.value for m in enum_cls)
+    assert capsys.readouterr().err == f"error: unknown {kind} 'nope'; expected one of {expected}\n"

@@ -67,3 +67,59 @@ def test_every_public_def_is_reached_outside_tests():
     modules = sorted(Path(graphbench.__file__).parent.glob("*.py"))
     traced = {part for _, attr, *_ in load_targets() for part in attr.split(".")}
     assert unreached_public_names(modules, traced) == []
+
+
+# Defaulted parameters that exist so a test can substitute a fake.
+FAKE_HOOKS = {
+    "Gateway.sleep": "retry tests record the backoff waits instead of sleeping",
+    "HttpBackend.session": "HTTP tests answer from a stub session, not the network",
+    "run_dqn.q_functions": "greedy-consistency tests plug in exact Q tables",
+}
+
+
+def defaulted_parameters(tree: ast.Module) -> dict[str, tuple[str, int | None, str]]:
+    """`owner.param` -> (callee name, position, param) for each defaulted
+    parameter of a public function, or of the __init__ or a public method of
+    a public class. An __init__ is called by its class name; the position
+    does not count `self` and is None for a keyword-only parameter."""
+    defs = [(f, f.name, f.name, 0) for f in tree.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            defs += [(f, f"{cls.name}.{f.name}".removesuffix(".__init__"),
+                      cls.name if f.name == "__init__" else f.name, 1)
+                     for f in cls.body if isinstance(f, ast.FunctionDef)
+                     and (f.name == "__init__" or not f.name.startswith("_"))]
+    out = {}
+    for f, owner, callee, skip in defs:
+        args = f.args.args
+        for i in range(len(args) - len(f.args.defaults), len(args)):
+            out[f"{owner}.{args[i].arg}"] = (callee, i - skip, args[i].arg)
+        for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if d is not None:
+                out[f"{owner}.{a.arg}"] = (callee, None, a.arg)
+    return out
+
+
+def passes(call: ast.Call, callee: str, position: int | None, name: str) -> bool:
+    """Whether the call, made by bare callee name, passes the parameter."""
+    func = call.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != callee:
+        return False
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    """A setting that only tests change is a constant in disguise."""
+    modules = sorted(Path(graphbench.__file__).parent.glob("*.py"))
+    callers = modules + sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    params = {qual: spec for m in modules
+              for qual, spec in defaulted_parameters(ast.parse(m.read_text("utf-8"))).items()}
+    calls = [node for p in callers for node in ast.walk(ast.parse(p.read_text("utf-8")))
+             if isinstance(node, ast.Call)]
+    unpassed = {qual for qual, spec in params.items() if not any(passes(c, *spec) for c in calls)}
+    assert FAKE_HOOKS.keys() <= params.keys()
+    assert sorted(unpassed - FAKE_HOOKS.keys()) == []

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import graphbench
-from conftest import CannedBackend, cache_entries
+from conftest import CannedBackend, RateLimitedMock, cache_entries
 from graphbench.corpus import build_corpus
 from graphbench.errors import RateLimited, TransportError
-from graphbench.gateway import (CACHE_FILE, CompletionRequest, CompletionResponse, Gateway,
-                                HttpBackend, MockBackend)
+from graphbench.gateway import (BACKOFF_BASE, CACHE_FILE, MAX_RETRIES, CompletionRequest,
+                                CompletionResponse, Gateway, HttpBackend, MockBackend)
 from graphbench.generators import DifficultySplit as D
 from graphbench.pipeline import accuracy, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
@@ -242,12 +242,13 @@ def test_bounded_concurrency():
 
 def test_retry_on_rate_limit():
     q, prompt = sample_prompt()
-    backend = MockBackend(mode="oracle", rate_limit_prob=1.0)
+    backend = RateLimitedMock(1.0, mode="oracle")
     sleeps = []
-    gw = Gateway(backend, max_retries=3, backoff_base=0.25, sleep=sleeps.append)
+    gw = Gateway(backend, sleep=sleeps.append)
     resp = gw.complete(CompletionRequest("m", prompt, query=q))
     assert resp.text
-    assert sleeps == [0.25]
+    assert sleeps == [BACKOFF_BASE] == [0.5]
+    assert backend.attempts[prompt] == gw.network_calls == 2
 
 
 def test_retry_budget_exhausted():
@@ -257,21 +258,25 @@ def test_retry_budget_exhausted():
         def complete(self, req):
             raise RateLimited("always")
 
-    gw = Gateway(AlwaysLimited(), max_retries=2, sleep=lambda s: None)
+    sleeps = []
+    gw = Gateway(AlwaysLimited(), sleep=sleeps.append)
     with pytest.raises(RateLimited):
         gw.complete(CompletionRequest("m", "p"))
+    assert gw.network_calls == MAX_RETRIES + 1 == 6
+    assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0]
     results = gw.run_batch([CompletionRequest("m", "p")], max_in_flight=2)
     assert not results[0].ok and "RateLimited" in results[0].error
 
 
 def test_batch_fault_injection_all_succeed():
     qs = build_corpus([T.CYCLE], [D.EASY], None, 10, master_seed=8)
-    backend = MockBackend(mode="oracle", rate_limit_prob=0.4, seed=2)
-    gw = Gateway(backend, max_retries=4, sleep=lambda s: None)
+    backend = RateLimitedMock(0.4, mode="oracle")
+    gw = Gateway(backend, sleep=lambda s: None)
     reqs = [CompletionRequest("m", compose_prompt(q, S.ZERO_SHOT, F.EDGE_LIST), query=q)
             for q in qs]
     results = gw.run_batch(reqs, max_in_flight=4)
     assert all(r.ok for r in results)
+    assert len(reqs) < gw.network_calls < 2 * len(reqs)
 
 
 def test_mock_oracle_scores_one():
@@ -300,9 +305,9 @@ def test_mock_wrong_answers_score_zero():
 
 def test_mock_fixed_token_reporting():
     q, prompt = sample_prompt()
-    backend = MockBackend(mode="oracle", fixed_tokens_out=100)
-    resp = backend.complete(CompletionRequest("m", prompt, query=q))
-    assert resp.tokens_out == 100 and resp.tokens_in == len(prompt.split())
+    resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt, query=q))
+    assert resp.tokens_out == len(resp.text.split()) > 0
+    assert resp.tokens_in == len(prompt.split())
 
 
 
@@ -322,7 +327,7 @@ def test_parse_prompt_uses_last_item():
     """A k-shot prompt's final item holds the query's graph, and the mock
     answers that query rather than an exemplar."""
     q, _ = sample_prompt(task=T.TRIANGLE)
-    bank = build_exemplars(T.TRIANGLE, S.K_SHOT, k=3)
+    bank = build_exemplars(T.TRIANGLE, S.K_SHOT)
     shot = compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST, bank=bank)
     last_answer = bank.exemplars[-1].answer
     assert serialize(q.graph, F.ADJACENCY_LIST) in shot[shot.rindex(last_answer):]

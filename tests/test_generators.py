@@ -7,11 +7,11 @@ import random
 import pytest
 
 from conftest import is_bipartite
+from graphbench import generators
 from graphbench.errors import ExhaustedAttempts, InvalidN
-from graphbench.generators import (ALL_FAMILIES, DifficultySplit, GraphFamily,
-                                   admissible_families, derive_rng, derive_seed,
-                                   generate, generate_connected, parse_families,
-                                   sample_n)
+from graphbench.generators import (ALL_FAMILIES, MAX_CONNECTED_ATTEMPTS, DifficultySplit,
+                                   GraphFamily, admissible_families, derive_rng, derive_seed,
+                                   generate, generate_connected, sample_n)
 from graphbench.graphs import has_cycle, is_connected, triangle_count
 from graphbench.tasks import TaskKind
 
@@ -128,15 +128,22 @@ def test_admissible_families(task):
 
 
 def test_generate_connected_bag_first_try():
-    rng = random.Random(5)
-    g = generate_connected(GraphFamily.BAG, 8, rng, max_attempts=1)
-    assert is_connected(g)
+    # BAG is connected by construction, so generate_connected's first draw
+    # is always kept.
+    for seed in range(20):
+        g = generate(GraphFamily.BAG, 8, random.Random(seed))
+        assert is_connected(g)
+        assert generate_connected(GraphFamily.BAG, 8, random.Random(seed)) == g
 
 
-def test_generate_connected_exhausts_on_forest():
+def test_generate_connected_exhausts_on_forest(monkeypatch):
     # BAF always has >= 2 components, so connectivity never holds
+    draws = []
+    monkeypatch.setattr(generators, "generate",
+                        lambda *a: draws.append(a) or generate(*a))
     with pytest.raises(ExhaustedAttempts):
-        generate_connected(GraphFamily.BAF, 8, random.Random(0), max_attempts=5)
+        generate_connected(GraphFamily.BAF, 8, random.Random(0))
+    assert len(draws) == MAX_CONNECTED_ATTEMPTS == 200
 
 
 def test_generate_connected_erp_retries():
@@ -152,7 +159,6 @@ def test_seed_derivation_stable_and_distinct():
 
 
 def test_family_names_round_trip():
-    assert parse_families("bag,erp") == [GraphFamily.BAG, GraphFamily.ERP]
     assert GraphFamily("sf") is GraphFamily.SF
     for f in GraphFamily:
         assert GraphFamily(f.value) is f

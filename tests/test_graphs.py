@@ -54,12 +54,15 @@ def brute_hamiltonian(g: Graph) -> bool:
     return False
 
 
-def brute_max_cut(g: Graph) -> int:
-    best = 0
+def brute_max_cut(g: Graph) -> tuple[int, set[int]]:
+    """Largest cut and the side A of the first mask in ascending order that
+    reaches it, where bit v-1 of a mask puts node v on side B."""
+    best, best_side = -1, set()
     for bits in range(1 << max(g.n - 1, 0)):
-        side = {0} | {v for v in range(1, g.n) if bits >> (v - 1) & 1}
-        best = max(best, cut_size(g, side))
-    return best
+        side = {v for v in range(g.n) if v == 0 or not bits >> (v - 1) & 1}
+        if cut_size(g, side) > best:
+            best, best_side = cut_size(g, side), side
+    return best, best_side
 
 
 def queue_bfs(g: Graph, s: int) -> tuple[list[int], dict[int, int | None]]:
@@ -197,8 +200,18 @@ def test_max_cut_matches_subset_brute_force():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 9))
         size, side = max_cut(g)
-        assert size == brute_max_cut(g)
+        assert size == brute_max_cut(g)[0]
         assert cut_size(g, side) == size
+
+
+def test_max_cut_witness_is_first_maximal_mask():
+    """The side-A witness is pinned, not only the size: stored gold answers
+    carry it, so another maximal cut would change the corpora."""
+    rng = random.Random(11)
+    graphs = [Graph(0), Graph(1), Graph.from_edges(4, []), TRIANGLE, TWO_PATHS]
+    graphs += [random_graph(rng, rng.randint(2, 12)) for _ in range(60)]
+    for g in graphs:
+        assert max_cut(g) == brute_max_cut(g), g
 
 
 # -- invariants --------------------------------------------------------------

@@ -81,21 +81,21 @@ def test_zero_algorithm_opens_with_block():
 
 def test_shot_bearing_prepends_exemplar_block_only():
     q = make_query()
-    bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT, k=5)
+    bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT)
     shot = compose_prompt(q, PromptScheme.K_SHOT, F.ADJACENCY_LIST, bank=bank)
     zero = compose_prompt(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
     assert shot.endswith(zero)
     assert shot != zero
-    assert shot.count("\nA: ") >= 5
+    assert shot.count("\nA: ") >= len(bank) == prompts.EXEMPLARS_PER_BANK == 5
 
 
 def test_instruct_inserts_item_line():
     q = make_query()
-    bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.INSTRUCT, k=2)
+    bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.INSTRUCT)
     prompt = compose_prompt(q, PromptScheme.INSTRUCT, F.ADJACENCY_LIST, bank=bank)
     line = "Let's construct a graph with the nodes and edges first."
     # once per exemplar plus once for the final item
-    assert prompt.count(line) == 3
+    assert prompt.count(line) == len(bank) + 1
     assert prompt.endswith("A:")
 
 
@@ -125,7 +125,7 @@ def test_final_item_carries_query_graph():
              DecorationFactors(sentence_delim=" \n", qa_delim=" \n\t", word_delim="  ",
                                case="title"))
     for q in build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=4):
-        bank = build_exemplars(q.task, PromptScheme.K_SHOT, k=3)
+        bank = build_exemplars(q.task, PromptScheme.K_SHOT)
         for fmt in F:
             rendered = serialize(q.graph, fmt)
             for deco in decos:
@@ -167,7 +167,7 @@ def test_decorated_markers():
 @pytest.mark.parametrize("scheme", [PromptScheme.K_SHOT, PromptScheme.COT,
                                     PromptScheme.ALGORITHM])
 def test_exemplar_answers_score_one(task, scheme):
-    bank = build_exemplars(task, scheme, k=5)
+    bank = build_exemplars(task, scheme)
     assert len(bank) == 5
     for ex in bank.exemplars:
         gt = compute_ground_truth(task, ex.graph, ex.params)
@@ -177,8 +177,8 @@ def test_exemplar_answers_score_one(task, scheme):
 
 
 def test_exemplar_bank_determinism():
-    a = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT, k=5)
-    b = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT, k=5)
+    a = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT)
+    b = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT)
     assert [(e.graph, e.params, e.answer) for e in a.exemplars] == \
         [(e.graph, e.params, e.answer) for e in b.exemplars]
 
@@ -188,7 +188,7 @@ def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
     order of formats, decorations and schemes, and each exemplar graph is
     serialized once per format."""
     queries = build_corpus([TaskKind.CYCLE], [DifficultySplit.EASY], None, 4, master_seed=2)
-    bank = build_exemplars(TaskKind.CYCLE, PromptScheme.INSTRUCT, k=3)
+    bank = build_exemplars(TaskKind.CYCLE, PromptScheme.INSTRUCT)
     cells = [(scheme, fmt, deco)
              for deco in (IDENTITY_DECORATION, DecorationFactors(case="upper", qa_delim=" :: "))
              for scheme in (PromptScheme.INSTRUCT, PromptScheme.K_SHOT)
@@ -206,7 +206,7 @@ def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
 
 
 def test_kshot_bfs_answer_phrase():
-    bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT, k=3)
+    bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT)
     for ex in bank.exemplars:
         assert ex.answer.startswith(
             f"The BFS traversal order starting from node {ex.params['start']} is ")

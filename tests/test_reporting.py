@@ -75,8 +75,11 @@ def test_aggregation_permutation_invariant():
 def test_collapsed_group_matches_overall_mean():
     rng = random.Random(3)
     records = make_records(lambda *a: rng.randint(0, 1))
-    overall = aggregate(records, [], combo_dims=[])[0]["mean"]
-    assert math.isclose(overall, sum(r["score"] for r in records) / len(records))
+    # With no grouping, every factor combination is one unit; the design is
+    # balanced, so the mean of the 16 combination means is the record mean.
+    (row,) = aggregate(records, [])
+    assert (row["combinations"], row["records"]) == (16, len(records))
+    assert math.isclose(row["mean"], sum(r["score"] for r in records) / len(records))
 
 
 def test_empty_group():
