@@ -140,7 +140,16 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _parse_one(enum_cls: type[E], spec: str, flag: str) -> E:
+    members = _parse_list(enum_cls, spec)
+    if len(members) != 1:
+        raise ValueError(f"{flag} takes one {_KINDS[enum_cls]}, got {spec!r}")
+    return members[0]
+
+
 def cmd_rlopt(args) -> int:
+    task = _parse_one(TaskKind, args.task, "--task")
+    split = _parse_one(DifficultySplit, args.difficulty, "--difficulty")
     if args.factors_file:
         spec = json.loads(Path(args.factors_file).read_text("utf-8"))
         space = rlopt.FactorSpace(tuple((d["name"], tuple(d["options"])) for d in spec))
@@ -169,7 +178,7 @@ def cmd_rlopt(args) -> int:
     elif args.reward == "live":
         config = _load_config(args.config)
         gateway = _make_gateway(args, config)
-        reward_fn = _live_reward_fn(args, space, gateway)
+        reward_fn = _live_reward_fn(args, task, split, space, gateway)
     else:
         raise ValueError(f"unknown reward spec {args.reward!r}")
 
@@ -179,7 +188,7 @@ def cmd_rlopt(args) -> int:
                           epsilon_min=args.epsilon_min,
                           optimizer=args.optimizer, input_skip=args.input_skip)
     try:
-        result = rlopt.run_dqn((args.task, args.difficulty), space, reward_fn, cfg)
+        result = rlopt.run_dqn((task.value, split.value), space, reward_fn, cfg)
     finally:
         if gateway is not None:
             gateway.close()
@@ -204,7 +213,8 @@ _DECORATION_DIMS = tuple(f.name for f in dataclasses.fields(DecorationFactors))
 _LIVE_DIMS = ("prompt_scheme", "serialization", "model", *_DECORATION_DIMS)
 
 
-def _live_reward_fn(args, space: rlopt.FactorSpace, gateway: Gateway):
+def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
+                    space: rlopt.FactorSpace, gateway: Gateway):
     """Reward = accuracy over N generated graphs for the combo's settings.
 
     Every factor is applied to the evaluation; a factor name the evaluation
@@ -216,8 +226,6 @@ def _live_reward_fn(args, space: rlopt.FactorSpace, gateway: Gateway):
     if unknown:
         raise ValueError(f"live reward cannot apply factor(s) {', '.join(unknown)}; "
                          f"known factors: {', '.join(_LIVE_DIMS)}")
-    task = TaskKind(args.task)
-    split = DifficultySplit(args.difficulty)
     queries = corpus_mod.build_corpus([task], [split], None, args.samples,
                                       master_seed=args.seed)
     bank_store = BankStore()

@@ -39,26 +39,25 @@ BACKOFF_BASE = 0.5
 BACKOFF_CAP = 30.0
 # Seconds an HTTP request may take before it fails as a TransportError.
 HTTP_TIMEOUT = 120.0
+# Sampling settings sent with every request; MAX_TOKENS None sends no cap.
+# All three are part of the cache key, so changing one invalidates every
+# cached completion.
+TEMPERATURE = 0.7
+TOP_P = 0.9
+MAX_TOKENS = None
 
 
 @dataclass(frozen=True)
 class CompletionRequest:
     model: str
     prompt: str
-    temperature: float = 0.7
-    top_p: float = 0.9
-    max_tokens: int | None = None
     # The query the prompt was composed from. Only the mock backend reads it;
     # it is not part of the cache key.
     query: QuerySpec | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
     def cache_key(self) -> str:
-        payload = "\x00".join([self.model, self.prompt, repr(self.temperature),
-                               repr(self.top_p), repr(self.max_tokens)])
+        payload = "\x00".join([self.model, self.prompt, repr(TEMPERATURE),
+                               repr(TOP_P), repr(MAX_TOKENS)])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -102,11 +101,11 @@ class HttpBackend:
         body = {
             "model": req.model,
             "messages": [{"role": "user", "content": req.prompt}],
-            "temperature": req.temperature,
-            "top_p": req.top_p,
+            "temperature": TEMPERATURE,
+            "top_p": TOP_P,
         }
-        if req.max_tokens is not None:
-            body["max_tokens"] = req.max_tokens
+        if MAX_TOKENS is not None:
+            body["max_tokens"] = MAX_TOKENS
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -321,24 +320,41 @@ class Gateway:
         carry the same query object (or none) are completed once and share
         that response or error, so however often one repeats it counts one
         network call (plus retries) or one cache hit.
+
+        Cache hits are served on the calling thread. Only the misses go to
+        a pool of max_in_flight worker threads, each through `complete`, and
+        no pool is started when nothing missed. A cache read that fails is
+        an error on its item; the item is not sent to the backend.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        results = [BatchResult(request=r) for r in requests_in]
         keys = [(r, id(r.query)) for r in requests_in]
-        first: dict[tuple[CompletionRequest, int], int] = {}
-        for i, key in enumerate(keys):
-            first.setdefault(key, i)
-
-        def work(i: int) -> None:
+        outcome: dict[tuple[CompletionRequest, int], tuple] = {}
+        misses = []
+        for key in dict.fromkeys(keys):
             try:
-                results[i].response = self.complete(requests_in[i])
+                cached = self._cache_read(self._cache_key(key[0]))
             except Exception as exc:
-                results[i].error = f"{type(exc).__name__}: {exc}"
+                outcome[key] = (None, _describe(exc))
+                continue
+            if cached is None:
+                misses.append(key)
+            else:
+                outcome[key] = (cached, None)
+        with self._lock:
+            self.cache_hits += sum(resp is not None for resp, _ in outcome.values())
 
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            list(pool.map(work, first.values()))
-        for res, key in zip(results, keys):
-            done = results[first[key]]
-            res.response, res.error = done.response, done.error
-        return results
+        def work(key) -> tuple:
+            try:
+                return self.complete(key[0]), None
+            except Exception as exc:
+                return None, _describe(exc)
+
+        if misses:
+            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+                outcome.update(zip(misses, pool.map(work, misses)))
+        return [BatchResult(req, *outcome[key]) for req, key in zip(requests_in, keys)]
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"

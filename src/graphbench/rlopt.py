@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import EmptyFactor, ZeroDenominator
+from .errors import EmptyFactor, GraphBenchError, ZeroDenominator
 from .generators import DifficultySplit
 from .prompts import PromptScheme
 from .serialize import SerializationFormat
@@ -102,17 +102,20 @@ class SearchResult:
 
 OPTIMIZERS = ("adam", "sgd", "nlms")
 DECAY_MODES = ("multiplicative", "linear")
+# Epsilon starts at EPSILON_START and decays after each episode (by the factor
+# EPSILON_DECAY in multiplicative mode) down to DQNConfig.epsilon_min.
+EPSILON_START = 1.0
+EPSILON_DECAY = 0.95
+# Widths of the two hidden layers of every per-epoch Q network.
+HIDDEN = (64, 64)
 
 
 @dataclass
 class DQNConfig:
     episodes: int = 80
     learning_rate: float = 0.001
-    epsilon: float = 1.0
     epsilon_min: float = 0.01
-    epsilon_decay: float = 0.95
     decay_mode: str = "multiplicative"
-    hidden: tuple[int, int] = (64, 64)
     optimizer: str = "adam"
     input_skip: bool = False
     seed: int = 0
@@ -296,7 +299,7 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
     if q_functions is None:
         encoder = _Encoder(s0, space)
         np_rng = np.random.default_rng(cfg.seed)
-        q_functions = [MLPQ(encoder, t, cfg.hidden, np_rng, optimizer=cfg.optimizer,
+        q_functions = [MLPQ(encoder, t, HIDDEN, np_rng, optimizer=cfg.optimizer,
                             skip=cfg.input_skip) for t in range(t_count)]
 
     reward_cache: dict[Combo, float] = {}
@@ -306,7 +309,7 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
             reward_cache[combo] = float(reward_fn(combo))
         return reward_cache[combo]
 
-    epsilon = cfg.epsilon
+    epsilon = EPSILON_START
     log: list[EpisodeEntry] = []
     best_combo: Combo | None = None
     best_reward = float("-inf")
@@ -337,10 +340,10 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
         if reward > best_reward:
             best_reward, best_combo = reward, prefix
         if cfg.decay_mode == "multiplicative":
-            epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
+            epsilon = max(cfg.epsilon_min, epsilon * EPSILON_DECAY)
         else:
             epsilon = max(cfg.epsilon_min,
-                          epsilon - (cfg.epsilon - cfg.epsilon_min) / max(1, cfg.episodes - 1))
+                          epsilon - (EPSILON_START - cfg.epsilon_min) / max(1, cfg.episodes - 1))
 
     assert best_combo is not None
     return SearchResult(best_combo=best_combo, best_reward=best_reward,
@@ -356,4 +359,10 @@ def cost_rate(result: SearchResult, space: FactorSpace, acc_max: float) -> tuple
 
 
 def table_reward_fn(table: Mapping[Combo, float]) -> RewardFn:
-    return lambda combo: table[combo]
+    """Reward looked up in a table; a combination it lacks is an error."""
+    def reward(combo: Combo) -> float:
+        if combo not in table:
+            raise GraphBenchError(f"reward table has no entry for {'|'.join(combo)}")
+        return table[combo]
+
+    return reward

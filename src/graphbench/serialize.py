@@ -104,20 +104,26 @@ def _render_gmal(g: Graph) -> str:
     return "".join(out)
 
 
+_RENDERERS = {
+    SerializationFormat.ADJACENCY_MATRIX: _render_matrix,
+    SerializationFormat.ADJACENCY_LIST: _render_adjacency_list,
+    SerializationFormat.ADJACENCY_SET: _render_adjacency_set,
+    SerializationFormat.EDGE_LIST: _render_edge_list,
+    SerializationFormat.EDGE_SET: _render_edge_set,
+    SerializationFormat.GMOL: _render_gmol,
+    SerializationFormat.GMAL: _render_gmal,
+}
+
+
 def serialize(g: Graph, fmt: SerializationFormat) -> str:
-    """Deterministic canonical text for the graph in the given format."""
-    if fmt is SerializationFormat.ADJACENCY_MATRIX:
-        return _render_matrix(g)
-    if fmt is SerializationFormat.ADJACENCY_LIST:
-        return _render_adjacency_list(g)
-    if fmt is SerializationFormat.ADJACENCY_SET:
-        return _render_adjacency_set(g)
-    if fmt is SerializationFormat.EDGE_LIST:
-        return _render_edge_list(g)
-    if fmt is SerializationFormat.EDGE_SET:
-        return _render_edge_set(g)
-    if fmt is SerializationFormat.GMOL:
-        return _render_gmol(g)
-    if fmt is SerializationFormat.GMAL:
-        return _render_gmal(g)
-    raise ValueError(f"unknown format {fmt!r}")
+    """Deterministic canonical text for the graph in the given format.
+
+    Each format is rendered once per graph; the text is kept in `g.texts`
+    and every later call returns it.
+    """
+    texts = g.texts
+    if fmt not in texts:
+        if fmt not in _RENDERERS:
+            raise ValueError(f"unknown format {fmt!r}")
+        texts[fmt] = _RENDERERS[fmt](g)
+    return texts[fmt]

@@ -26,6 +26,7 @@ from graphbench.graphs import Graph, diameter, has_cycle, is_connected, triangle
 from graphbench.pipeline import accuracy, run_evaluation
 from graphbench.prompts import PromptScheme as S
 from graphbench.reporting import aggregate
+from graphbench import rlopt
 from graphbench.rlopt import DQNConfig, cost_rate, default_space, run_dqn, table_reward_fn
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
@@ -229,7 +230,7 @@ def test_criterion_8_mock_pipeline():
                   f"{pivots_ok}")
 
 
-def test_criterion_9_rl_opt():
+def test_criterion_9_rl_opt(monkeypatch):
     """Planted-optimum search. Harness configuration (fixed, documented):
     additive landscape with per-factor weights (0.45, 0.35, 0.2), optimum
     1.0, every other combination capped at 0.5 (gap to median >= 0.2
@@ -239,9 +240,9 @@ def test_criterion_9_rl_opt():
     """
     start = time.monotonic()
     space = default_space()
+    monkeypatch.setattr(rlopt, "HIDDEN", (16, 16))
     cfg_proto = dict(episodes=80, decay_mode="linear", epsilon_min=0.1,
-                     learning_rate=0.5, optimizer="nlms", input_skip=True,
-                     hidden=(16, 16))
+                     learning_rate=0.5, optimizer="nlms", input_skip=True)
     hits = 0
     costs = []
     for seed in range(20):
@@ -256,10 +257,11 @@ def test_criterion_9_rl_opt():
         hits += rate == 1.0
 
     greedy_ok = True
+    monkeypatch.setattr(rlopt, "EPSILON_START", 0.0)
     for seed in range(20):
         table, planted = make_planted_landscape(space, seed=seed)
         res = run_dqn(("diameter", "easy"), space, table_reward_fn(table),
-                      DQNConfig(episodes=10, epsilon=0.0, epsilon_min=0.0, seed=seed),
+                      DQNConfig(episodes=10, epsilon_min=0.0, seed=seed),
                       q_functions=make_tabular_q(space, table))
         greedy_ok &= res.explored == 1 and res.best_combo == planted
 

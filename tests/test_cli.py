@@ -138,7 +138,7 @@ def test_live_reward_applies_decoration_factors(tmp_path):
     args = build_parser().parse_args(["rlopt", "--task", "cycle", "--samples", "5"])
     space = FactorSpace((("case", CASE_FUNCTIONS),))
     gateway = Gateway(MockBackend(mode="oracle"), cache_dir=tmp_path)
-    reward = _live_reward_fn(args, space, gateway)
+    reward = _live_reward_fn(args, TaskKind.CYCLE, DifficultySplit.EASY, space, gateway)
     assert [reward(combo) for combo in combos(space)] == [1.0] * 4
     assert (gateway.network_calls, gateway.cache_hits) == (20, 0)
 
@@ -212,6 +212,33 @@ def test_report_sensitivity_errors_are_validation_errors(tmp_path, capsys):
     assert run_cli("report", "--results", str(r), "--pivot", "sensitivity",
                    "--task", "cycle", "--split", "easy") == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--task", "nope", "error: unknown task 'nope'; expected one of "),
+    ("--difficulty", "bogus", "error: unknown difficulty 'bogus'; expected one of "),
+    ("--task", "cycle,diameter", "error: --task takes one task, got 'cycle,diameter'"),
+    ("--difficulty", ",", "error: --difficulty takes one difficulty, got ','"),
+], ids=["unknown-task", "unknown-difficulty", "two-tasks", "no-difficulty"])
+def test_rlopt_validates_task_and_difficulty(tmp_path, capsys, flag, value, message):
+    """Table mode builds no corpus, so only the flag parser can reject an
+    unknown task or difficulty before the search starts."""
+    table, _ = make_planted_landscape(default_space(), seed=5)
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"|".join(k): v for k, v in table.items()}))
+    assert run_cli("rlopt", "--reward", f"table:{table_path}", "--episodes", "2",
+                   flag, value) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_rlopt_table_without_a_visited_combo_is_an_error(tmp_path, capsys):
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"0-shot|edge_list|mock": 0.5}))
+    assert run_cli("rlopt", "--reward", f"table:{table_path}", "--episodes", "2",
+                   "--seed", "5") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reward table has no entry for ")
+    assert len(err.removeprefix("error: reward table has no entry for ").split("|")) == 3
 
 
 @pytest.mark.parametrize("acc_max", ["-1", "0"])

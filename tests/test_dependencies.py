@@ -77,20 +77,45 @@ FAKE_HOOKS = {
 }
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has default) for each field the generated __init__ takes, in order."""
+    out = []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                        for k in value.keywords)):
+            continue
+        out.append((stmt.target.id, value is not None))
+    return out
+
+
 def defaulted_parameters(tree: ast.Module) -> dict[str, tuple[str, int | None, str]]:
     """`owner.param` -> (callee name, position, param) for each defaulted
     parameter of a public function, or of the __init__ or a public method of
-    a public class. An __init__ is called by its class name; the position
-    does not count `self` and is None for a keyword-only parameter."""
+    a public class, and for each defaulted field of a public dataclass. An
+    __init__ is called by its class name; the position does not count `self`
+    and is None for a keyword-only parameter."""
     defs = [(f, f.name, f.name, 0) for f in tree.body
             if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    out = {}
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
             defs += [(f, f"{cls.name}.{f.name}".removesuffix(".__init__"),
                       cls.name if f.name == "__init__" else f.name, 1)
                      for f in cls.body if isinstance(f, ast.FunctionDef)
                      and (f.name == "__init__" or not f.name.startswith("_"))]
-    out = {}
+            if is_dataclass(cls):
+                for i, (name, defaulted) in enumerate(dataclass_fields(cls)):
+                    if defaulted:
+                        out[f"{cls.name}.{name}"] = (cls.name, i, name)
     for f, owner, callee, skip in defs:
         args = f.args.args
         for i in range(len(args) - len(f.args.defaults), len(args)):
@@ -101,10 +126,24 @@ def defaulted_parameters(tree: ast.Module) -> dict[str, tuple[str, int | None, s
     return out
 
 
-def passes(call: ast.Call, callee: str, position: int | None, name: str) -> bool:
-    """Whether the call, made by bare callee name, passes the parameter."""
-    func = call.func
-    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != callee:
+def named_calls(tree: ast.Module) -> list[tuple[str | None, ast.Call]]:
+    """Every call with the bare name it is made by; `cls(...)` inside a
+    class calls that class."""
+    owner = {node: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in ast.walk(cls)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            out.append((owner.get(node) if name == "cls" else name, node))
+    return out
+
+
+def passes(called: str | None, call: ast.Call, callee: str, position: int | None,
+           name: str) -> bool:
+    """Whether the call, made by bare name `called`, passes the parameter."""
+    if called != callee:
         return False
     if any(k.arg in (name, None) for k in call.keywords):
         return True
@@ -118,8 +157,8 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
     callers = modules + sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
     params = {qual: spec for m in modules
               for qual, spec in defaulted_parameters(ast.parse(m.read_text("utf-8"))).items()}
-    calls = [node for p in callers for node in ast.walk(ast.parse(p.read_text("utf-8")))
-             if isinstance(node, ast.Call)]
-    unpassed = {qual for qual, spec in params.items() if not any(passes(c, *spec) for c in calls)}
+    calls = [c for p in callers for c in named_calls(ast.parse(p.read_text("utf-8")))]
+    unpassed = {qual for qual, spec in params.items()
+                if not any(passes(*c, *spec) for c in calls)}
     assert FAKE_HOOKS.keys() <= params.keys()
     assert sorted(unpassed - FAKE_HOOKS.keys()) == []

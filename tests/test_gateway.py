@@ -4,6 +4,7 @@ and the mock backends."""
 import hashlib
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import graphbench
+import graphbench.gateway as gateway_mod
 from conftest import CannedBackend, RateLimitedMock, cache_entries
 from graphbench.corpus import build_corpus
 from graphbench.errors import RateLimited, TransportError
@@ -199,10 +201,96 @@ def test_equal_requests_in_one_batch_call_the_backend_once():
     assert failed[0].error == failed[1].error and "query" in failed[0].error
 
 
-def test_cache_key_covers_params():
-    a = CompletionRequest("m", "p", temperature=0.7)
-    b = CompletionRequest("m", "p", temperature=0.0)
-    assert a.cache_key() != b.cache_key()
+def test_cache_key_covers_params(monkeypatch):
+    key = CompletionRequest("m", "p").cache_key()
+    assert CompletionRequest("n", "p").cache_key() != key
+    assert CompletionRequest("m", "q").cache_key() != key
+    for name, value in (("TEMPERATURE", 0.0), ("TOP_P", 1.0), ("MAX_TOKENS", 64)):
+        with monkeypatch.context() as m:
+            m.setattr(gateway_mod, name, value)
+            assert CompletionRequest("m", "p").cache_key() != key
+
+
+def test_cache_key_is_stable():
+    """The key of a fixed request is pinned, so caches that are already
+    filled keep hitting."""
+    req = CompletionRequest("mock", "Q: is there a cycle?\nA:")
+    assert req.cache_key() == "6389949a954a1b982208acaf607673a5a4bbfb20e98a1f8d8169b85c7e4fa722"
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_all_hit_batch_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    """A batch served wholly from the cache starts no worker pool and calls
+    no backend, and keeps input order, duplicates included."""
+    backend = CountingBackend(delay=0)
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(6)]
+    Gateway(backend, cache_dir=tmp_path).run_batch(reqs)
+    monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    batch = reqs[::-1] + reqs[:2]
+    results = gw.run_batch(batch, max_in_flight=2)
+    assert [r.response.text for r in results] == [f"echo:{r.prompt}" for r in batch]
+    assert all(r.response.cached for r in results)
+    assert (backend.calls, gw.cache_hits, gw.network_calls) == (6, 6, 0)
+
+
+def test_mixed_batch_sends_only_misses_to_the_pool(tmp_path, monkeypatch):
+    """Hits are read on the calling thread; each distinct miss goes once
+    through `complete` in a worker, and order and counts are as before."""
+    backend = CountingBackend(delay=0)
+    Gateway(backend, cache_dir=tmp_path).run_batch([CompletionRequest("m", "h1"),
+                                                    CompletionRequest("m", "h2")])
+    gw = Gateway(backend, cache_dir=tmp_path)
+    read, complete = gw._cache_read, gw.complete
+    hit_threads, completed = [], []
+
+    def recording_read(key):
+        resp = read(key)
+        if resp is not None:
+            hit_threads.append(threading.current_thread())
+        return resp
+
+    def recording_complete(req):
+        completed.append((req.prompt, threading.current_thread()))
+        return complete(req)
+
+    monkeypatch.setattr(gw, "_cache_read", recording_read)
+    monkeypatch.setattr(gw, "complete", recording_complete)
+    prompts = ["m1", "h1", "m2", "h1", "m1", "h2", "m3"]
+    results = gw.run_batch([CompletionRequest("m", p) for p in prompts], max_in_flight=2)
+    assert [r.response.text for r in results] == [f"echo:{p}" for p in prompts]
+    assert [r.response.cached for r in results] == [p.startswith("h") for p in prompts]
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (2, 3, 5)
+    assert hit_threads == [threading.main_thread()] * 2
+    assert sorted(p for p, _ in completed) == ["m1", "m2", "m3"]
+    assert threading.main_thread() not in {t for _, t in completed}
+
+
+def test_failed_cache_read_is_an_item_error(tmp_path, monkeypatch):
+    """A cache read that raises fails its own item (and that item's
+    duplicates) only; the item is not sent to the backend."""
+    backend = CountingBackend(delay=0)
+    good, bad = CompletionRequest("m", "good"), CompletionRequest("m", "bad")
+    Gateway(backend, cache_dir=tmp_path).run_batch([good, bad])
+    gw = Gateway(backend, cache_dir=tmp_path)
+    bad_key, read = gw._cache_key(bad), gw._cache_read
+
+    def failing_read(key):
+        if key == bad_key:
+            raise sqlite3.DatabaseError("database disk image is malformed")
+        return read(key)
+
+    monkeypatch.setattr(gw, "_cache_read", failing_read)
+    monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
+    first, failed, again, failed_again = gw.run_batch([good, bad, good, bad])
+    assert first.response.cached and again.response is first.response
+    assert [failed.error, failed_again.error] == [
+        "DatabaseError: database disk image is malformed"] * 2
+    assert not failed.ok and not failed_again.ok
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (1, 0, 2)
 
 
 def test_cache_key_ignores_query():
@@ -366,7 +454,5 @@ def test_canned_backend(tmp_path):
 
 
 def test_request_validation():
-    with pytest.raises(ValueError):
-        CompletionRequest("m", "p", temperature=-1)
     with pytest.raises(ValueError):
         Gateway(CountingBackend()).run_batch([], max_in_flight=0)

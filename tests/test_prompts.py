@@ -1,15 +1,20 @@
 """Prompt composition: question wording, scheme layouts, exemplar banks,
 and decoration behavior."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from graphbench import answer_eval
+from graphbench import serialize as serialize_mod
 from graphbench.corpus import QuerySpec, build_corpus
 from graphbench.errors import EmptyBank, MissingParam
+from graphbench.gateway import Gateway, MockBackend
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
+from graphbench.pipeline import BankStore, run_evaluation
 from graphbench import prompts
 from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, ExemplarBank,
                                 IDENTITY_DECORATION, PromptScheme, QA_DELIMS, SENTENCE_DELIMS,
@@ -203,6 +208,45 @@ def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
     # One call per prompt for the query graph, and one per exemplar for
     # each of the 8 (scheme, format, decoration) keys.
     assert len(calls) == len(fresh) + len(cells) * len(bank)
+
+
+# sha256 over the prompts test_prompts_match_the_pinned_digest composes, in
+# order, each followed by a NUL byte.
+PROMPTS_DIGEST = "b3bdf1ae01e9947ca31e97fb0c56a30b7c2ab17e181aa7089579ad6204ddfb55"
+
+
+def test_prompts_match_the_pinned_digest():
+    """Every scheme x format x decoration prompt for one easy query per task
+    is byte-identical to the pinned rendering."""
+    queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=0)
+    decos = (IDENTITY_DECORATION, DecorationFactors(sentence_delim=" <sep> ", qa_delim=" :: ",
+                                                    word_delim="\t", case="upper"))
+    banks = BankStore()
+    digest = hashlib.sha256()
+    for deco in decos:
+        for q in queries:
+            for scheme in PromptScheme:
+                for fmt in F:
+                    prompt = compose_prompt(q, scheme, fmt, banks.get(q.task, scheme), deco)
+                    digest.update(prompt.encode("utf-8") + b"\x00")
+    assert digest.hexdigest() == PROMPTS_DIGEST
+
+
+def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
+    """Whatever the number of schemes, every graph (query or exemplar) goes
+    through each format's renderer once."""
+    queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=5)
+    calls = Counter()
+    for fmt, render in list(serialize_mod._RENDERERS.items()):
+        monkeypatch.setitem(serialize_mod._RENDERERS, fmt,
+                            lambda g, fmt=fmt, render=render: calls.update([(id(g), fmt)])
+                            or render(g))
+    records = run_evaluation(queries, list(PromptScheme), list(F),
+                             Gateway(MockBackend(mode="oracle")))
+    assert len(records) == len(queries) * len(PromptScheme) * len(F) == 504
+    assert all(r["score"] == 1 for r in records)
+    assert [calls[id(q.graph), fmt] for q in queries for fmt in F] == [1] * (8 * 7)
+    assert set(calls.values()) == {1}
 
 
 def test_kshot_bfs_answer_phrase():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import combos, grid_search, make_planted_landscape, make_tabular_q, scaled_space
 from graphbench.errors import EmptyFactor, ZeroDenominator
+from graphbench import rlopt
 from graphbench.generators import DifficultySplit
 from graphbench.rlopt import (MLPQ, DQNConfig, FactorSpace, _Encoder, cost_rate,
                               default_space, run_dqn, table_reward_fn)
@@ -75,13 +76,14 @@ def test_grid_beats_or_ties_dqn():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_greedy_consistency_with_true_table(seed):
+def test_greedy_consistency_with_true_table(seed, monkeypatch):
     """With epsilon pinned at 0 and Q functions initialized to the true
     table values, the search walks the argmax path every episode: one
     distinct combination, which is the global optimum."""
+    monkeypatch.setattr(rlopt, "EPSILON_START", 0.0)
     space = default_space()
     table, planted = make_planted_landscape(space, seed=seed)
-    cfg = DQNConfig(episodes=20, epsilon=0.0, epsilon_min=0.0, seed=seed)
+    cfg = DQNConfig(episodes=20, epsilon_min=0.0, seed=seed)
     result = run_dqn(S0, space, table_reward_fn(table), cfg,
                      q_functions=make_tabular_q(space, table))
     assert result.explored == 1
