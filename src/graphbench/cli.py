@@ -24,7 +24,7 @@ from . import rlopt
 from .errors import GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
 from .generators import DifficultySplit, GraphFamily
-from .pipeline import BankStore, accuracy, run_evaluation
+from .pipeline import BankStore, accuracy, compose_cells, run_evaluation
 from .prompts import DecorationFactors, PromptScheme
 from .serialize import SerializationFormat, serialize
 from .tasks import TaskKind
@@ -87,20 +87,9 @@ def cmd_render(args) -> int:
     queries = corpus_mod.load_queries(args.queries)
     schemes = _parse_list(PromptScheme, args.schemes)
     formats = _parse_list(SerializationFormat, args.formats)
-    bank_store = BankStore()
-    from .prompts import compose_prompt
-
-    rows = []
-    for q in queries:
-        for scheme in schemes:
-            bank = bank_store.get(q.task, scheme)
-            for fmt in formats:
-                rows.append({
-                    "query_id": q.id,
-                    "prompt_scheme": scheme.value,
-                    "serialization": fmt.value,
-                    "prompt_text": compose_prompt(q, scheme, fmt, bank=bank),
-                })
+    rows = [{"query_id": q.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
+             "prompt_text": prompt}
+            for q, scheme, fmt, prompt in compose_cells(queries, schemes, formats)]
     n = corpus_mod.write_jsonl(rows, args.out)
     print(f"wrote {n} prompts to {args.out}")
     return 0
@@ -133,9 +122,14 @@ def cmd_baseline(args) -> int:
         sub = cells[(task, split)]
         rows.append({"task": task.value, "difficulty": split.value, "queries": len(sub),
                      "analytic": baselines_mod.random_baseline(sub)})
+    return _emit_csv(rows, args.csv_out)
+
+
+def _emit_csv(rows: list[dict], csv_out: str | None) -> int:
+    """Print the rows as CSV, and write the same text to csv_out if given."""
     text = reporting.rows_to_csv(rows)
-    if args.csv_out:
-        Path(args.csv_out).write_text(text, "utf-8")
+    if csv_out:
+        Path(csv_out).write_text(text, "utf-8")
     print(text, end="")
     return 0
 
@@ -277,11 +271,7 @@ def cmd_report(args) -> int:
         rows = reporting.token_report(records, ["model"])["rows"]
     else:
         rows = reporting.aggregate(records, [pivot_map[args.pivot]])
-    text = reporting.rows_to_csv(rows)
-    if args.csv_out:
-        Path(args.csv_out).write_text(text, "utf-8")
-    print(text, end="")
-    return 0
+    return _emit_csv(rows, args.csv_out)
 
 
 def cmd_selfcheck(args) -> int:
@@ -326,6 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Graph-reasoning benchmark factory and harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The flags `run` and `rlopt` share: the backend, model and cache.
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--model", default="mock")
+    backend.add_argument("--backend", default="mock-oracle",
+                         choices=["mock-oracle", "mock-bernoulli", "http"])
+    backend.add_argument("--error-rate", type=float, default=0.2)
+    backend.add_argument("--seed", type=int, default=0)
+    backend.add_argument("--max-in-flight", type=int, default=4)
+    backend.add_argument("--cache-dir", default=None)
+    backend.add_argument("--config", default=None)
+
     p = sub.add_parser("generate", help="build a query corpus")
     p.add_argument("--task", required=True, help="comma-separated task names")
     p.add_argument("--difficulty", default="easy", help="comma-separated splits")
@@ -346,18 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("run", help="evaluate a corpus against a backend")
+    p = sub.add_parser("run", parents=[backend], help="evaluate a corpus against a backend")
     p.add_argument("--queries", required=True)
     p.add_argument("--schemes", default="0-shot")
     p.add_argument("--formats", default="adjacency_list")
-    p.add_argument("--model", default="mock")
-    p.add_argument("--backend", default="mock-oracle",
-                   choices=["mock-oracle", "mock-bernoulli", "http"])
-    p.add_argument("--error-rate", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-in-flight", type=int, default=4)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
@@ -368,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("rlopt", help="DQN search over factor combinations")
+    p = sub.add_parser("rlopt", parents=[backend], help="DQN search over factor combinations")
     p.add_argument("--task", default="diameter")
     p.add_argument("--difficulty", default="easy")
     p.add_argument("--episodes", type=int, default=80)
@@ -376,14 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors-file", default=None)
     p.add_argument("--reward", default="live", help="table:<path> or live")
     p.add_argument("--samples", type=int, default=30, help="graphs per combo in live mode")
-    p.add_argument("--model", default="mock")
-    p.add_argument("--backend", default="mock-oracle",
-                   choices=["mock-oracle", "mock-bernoulli", "http"])
-    p.add_argument("--error-rate", type=float, default=0.2)
-    p.add_argument("--max-in-flight", type=int, default=4)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learning-rate", type=float, default=0.001)
     p.add_argument("--epsilon-decay-mode", default="multiplicative",
                    choices=rlopt.DECAY_MODES)

@@ -7,17 +7,15 @@ family, index), so rebuilding any slice of a corpus reproduces it exactly.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from . import graphs
 from .errors import ExhaustedAttempts
 from .generators import (DifficultySplit, GraphFamily, admissible_families,
-                         derive_rng, derive_seed, generate, generate_connected)
+                         derive_rng, derive_seed, generate, generate_connected, sample_n)
 from .graphs import Graph
-from .tasks import NP_TASKS, TaskKind, compute_ground_truth, ground_truth_matches, sample_params
+from .tasks import TaskKind, compute_ground_truth, ground_truth_matches, sample_params
 
 
 @dataclass
@@ -89,13 +87,6 @@ def load_queries(path: str | Path) -> list[QuerySpec]:
 MAX_QUERY_ATTEMPTS = 50
 
 
-def _sample_n_for_task(task: TaskKind, split: DifficultySplit, rng: random.Random) -> int:
-    lo, hi = split.node_range
-    if task in NP_TASKS:
-        hi = min(hi, graphs.NP_NODE_CAP)
-    return rng.randint(lo, hi)
-
-
 def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
                 index: int, master_seed: int, seen_hashes: set[frozenset]) -> QuerySpec:
     """Build one query from its derived seed stream.
@@ -109,7 +100,7 @@ def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
     for attempt in range(MAX_QUERY_ATTEMPTS):
         seed = (master_seed, task.value, split.value, family.value, index, attempt)
         rng = derive_rng(*seed)
-        n = _sample_n_for_task(task, split, rng)
+        n = sample_n(task, split, rng)
         try:
             if task is TaskKind.DIAMETER:
                 g = generate_connected(family, n, rng)

@@ -216,12 +216,13 @@ class Gateway:
     The cache is one SQLite file, `cache_dir/cache.sqlite3`, keyed on the
     backend's identity and the request, so identical requests never hit the
     network twice and one backend's answers are never served for another's.
-    Each completion is committed as soon as it arrives, so a run that stops
-    part-way keeps every finished entry and a rerun resumes from them; two
-    processes may fill one cache at once. Caches from the older one-file-per-
-    entry layout are not read. Without a `cache_dir` nothing is cached and
-    nothing is created; the CLI resolves it from `--cache-dir`, then
-    GRAPHBENCH_CACHE_DIR, then the config file.
+    `run_batch` reads it, once per distinct request; `complete` only writes
+    what the backend returned. Each completion is committed as soon as it
+    arrives, so a run that stops part-way keeps every finished entry and a
+    rerun resumes from them; two processes may fill one cache at once.
+    Caches from the older one-file-per-entry layout are not read. Without a
+    `cache_dir` nothing is cached and nothing is created; the CLI resolves
+    it from `--cache-dir`, then GRAPHBENCH_CACHE_DIR, then the config file.
 
     A backend call that raises RateLimited is retried up to MAX_RETRIES
     times, after waits of BACKOFF_BASE seconds doubling up to BACKOFF_CAP;
@@ -239,9 +240,7 @@ class Gateway:
         # Opened on first use, and only with a cache_dir; used under _lock.
         self._db: sqlite3.Connection | None = None
 
-    def _cache_key(self, req: CompletionRequest) -> str | None:
-        if self.cache_dir is None:
-            return None
+    def _cache_key(self, req: CompletionRequest) -> str:
         payload = f"{self.backend.identity}\x00{req.cache_key()}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -258,9 +257,7 @@ class Gateway:
             self._db = db
         return self._db
 
-    def _cache_read(self, key: str | None) -> CompletionResponse | None:
-        if key is None:
-            return None
+    def _cache_read(self, key: str) -> CompletionResponse | None:
         with self._lock:
             row = self._cache().execute("SELECT payload FROM completions WHERE key = ?",
                                         (key,)).fetchone()
@@ -272,9 +269,7 @@ class Gateway:
                                   latency_ms=data.get("latency_ms", 0.0),
                                   backend=data.get("backend", ""), cached=True)
 
-    def _cache_write(self, key: str | None, resp: CompletionResponse) -> None:
-        if key is None:
-            return
+    def _cache_write(self, key: str, resp: CompletionResponse) -> None:
         payload = {"text": resp.text, "tokens_in": resp.tokens_in,
                    "tokens_out": resp.tokens_out, "latency_ms": resp.latency_ms,
                    "backend": resp.backend}
@@ -290,12 +285,9 @@ class Gateway:
                 self._db = None
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        key = self._cache_key(req)
-        cached = self._cache_read(key)
-        if cached is not None:
-            with self._lock:
-                self.cache_hits += 1
-            return cached
+        """Send one request to the backend, retrying RateLimited, and store
+        the answer in the cache. It never reads the cache: `run_batch` has
+        looked the request up already."""
         delay = BACKOFF_BASE
         for attempt in range(MAX_RETRIES + 1):
             with self._lock:
@@ -308,7 +300,8 @@ class Gateway:
                     raise
                 self.sleep(min(delay, BACKOFF_CAP))
                 delay *= 2
-        self._cache_write(key, resp)
+        if self.cache_dir is not None:
+            self._cache_write(self._cache_key(req), resp)
         return resp
 
     def run_batch(self, requests_in: Sequence[CompletionRequest],
@@ -321,10 +314,11 @@ class Gateway:
         that response or error, so however often one repeats it counts one
         network call (plus retries) or one cache hit.
 
-        Cache hits are served on the calling thread. Only the misses go to
-        a pool of max_in_flight worker threads, each through `complete`, and
-        no pool is started when nothing missed. A cache read that fails is
-        an error on its item; the item is not sent to the backend.
+        This is the one place the cache is read: each distinct request is
+        looked up once, on the calling thread. Only the misses go to a pool
+        of max_in_flight worker threads, each through `complete`, and no
+        pool is started when nothing missed. A cache read that fails is an
+        error on its item; the item is not sent to the backend.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -332,6 +326,9 @@ class Gateway:
         outcome: dict[tuple[CompletionRequest, int], tuple] = {}
         misses = []
         for key in dict.fromkeys(keys):
+            if self.cache_dir is None:
+                misses.append(key)
+                continue
             try:
                 cached = self._cache_read(self._cache_key(key[0]))
             except Exception as exc:

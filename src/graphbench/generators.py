@@ -13,8 +13,8 @@ import math
 import random
 
 from .errors import ExhaustedAttempts, InvalidN
-from .graphs import Graph
-from .tasks import TaskKind
+from .graphs import NP_NODE_CAP, Graph
+from .tasks import NP_TASKS, TaskKind
 
 
 class GraphFamily(enum.Enum):
@@ -82,8 +82,12 @@ def derive_rng(*parts: object) -> random.Random:
     return random.Random(derive_seed(*parts))
 
 
-def sample_n(split: DifficultySplit, rng: random.Random) -> int:
+def sample_n(task: TaskKind, split: DifficultySplit, rng: random.Random) -> int:
+    """Node count drawn uniformly from the split's band; NP-hard tasks stop
+    at NP_NODE_CAP, where their exact oracles refuse larger graphs."""
     lo, hi = split.node_range
+    if task in NP_TASKS:
+        hi = min(hi, NP_NODE_CAP)
     return rng.randint(lo, hi)
 
 

@@ -103,11 +103,7 @@ def bfs_levels(g: Graph, s: int) -> dict[int, int]:
 
 def connected(g: Graph, u: int, v: int) -> bool:
     """True iff v is reachable from u."""
-    g.check_node(u)
-    g.check_node(v)
-    if u == v:
-        return True
-    return v in bfs_levels(g, u)
+    return shortest_distance(g, u, v) is not None
 
 
 def is_connected(g: Graph) -> bool:

@@ -9,7 +9,7 @@ stored as is (None for a failed request).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import answer_eval
 from .corpus import QuerySpec
@@ -41,25 +41,33 @@ def score_response(query: QuerySpec, response_text: str) -> tuple[Any, int]:
                                   query.ground_truth, ans)
 
 
+def compose_cells(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
+                  formats: Sequence[SerializationFormat],
+                  deco: DecorationFactors = IDENTITY_DECORATION,
+                  bank_store: BankStore | None = None,
+                  ) -> Iterator[tuple[QuerySpec, PromptScheme, SerializationFormat, str]]:
+    """Every (query, scheme, format) cell with its prompt, in query, then
+    scheme, then format order."""
+    bank_store = bank_store or BankStore()
+    for query in queries:
+        for scheme in schemes:
+            bank = bank_store.get(query.task, scheme)
+            for fmt in formats:
+                yield query, scheme, fmt, compose_prompt(query, scheme, fmt, bank=bank, deco=deco)
+
+
 def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
                    formats: Sequence[SerializationFormat], gateway: Gateway,
                    model: str = "mock", max_in_flight: int = 4,
                    deco: DecorationFactors = IDENTITY_DECORATION,
                    bank_store: BankStore | None = None) -> list[dict[str, Any]]:
     """Evaluate every (query, scheme, format) cell and return result records."""
-    bank_store = bank_store or BankStore()
-    jobs: list[tuple[QuerySpec, PromptScheme, SerializationFormat, CompletionRequest]] = []
-    for query in queries:
-        for scheme in schemes:
-            bank = bank_store.get(query.task, scheme)
-            for fmt in formats:
-                prompt = compose_prompt(query, scheme, fmt, bank=bank, deco=deco)
-                req = CompletionRequest(model=model, prompt=prompt, query=query)
-                jobs.append((query, scheme, fmt, req))
-
-    results = gateway.run_batch([j[3] for j in jobs], max_in_flight=max_in_flight)
+    cells = list(compose_cells(queries, schemes, formats, deco=deco, bank_store=bank_store))
+    results = gateway.run_batch([CompletionRequest(model=model, prompt=prompt, query=query)
+                                 for query, _, _, prompt in cells],
+                                max_in_flight=max_in_flight)
     records = []
-    for (query, scheme, fmt, req), item in zip(jobs, results):
+    for (query, scheme, fmt, _), item in zip(cells, results):
         rec: dict[str, Any] = {
             "query_id": query.id,
             "model": model,

@@ -289,7 +289,7 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
     for i in range(EXEMPLARS_PER_BANK):
         family = families[i % len(families)]
         for _ in range(100):
-            n = sample_n(DifficultySplit.EASY, rng)
+            n = sample_n(task, DifficultySplit.EASY, rng)
             try:
                 if task is TaskKind.DIAMETER:
                     g = generate_connected(family, n, rng)

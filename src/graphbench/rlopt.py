@@ -147,8 +147,10 @@ def _views(buf: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarra
     return views
 
 
-class _QNet:
-    """Three-layer ReLU MLP trained online on squared error.
+class MLPQ:
+    """Q function of one decision epoch: a three-layer ReLU MLP over the
+    encoder's one-hot rows of `prefix + (a,)`, trained online on squared
+    error.
 
     The output layer starts near zero so initial Q estimates do not drown
     the reward scale. Optimizers: "adam" (default), plain "sgd", and "nlms"
@@ -165,9 +167,11 @@ class _QNet:
     update applied to each array in turn, bit for bit.
     """
 
-    def __init__(self, in_dim: int, hidden: tuple[int, int], rng: np.random.Generator,
-                 optimizer: str = "adam", skip: bool = False):
+    def __init__(self, encoder: _Encoder, t: int, hidden: tuple[int, int],
+                 rng: np.random.Generator, optimizer: str = "adam", skip: bool = False):
+        self._encoder = encoder
         self.optimizer = optimizer
+        in_dim = encoder.input_dim(t)
         sizes = [in_dim, hidden[0], hidden[1], 1]
         layers = len(sizes) - 1
         shapes = list(zip(sizes, sizes[1:])) + [(n,) for n in sizes[1:]]
@@ -199,11 +203,12 @@ class _QNet:
             acts[-1] = acts[-1] + (x @ self.skip)[..., None]
         return acts
 
-    def predict(self, xs: np.ndarray) -> np.ndarray:
-        """Q values of a batch of encoded rows, in one forward pass."""
-        return self._forward(xs)[-1][:, 0]
+    def predict(self, prefix: Combo, options: Sequence[str]) -> list[float]:
+        """Q values of every option, in one forward pass over their rows."""
+        return self._forward(self._encoder.encode(prefix, options))[-1][:, 0].tolist()
 
-    def update(self, x: np.ndarray, target: float, lr: float) -> None:
+    def update(self, prefix: Combo, target: float, lr: float) -> None:
+        x = self._encoder.encode(prefix[:-1], prefix[-1:])[0]
         acts = self._forward(x)
         pred = float(acts[-1][0])
         err = 2.0 * (pred - target)
@@ -245,13 +250,11 @@ class _Encoder:
     """One-hot encoding of the initial state plus chosen-so-far actions."""
 
     def __init__(self, s0: tuple[str, str], space: FactorSpace):
-        tasks = [t.value for t in TaskKind]
-        splits = [d.value for d in DifficultySplit]
-        self._s0_cols = []
-        if s0[0] in tasks:
-            self._s0_cols.append(tasks.index(s0[0]))
-        if s0[1] in splits:
-            self._s0_cols.append(len(tasks) + splits.index(s0[1]))
+        tasks, splits = list(TaskKind), list(DifficultySplit)
+        # TaskKind(...) and DifficultySplit(...) raise ValueError naming a
+        # start state they do not know.
+        self._s0_cols = [tasks.index(TaskKind(s0[0])),
+                         len(tasks) + splits.index(DifficultySplit(s0[1]))]
         # Column where dimension d's one-hot block starts; the last entry is
         # the width of a full combination's encoding.
         self._offsets = list(itertools.accumulate(space.sizes, initial=len(tasks) + len(splits)))
@@ -270,19 +273,6 @@ class _Encoder:
         return rows
 
 
-class MLPQ:
-    def __init__(self, encoder: _Encoder, t: int, hidden: tuple[int, int],
-                 rng: np.random.Generator, optimizer: str = "adam", skip: bool = False):
-        self._encoder = encoder
-        self._net = _QNet(encoder.input_dim(t), hidden, rng, optimizer=optimizer, skip=skip)
-
-    def predict(self, prefix: Combo, options: Sequence[str]) -> list[float]:
-        return self._net.predict(self._encoder.encode(prefix, options)).tolist()
-
-    def update(self, prefix: Combo, target: float, lr: float) -> None:
-        self._net.update(self._encoder.encode(prefix[:-1], prefix[-1:])[0], target, lr)
-
-
 def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
             cfg: DQNConfig | None = None,
             q_functions: Sequence[QFunction] | None = None) -> SearchResult:
@@ -292,6 +282,10 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
     next epoch's max Q). Epsilon decays after each episode, floored at
     epsilon_min. Rewards are memoized per combination, so revisits do not
     re-spend evaluations and `explored` counts distinct combinations.
+
+    Without `q_functions`, a start state s0 that is not a (TaskKind,
+    DifficultySplit) value pair raises ValueError before any reward is
+    evaluated.
     """
     cfg = cfg or DQNConfig()
     t_count = len(space.dims)

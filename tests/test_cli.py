@@ -70,6 +70,31 @@ def test_run_and_report(tmp_path, capsys):
     assert "prompt_scheme" in printed and "1.0000" in printed
 
 
+def test_render_and_run_compose_the_same_cells(tmp_path, monkeypatch):
+    """`render` writes, and `run` sends, the same (query, scheme, format,
+    prompt) cells in the same order."""
+    q, p, r = tmp_path / "q.jsonl", tmp_path / "p.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle,shortest_path", "--difficulty", "easy",
+            "--count", "3", "--seed", "4", "--out", str(q))
+    cells = ["--schemes", "0-shot,k-shot,CoT", "--formats", "adjacency_list,edge_list,gmal"]
+    assert run_cli("render", "--queries", str(q), *cells, "--out", str(p)) == 0
+    rendered = [(row["query_id"], row["prompt_scheme"], row["serialization"],
+                 row["prompt_text"]) for row in read_jsonl(p)]
+    sent, run_batch = [], Gateway.run_batch
+
+    def recording_run_batch(self, reqs, max_in_flight=4):
+        sent.extend(reqs)
+        return run_batch(self, reqs, max_in_flight)
+
+    monkeypatch.setattr(Gateway, "run_batch", recording_run_batch)
+    assert run_cli("run", "--queries", str(q), *cells, "--out", str(r)) == 0
+    records = list(read_jsonl(r))
+    assert len(rendered) == len(sent) == len(records) == 6 * 3 * 3
+    assert [(rec["query_id"], rec["prompt_scheme"], rec["serialization"], req.prompt)
+            for rec, req in zip(records, sent)] == rendered
+    assert [req.query.id for req in sent] == [cell[0] for cell in rendered]
+
+
 def test_run_uses_cache(tmp_path, capsys):
     q = tmp_path / "q.jsonl"
     r = tmp_path / "r.jsonl"

@@ -30,6 +30,43 @@ def test_runtime_imports_are_stdlib_numpy_or_requests():
     assert not foreign
 
 
+def annotation_names(node: ast.AST) -> set[str]:
+    """Names an annotation refers to, reading into quoted annotations."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names the module imports (bar `__future__` features) and never uses."""
+    tree = ast.parse(path.read_text("utf-8"))
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= annotation_names(node.annotation)
+    return [name for name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(Path(graphbench.__file__).parent.glob("*.py"))
+    unused = {f"{m.name}: {name}" for m in modules for name in unused_imports(m)}
+    assert not unused
+
+
 def unreached_public_names(modules: list[Path], extra_roots: set[str]) -> list[str]:
     """Public top-level functions and classes that nothing live refers to.
 

@@ -63,8 +63,8 @@ def test_cache_hit_skips_network(tmp_path):
     backend = CountingBackend(delay=0)
     gw = Gateway(backend, cache_dir=tmp_path)
     req = CompletionRequest(model="m", prompt="hello")
-    first = gw.complete(req)
-    second = gw.complete(req)
+    first = gw.run_batch([req])[0].response
+    second = gw.run_batch([req])[0].response
     assert backend.calls == 1
     assert gw.cache_hits == 1
     assert second.text == first.text and second.cached
@@ -74,9 +74,49 @@ def test_cache_resumes_across_gateways(tmp_path):
     backend = CountingBackend(delay=0)
     Gateway(backend, cache_dir=tmp_path).complete(CompletionRequest("m", "p1"))
     gw2 = Gateway(backend, cache_dir=tmp_path)
-    gw2.complete(CompletionRequest("m", "p1"))
+    gw2.run_batch([CompletionRequest("m", "p1")])
     assert backend.calls == 1
     assert gw2.network_calls == 0
+
+
+def test_a_cached_batch_reads_each_distinct_request_once(tmp_path, monkeypatch):
+    """`run_batch` is the one cache reader: every distinct request of a
+    batch with hits, misses and duplicates is looked up once, and a miss is
+    not looked up again on its way to the backend."""
+    backend = CountingBackend(delay=0)
+    Gateway(backend, cache_dir=tmp_path).run_batch([CompletionRequest("m", "h1"),
+                                                    CompletionRequest("m", "h2")])
+    gw = Gateway(backend, cache_dir=tmp_path)
+    read, reads = gw._cache_read, []
+
+    def counting_read(key):
+        reads.append(key)
+        return read(key)
+
+    monkeypatch.setattr(gw, "_cache_read", counting_read)
+    prompts = ["m1", "h1", "m2", "h1", "m1", "h2", "m3"]
+    results = gw.run_batch([CompletionRequest("m", p) for p in prompts], max_in_flight=2)
+    assert [r.response.text for r in results] == [f"echo:{p}" for p in prompts]
+    assert sorted(reads) == sorted(gw._cache_key(CompletionRequest("m", p))
+                                   for p in set(prompts))
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (2, 3, 5)
+
+
+def test_complete_sends_and_stores_without_reading_the_cache(tmp_path, monkeypatch):
+    backend = CountingBackend(delay=0)
+    gw = Gateway(backend, cache_dir=tmp_path)
+
+    def failing_read(key):
+        raise AssertionError("complete read the cache")
+
+    monkeypatch.setattr(gw, "_cache_read", failing_read)
+    resp = gw.complete(CompletionRequest("m", "p"))
+    assert resp.text == "echo:p" and not resp.cached
+    assert (backend.calls, gw.network_calls) == (1, 1)
+    assert cache_entries(tmp_path) == 1
+    served = Gateway(backend, cache_dir=tmp_path).run_batch([CompletionRequest("m", "p")])
+    assert served[0].response.cached and served[0].response.text == "echo:p"
+    assert backend.calls == 1
 
 
 def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
@@ -112,7 +152,7 @@ def test_identical_requests_in_flight_both_write_the_cache(tmp_path):
     assert texts == ["answer", "answer"]
     assert [gw.network_calls for gw in gateways] == [1, 1]
     assert cache_entries(tmp_path) == 1
-    assert Gateway(MeetingBackend(), cache_dir=tmp_path).complete(req).cached
+    assert Gateway(MeetingBackend(), cache_dir=tmp_path).run_batch([req])[0].response.cached
     # The one database and SQLite's side files: no shards, no temp files.
     assert {p.name for p in tmp_path.iterdir()} <= {
         CACHE_FILE, f"{CACHE_FILE}-wal", f"{CACHE_FILE}-shm"}
@@ -184,7 +224,7 @@ def test_legacy_per_file_entries_are_never_served(tmp_path):
     legacy.write_text(json.dumps({"text": "stale", "tokens_in": None, "tokens_out": None,
                                   "latency_ms": 0.0, "backend": "counting"}), "utf-8")
     gw = Gateway(backend, cache_dir=tmp_path)
-    resp = gw.complete(req)
+    resp = gw.run_batch([req])[0].response
     assert resp.text == "echo:p" and not resp.cached
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (0, 1, 1)
 

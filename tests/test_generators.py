@@ -12,7 +12,7 @@ from graphbench.errors import ExhaustedAttempts, InvalidN
 from graphbench.generators import (ALL_FAMILIES, MAX_CONNECTED_ATTEMPTS, DifficultySplit,
                                    GraphFamily, admissible_families, derive_rng, derive_seed,
                                    generate, generate_connected, sample_n)
-from graphbench.graphs import has_cycle, is_connected, triangle_count
+from graphbench.graphs import NP_NODE_CAP, has_cycle, is_connected, triangle_count
 from graphbench.tasks import TaskKind
 
 
@@ -21,20 +21,33 @@ def test_sample_n_ranges():
     for split, (lo, hi) in [(DifficultySplit.EASY, (5, 10)),
                             (DifficultySplit.MEDIUM, (10, 20)),
                             (DifficultySplit.HARD, (20, 30))]:
-        draws = [sample_n(split, rng) for _ in range(500)]
+        draws = [sample_n(TaskKind.DIAMETER, split, rng) for _ in range(500)]
         assert min(draws) >= lo and max(draws) <= hi
         assert set(draws) >= {lo, hi}
 
 
+def test_sample_n_caps_np_tasks():
+    """NP-hard tasks draw from the split's band cut at NP_NODE_CAP; the
+    easy band lies under the cap, so its draws equal everyone else's."""
+    for task in (TaskKind.HAMILTONIAN, TaskKind.MAX_CUT):
+        rng = random.Random(5)
+        draws = [sample_n(task, DifficultySplit.HARD, rng) for _ in range(500)]
+        assert max(draws) <= NP_NODE_CAP and min(draws) >= 20
+        assert set(draws) >= {20, NP_NODE_CAP}
+        easy = [sample_n(task, DifficultySplit.EASY, random.Random(s)) for s in range(50)]
+        assert easy == [sample_n(TaskKind.CYCLE, DifficultySplit.EASY, random.Random(s))
+                        for s in range(50)]
+
+
 def test_sample_n_determinism():
-    a = [sample_n(DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
-    b = [sample_n(DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
+    a = [sample_n(TaskKind.CYCLE, DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
+    b = [sample_n(TaskKind.CYCLE, DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
     assert a == b
 
 
 def test_sample_n_easy_mean():
     rng = random.Random(2024)
-    draws = [sample_n(DifficultySplit.EASY, rng) for _ in range(10_000)]
+    draws = [sample_n(TaskKind.TRIANGLE, DifficultySplit.EASY, rng) for _ in range(10_000)]
     mean = sum(draws) / len(draws)
     sigma = math.sqrt(35 / 12) / math.sqrt(len(draws))  # var of U{5..10}
     assert abs(mean - 7.5) <= 3 * sigma

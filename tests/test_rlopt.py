@@ -34,6 +34,19 @@ def test_empty_factor_rejected():
         FactorSpace((("a", ()),))
 
 
+@pytest.mark.parametrize("s0,named", [(("nope", "bogus"), "nope"),
+                                      (("nope", "easy"), "nope"),
+                                      (("diameter", "bogus"), "bogus")],
+                         ids=["both", "task", "split"])
+def test_unknown_start_state_is_rejected(s0, named):
+    """A start state outside TaskKind/DifficultySplit is a ValueError naming
+    the bad value, raised before any reward is spent."""
+    calls = []
+    with pytest.raises(ValueError, match=named):
+        run_dqn(s0, tiny_space(), lambda c: calls.append(c) or 0.5, DQNConfig(episodes=3))
+    assert calls == []
+
+
 def test_degenerate_single_combo():
     space = FactorSpace((("a", ("only",)),))
     result = run_dqn(S0, space, lambda c: 0.7, DQNConfig(episodes=5, seed=0))
@@ -245,7 +258,7 @@ def test_batched_predict_matches_per_row_forward(optimizer, skip):
             prefix = tuple(rng.choice(options) for _, options in space.dims[:t])
             options = space.options(t)
             batched = q.predict(prefix, options)
-            per_row = [float(q._net._forward(one_hot_row(S0, space, prefix + (a,)))[-1][0])
+            per_row = [float(q._forward(one_hot_row(S0, space, prefix + (a,)))[-1][0])
                        for a in options]
             assert batched == pytest.approx(per_row, rel=0, abs=1e-12)
             assert np.argmax(batched) == np.argmax(per_row)
