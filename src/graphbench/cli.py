@@ -146,6 +146,14 @@ def cmd_rlopt(args) -> int:
     split = _parse_one(DifficultySplit, args.difficulty, "--difficulty")
     if args.factors_file:
         spec = json.loads(Path(args.factors_file).read_text("utf-8"))
+        if not isinstance(spec, list):
+            raise ValueError(f"{args.factors_file}: expected a JSON list of factors")
+        for d in spec:
+            if not (isinstance(d, dict) and isinstance(d.get("name"), str)
+                    and isinstance(d.get("options"), list)
+                    and all(isinstance(o, str) for o in d["options"])):
+                raise ValueError(f"{args.factors_file}: factor {json.dumps(d)} needs a "
+                                 f"string \"name\" and a list of strings \"options\"")
         space = rlopt.FactorSpace(tuple((d["name"], tuple(d["options"])) for d in spec))
     else:
         space = rlopt.default_space()
@@ -243,18 +251,20 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
     return reward
 
 
+# The record field each `report --pivot` value groups by.
+_PIVOTS = {"model": "model", "scheme": "prompt_scheme",
+           "format": "serialization", "graph-type": "graph_type"}
+
+
 def cmd_report(args) -> int:
     if args.pivot == "sensitivity" and not (args.task and args.split):
         raise ValueError("--pivot sensitivity needs --task and --split")
     records = list(corpus_mod.read_jsonl(args.results))
-    if args.queries:
-        meta = {q.id: q for q in corpus_mod.load_queries(args.queries)}
-        for r in records:
-            q = meta.get(r.get("query_id"))
-            if q is not None:
-                r.setdefault("task", q.task.value)
-                r.setdefault("difficulty", q.difficulty.value)
-                r.setdefault("graph_type", q.family.value)
+    unscored = next((i for i, r in enumerate(records, 1)
+                     if not isinstance(r, dict) or "score" not in r), None)
+    if unscored is not None:
+        raise ValueError(f"{args.results}: record {unscored} has no 'score'; "
+                         f"report reads the result records `run` writes")
     if args.task:
         records = [r for r in records if r.get("task") == args.task]
     if args.split:
@@ -263,14 +273,10 @@ def cmd_report(args) -> int:
         print("no records after filtering", file=sys.stderr)
         return 1
 
-    pivot_map = {"model": "model", "scheme": "prompt_scheme",
-                 "format": "serialization", "graph-type": "graph_type"}
     if args.pivot == "sensitivity":
         rows = reporting.sensitivity(records, args.task, args.split)
-    elif args.pivot == "tokens":
-        rows = reporting.token_report(records, ["model"])["rows"]
     else:
-        rows = reporting.aggregate(records, [pivot_map[args.pivot]])
+        rows = reporting.aggregate(records, [_PIVOTS[args.pivot]])
     return _emit_csv(rows, args.csv_out)
 
 
@@ -381,9 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate result records")
     p.add_argument("--results", required=True)
-    p.add_argument("--queries", default=None, help="join task/difficulty/graph_type metadata")
-    p.add_argument("--pivot", default="model",
-                   choices=["model", "scheme", "format", "graph-type", "sensitivity", "tokens"])
+    p.add_argument("--pivot", default="model", choices=[*_PIVOTS, "sensitivity"])
     p.add_argument("--task", default=None)
     p.add_argument("--split", default=None)
     p.add_argument("--csv-out", default=None)

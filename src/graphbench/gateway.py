@@ -67,12 +67,9 @@ class CompletionResponse:
     tokens_in: int | None = None
     tokens_out: int | None = None
     latency_ms: float = 0.0
-    backend: str = ""
-    cached: bool = False
 
 
 class Backend(Protocol):
-    name: str
     # Every setting that changes the answers; the cache keys on it.
     identity: str
 
@@ -94,7 +91,6 @@ class HttpBackend:
             raise TransportError(f"no endpoint configured (set {ENDPOINT_ENV})")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
         self.session = session or requests.Session()
-        self.name = "http"
         self.identity = f"http\x00{self.endpoint}"
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
@@ -131,7 +127,6 @@ class HttpBackend:
             tokens_in=usage.get("prompt_tokens"),
             tokens_out=usage.get("completion_tokens"),
             latency_ms=latency,
-            backend=self.name,
         )
 
 
@@ -176,7 +171,6 @@ class MockBackend:
         self.mode = mode
         self.error_rate = error_rate
         self.seed = seed
-        self.name = f"mock-{mode}"
         self.identity = f"mock\x00{mode}\x00{error_rate!r}\x00{seed!r}"
 
     def _unit(self, prompt: str) -> float:
@@ -195,15 +189,13 @@ class MockBackend:
             value = _wrong_value(q.task, q.graph.n, value)
         text = prompt_mod.render_answer(q.task, q.params, value)
         return CompletionResponse(text=text, tokens_in=len(req.prompt.split()),
-                                  tokens_out=len(text.split()), latency_ms=0.0,
-                                  backend=self.name)
+                                  tokens_out=len(text.split()), latency_ms=0.0)
 
 
 @dataclass
 class BatchResult:
-    request: CompletionRequest
-    response: CompletionResponse | None = None
-    error: str | None = None
+    response: CompletionResponse | None
+    error: str | None
 
     @property
     def ok(self) -> bool:
@@ -266,13 +258,11 @@ class Gateway:
         data = json.loads(row[0])
         return CompletionResponse(text=data["text"], tokens_in=data.get("tokens_in"),
                                   tokens_out=data.get("tokens_out"),
-                                  latency_ms=data.get("latency_ms", 0.0),
-                                  backend=data.get("backend", ""), cached=True)
+                                  latency_ms=data.get("latency_ms", 0.0))
 
     def _cache_write(self, key: str, resp: CompletionResponse) -> None:
         payload = {"text": resp.text, "tokens_in": resp.tokens_in,
-                   "tokens_out": resp.tokens_out, "latency_ms": resp.latency_ms,
-                   "backend": resp.backend}
+                   "tokens_out": resp.tokens_out, "latency_ms": resp.latency_ms}
         with self._lock:
             self._cache().execute("INSERT OR REPLACE INTO completions VALUES (?, ?)",
                                   (key, json.dumps(payload)))
@@ -350,7 +340,7 @@ class Gateway:
         if misses:
             with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
                 outcome.update(zip(misses, pool.map(work, misses)))
-        return [BatchResult(req, *outcome[key]) for req, key in zip(requests_in, keys)]
+        return [BatchResult(*outcome[key]) for key in keys]
 
 
 def _describe(exc: Exception) -> str:

@@ -146,8 +146,6 @@ class Exemplar:
 class ExemplarBank:
     """Frozen per-(task, scheme) list of oracle-validated worked examples."""
 
-    task: TaskKind
-    scheme: PromptScheme
     exemplars: list[Exemplar]
     # Rendered items per (task, format, decoration, instruct line).
     _items: dict[tuple, list[str]] = field(default_factory=dict, init=False,
@@ -306,7 +304,7 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
         gt = compute_ground_truth(task, g, params)
         answer = narrated_answer(task, g, params, gt) if narrated else gold_answer(task, g, params, gt)
         exemplars.append(Exemplar(graph=g, params=params, answer=answer))
-    return ExemplarBank(task=task, scheme=scheme, exemplars=exemplars)
+    return ExemplarBank(exemplars)
 
 
 def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,

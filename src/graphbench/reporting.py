@@ -1,5 +1,6 @@
-"""Aggregation of evaluation records into pivot tables with confidence
-intervals, prompt/format sensitivity metrics, and token-usage summaries.
+"""Aggregation of evaluation records into pivot tables, each row with its
+accuracy, a confidence interval and its mean output tokens, and
+prompt/format sensitivity metrics.
 
 Records are plain dicts (one JSONL row each). The confidence-interval unit
 is the factor combination, not the raw query: per-group accuracies are first
@@ -8,6 +9,8 @@ computed per combination of the remaining factors, then averaged.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import statistics
 from typing import Any, Iterable, Mapping, Sequence
@@ -24,10 +27,12 @@ def _group_key(rec: Mapping[str, Any], dims: Sequence[str]) -> tuple:
 
 def aggregate(records: Sequence[Mapping[str, Any]],
               group_by: Sequence[str]) -> list[dict[str, Any]]:
-    """Mean accuracy with a 95% CI margin per group.
+    """Mean accuracy with a 95% CI margin, and mean output tokens, per group.
 
     Within each group, records are bucketed by the remaining factor
     dimensions; the margin is 1.96 * stdev(combination means) / sqrt(#combos).
+    `mean_tokens_out` is the plain mean of `tokens_out` over the group's
+    records that report it, or None when none does.
     """
     if not records:
         raise EmptyGroup("no records to aggregate")
@@ -48,9 +53,11 @@ def aggregate(records: Sequence[Mapping[str, Any]],
         margin = 0.0
         if len(values) > 1:
             margin = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+        tokens = [r["tokens_out"] for r in recs if r.get("tokens_out") is not None]
         row = dict(zip(group_by, key))
         row.update({"mean": mean, "ci95": margin, "combinations": len(values),
-                    "records": len(recs)})
+                    "records": len(recs),
+                    "mean_tokens_out": sum(tokens) / len(tokens) if tokens else None})
         rows.append(row)
     return rows
 
@@ -116,34 +123,19 @@ def sensitivity(records: Sequence[Mapping[str, Any]], task: str,
     return rows
 
 
-def token_report(records: Sequence[Mapping[str, Any]],
-                 group_by: Sequence[str]) -> dict[str, Any]:
-    """Mean output tokens per group, over records that report usage."""
-    group_by = list(group_by)
-    with_usage = [r for r in records if r.get("tokens_out") is not None]
-    excluded = len(records) - len(with_usage)
-    groups: dict[tuple, list[int]] = {}
-    for r in with_usage:
-        groups.setdefault(_group_key(r, group_by), []).append(int(r["tokens_out"]))
-    rows = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-        vals = groups[key]
-        row = dict(zip(group_by, key))
-        row.update({"mean_tokens_out": sum(vals) / len(vals), "records": len(vals)})
-        rows.append(row)
-    return {"rows": rows, "excluded_no_usage": excluded}
-
-
 def rows_to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
-    """Render report rows as CSV text (header from the first row's keys)."""
+    """Render report rows as CSV text (header from the first row's keys).
+
+    Floats are written with four decimals and None as an empty cell; a
+    value that holds a comma or a quote is quoted.
+    """
     if not rows:
         return ""
     cols = list(rows[0].keys())
-    out = [",".join(cols)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
     for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c, "")
-            cells.append(f"{v:.4f}" if isinstance(v, float) else str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+        writer.writerow([f"{v:.4f}" if isinstance(v, float) else v
+                         for v in (row.get(c, "") for c in cols)])
+    return out.getvalue()

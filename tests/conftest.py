@@ -232,7 +232,7 @@ class RateLimitedMock:
 
     def __init__(self, prob: float, **mock_args):
         self.mock = MockBackend(**mock_args)
-        self.name, self.identity = self.mock.name, self.mock.identity
+        self.identity = self.mock.identity
         self.prob = prob
         self.attempts: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -252,15 +252,13 @@ class CannedBackend:
 
     def __init__(self, responses: dict[str, str]):
         self.responses = responses
-        self.name = "canned"
         self.identity = "canned"
 
     def complete(self, req):
         text = self.responses.get(req.cache_key(), self.responses.get(req.prompt))
         if text is None:
             raise MalformedResponse(f"no canned response for prompt {req.prompt[:60]!r}...")
-        return CompletionResponse(text=text, tokens_out=len(text.split()),
-                                  backend=self.name)
+        return CompletionResponse(text=text, tokens_out=len(text.split()))
 
 
 @pytest.fixture

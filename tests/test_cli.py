@@ -1,5 +1,6 @@
 """CLI contracts: subcommand behavior, determinism, and exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -64,10 +65,45 @@ def test_run_and_report(tmp_path, capsys):
     records = list(read_jsonl(r))
     assert len(records) == 12 * 4
     assert all(rec["score"] == 1 for rec in records)
-    assert run_cli("report", "--results", str(r), "--queries", str(q),
-                   "--pivot", "scheme") == 0
+    capsys.readouterr()
+    assert run_cli("report", "--results", str(r), "--pivot", "scheme") == 0
     printed = capsys.readouterr().out
-    assert "prompt_scheme" in printed and "1.0000" in printed
+    assert printed.splitlines()[0] == \
+        "prompt_scheme,mean,ci95,combinations,records,mean_tokens_out"
+    assert "1.0000" in printed
+
+
+def test_report_csv_quotes_a_model_name_with_a_comma(tmp_path, capsys):
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "4", "--seed", "0", "--out", str(q))
+    run_cli("run", "--queries", str(q), "--model", "a,b", "--out", str(r))
+    capsys.readouterr()
+    assert run_cli("report", "--results", str(r), "--pivot", "model") == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert header == ["model", "mean", "ci95", "combinations", "records", "mean_tokens_out"]
+    tokens = [rec["tokens_out"] for rec in read_jsonl(r)]
+    assert rows == [["a,b", "1.0000", "0.0000", "4", "4",
+                     f"{sum(tokens) / len(tokens):.4f}"]]
+
+
+def test_report_rejects_a_file_that_is_not_results(tmp_path, capsys):
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "2", "--seed", "0", "--out", str(q))
+    capsys.readouterr()
+    assert run_cli("report", "--results", str(q)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {q}: record 1 has no 'score'")
+    run_cli("run", "--queries", str(q), "--out", str(r))
+    records = list(read_jsonl(r))
+    del records[1]["score"]
+    write_jsonl(records, r)
+    capsys.readouterr()
+    assert run_cli("report", "--results", str(r)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {r}: record 2 has no 'score'")
+    r.write_text(r.read_text().splitlines()[0] + "\nnull\n")
+    assert run_cli("report", "--results", str(r)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {r}: record 2 has no 'score'")
 
 
 def test_render_and_run_compose_the_same_cells(tmp_path, monkeypatch):
@@ -171,7 +207,7 @@ def test_live_reward_applies_decoration_factors(tmp_path):
 def test_live_reward_refuses_failed_requests(monkeypatch, capsys):
     # An outage must stop the search, not teach it that every combo scores 0.
     class Down:
-        name = identity = "down"
+        identity = "down"
 
         def complete(self, req):
             raise TransportError("connection refused")
@@ -189,6 +225,28 @@ def test_live_reward_rejects_unknown_factor(tmp_path, capsys):
     assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "1",
                    "--episodes", "1") == 1
     assert "temperature" in capsys.readouterr().err
+
+
+FACTOR_NEEDS = 'needs a string "name" and a list of strings "options"'
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([{"name": "model", "options": ["m"]}, {"name": "serialization"}],
+     f'factor {{"name": "serialization"}} {FACTOR_NEEDS}'),
+    ([{"name": "model", "options": "m"}],
+     f'factor {{"name": "model", "options": "m"}} {FACTOR_NEEDS}'),
+    ([{"name": 3, "options": ["m"]}], f'factor {{"name": 3, "options": ["m"]}} {FACTOR_NEEDS}'),
+    ([{"name": "model", "options": [1, 2]}],
+     f'factor {{"name": "model", "options": [1, 2]}} {FACTOR_NEEDS}'),
+    (["model"], f'factor "model" {FACTOR_NEEDS}'),
+    ({"name": "model", "options": ["m"]}, "expected a JSON list of factors"),
+])
+def test_rlopt_rejects_a_malformed_factors_file(tmp_path, capsys, spec, message):
+    factors = tmp_path / "factors.json"
+    factors.write_text(json.dumps(spec))
+    assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "1",
+                   "--episodes", "1") == 1
+    assert capsys.readouterr().err == f"error: {factors}: {message}\n"
 
 
 def test_rlopt_order_rejects_unknown_factor(capsys):

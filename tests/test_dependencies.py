@@ -199,3 +199,25 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
                 if not any(passes(*c, *spec) for c in calls)}
     assert FAKE_HOOKS.keys() <= params.keys()
     assert sorted(unpassed - FAKE_HOOKS.keys()) == []
+
+
+def unread_fields(modules: list[Path]) -> list[str]:
+    """Fields of the package's dataclasses that no code in the package reads
+    as an attribute; names are matched bare, whatever object they are read
+    from."""
+    fields, read = [], set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [qual for qual in fields if qual.split(".")[1] not in read]
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    """A field that only tests read is state the program carries for nothing."""
+    modules = sorted(Path(graphbench.__file__).parent.glob("*.py"))
+    assert unread_fields(modules) == []

@@ -37,26 +37,27 @@ def sample_prompt(task=T.CYCLE, fmt=F.ADJACENCY_LIST, seed=3):
 
 
 class CountingBackend:
-    """Records peak concurrency and call order."""
+    """Records peak concurrency and the prompts it was sent, in order."""
 
     def __init__(self, delay=0.01):
-        self.name = "counting"
         self.identity = "counting"
         self.delay = delay
         self.active = 0
         self.peak = 0
         self.calls = 0
+        self.prompts = []
         self._lock = threading.Lock()
 
     def complete(self, req):
         with self._lock:
             self.active += 1
             self.calls += 1
+            self.prompts.append(req.prompt)
             self.peak = max(self.peak, self.active)
         time.sleep(self.delay)
         with self._lock:
             self.active -= 1
-        return CompletionResponse(text=f"echo:{req.prompt}", backend=self.name)
+        return CompletionResponse(text=f"echo:{req.prompt}")
 
 
 def test_cache_hit_skips_network(tmp_path):
@@ -65,9 +66,9 @@ def test_cache_hit_skips_network(tmp_path):
     req = CompletionRequest(model="m", prompt="hello")
     first = gw.run_batch([req])[0].response
     second = gw.run_batch([req])[0].response
-    assert backend.calls == 1
-    assert gw.cache_hits == 1
-    assert second.text == first.text and second.cached
+    assert backend.prompts == ["hello"]
+    assert (gw.cache_hits, gw.network_calls) == (1, 1)
+    assert second.text == first.text
 
 
 def test_cache_resumes_across_gateways(tmp_path):
@@ -111,12 +112,13 @@ def test_complete_sends_and_stores_without_reading_the_cache(tmp_path, monkeypat
 
     monkeypatch.setattr(gw, "_cache_read", failing_read)
     resp = gw.complete(CompletionRequest("m", "p"))
-    assert resp.text == "echo:p" and not resp.cached
-    assert (backend.calls, gw.network_calls) == (1, 1)
+    assert resp.text == "echo:p"
+    assert (backend.prompts, gw.network_calls) == (["p"], 1)
     assert cache_entries(tmp_path) == 1
-    served = Gateway(backend, cache_dir=tmp_path).run_batch([CompletionRequest("m", "p")])
-    assert served[0].response.cached and served[0].response.text == "echo:p"
-    assert backend.calls == 1
+    fresh = Gateway(backend, cache_dir=tmp_path)
+    served = fresh.run_batch([CompletionRequest("m", "p")])
+    assert served[0].response.text == "echo:p"
+    assert (backend.prompts, fresh.cache_hits, fresh.network_calls) == (["p"], 1, 0)
 
 
 def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
@@ -139,11 +141,11 @@ def test_identical_requests_in_flight_both_write_the_cache(tmp_path):
     both_called = threading.Barrier(2)
 
     class MeetingBackend:
-        name = identity = "meeting"
+        identity = "meeting"
 
         def complete(self, req):
             both_called.wait(timeout=10)
-            return CompletionResponse(text="answer", backend=self.name)
+            return CompletionResponse(text="answer")
 
     req = CompletionRequest("m", "p")
     gateways = [Gateway(MeetingBackend(), cache_dir=tmp_path) for _ in range(2)]
@@ -152,7 +154,9 @@ def test_identical_requests_in_flight_both_write_the_cache(tmp_path):
     assert texts == ["answer", "answer"]
     assert [gw.network_calls for gw in gateways] == [1, 1]
     assert cache_entries(tmp_path) == 1
-    assert Gateway(MeetingBackend(), cache_dir=tmp_path).run_batch([req])[0].response.cached
+    fresh = Gateway(MeetingBackend(), cache_dir=tmp_path)
+    assert fresh.run_batch([req])[0].response.text == "answer"
+    assert (fresh.cache_hits, fresh.network_calls) == (1, 0)
     # The one database and SQLite's side files: no shards, no temp files.
     assert {p.name for p in tmp_path.iterdir()} <= {
         CACHE_FILE, f"{CACHE_FILE}-wal", f"{CACHE_FILE}-shm"}
@@ -175,7 +179,7 @@ def test_cache_resumes_after_a_partial_batch(tmp_path):
     backend = CountingBackend(delay=0)
     gw = Gateway(backend, cache_dir=tmp_path)
     again = gw.run_batch(reqs, max_in_flight=2)
-    assert [r.response.cached for r in again] == [True] * 5 + [False] * 5
+    assert sorted(backend.prompts) == [f"p{i}" for i in range(5, 10)]
     assert [r.response.text for r in again] == [f"echo:p{i}" for i in range(10)]
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (5, 5, 5)
 
@@ -185,10 +189,10 @@ import os, sys
 from graphbench.gateway import CompletionRequest, CompletionResponse, Gateway
 
 class Echo:
-    name = identity = "counting"
+    identity = "counting"
 
     def complete(self, req):
-        return CompletionResponse(text="echo:" + req.prompt, backend=self.name)
+        return CompletionResponse(text="echo:" + req.prompt)
 
 cache_dir, step = sys.argv[1], int(sys.argv[2])
 reqs = [CompletionRequest("m", f"p{i}") for i in range(200)[::step]]
@@ -225,7 +229,7 @@ def test_legacy_per_file_entries_are_never_served(tmp_path):
                                   "latency_ms": 0.0, "backend": "counting"}), "utf-8")
     gw = Gateway(backend, cache_dir=tmp_path)
     resp = gw.run_batch([req])[0].response
-    assert resp.text == "echo:p" and not resp.cached
+    assert resp.text == "echo:p" and backend.prompts == ["p"]
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (0, 1, 1)
 
 
@@ -269,12 +273,12 @@ def test_all_hit_batch_runs_on_the_calling_thread(tmp_path, monkeypatch):
     reqs = [CompletionRequest("m", f"p{i}") for i in range(6)]
     Gateway(backend, cache_dir=tmp_path).run_batch(reqs)
     monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
-    gw = Gateway(backend, cache_dir=tmp_path)
+    fresh = CountingBackend(delay=0)
+    gw = Gateway(fresh, cache_dir=tmp_path)
     batch = reqs[::-1] + reqs[:2]
     results = gw.run_batch(batch, max_in_flight=2)
     assert [r.response.text for r in results] == [f"echo:{r.prompt}" for r in batch]
-    assert all(r.response.cached for r in results)
-    assert (backend.calls, gw.cache_hits, gw.network_calls) == (6, 6, 0)
+    assert (backend.calls, fresh.prompts, gw.cache_hits, gw.network_calls) == (6, [], 6, 0)
 
 
 def test_mixed_batch_sends_only_misses_to_the_pool(tmp_path, monkeypatch):
@@ -302,7 +306,7 @@ def test_mixed_batch_sends_only_misses_to_the_pool(tmp_path, monkeypatch):
     prompts = ["m1", "h1", "m2", "h1", "m1", "h2", "m3"]
     results = gw.run_batch([CompletionRequest("m", p) for p in prompts], max_in_flight=2)
     assert [r.response.text for r in results] == [f"echo:{p}" for p in prompts]
-    assert [r.response.cached for r in results] == [p.startswith("h") for p in prompts]
+    assert sorted(backend.prompts[2:]) == ["m1", "m2", "m3"]
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (2, 3, 5)
     assert hit_threads == [threading.main_thread()] * 2
     assert sorted(p for p, _ in completed) == ["m1", "m2", "m3"]
@@ -326,7 +330,8 @@ def test_failed_cache_read_is_an_item_error(tmp_path, monkeypatch):
     monkeypatch.setattr(gw, "_cache_read", failing_read)
     monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
     first, failed, again, failed_again = gw.run_batch([good, bad, good, bad])
-    assert first.response.cached and again.response is first.response
+    assert first.response.text == "echo:good" and again.response is first.response
+    assert sorted(backend.prompts) == ["bad", "good"]
     assert [failed.error, failed_again.error] == [
         "DatabaseError: database disk image is malformed"] * 2
     assert not failed.ok and not failed_again.ok
@@ -381,7 +386,7 @@ def test_retry_on_rate_limit():
 
 def test_retry_budget_exhausted():
     class AlwaysLimited:
-        name = identity = "limited"
+        identity = "limited"
 
         def complete(self, req):
             raise RateLimited("always")

@@ -198,7 +198,7 @@ def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
              for deco in (IDENTITY_DECORATION, DecorationFactors(case="upper", qa_delim=" :: "))
              for scheme in (PromptScheme.INSTRUCT, PromptScheme.K_SHOT)
              for fmt in (F.EDGE_LIST, F.GMOL)]
-    fresh = [compose_prompt(q, scheme, fmt, ExemplarBank(bank.task, bank.scheme, bank.exemplars),
+    fresh = [compose_prompt(q, scheme, fmt, ExemplarBank(bank.exemplars),
                             deco) for q in queries for scheme, fmt, deco in cells]
     calls = []
     monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.append(fmt) or serialize(g, fmt))

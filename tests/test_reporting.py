@@ -1,5 +1,6 @@
-"""Aggregation, sensitivity metrics, and token reports."""
+"""Aggregation with token cost, sensitivity metrics, and CSV output."""
 
+import csv
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import random
 import pytest
 
 from graphbench.errors import EmptyGroup, InsufficientCoverage
-from graphbench.reporting import aggregate, rows_to_csv, sensitivity, token_report
+from graphbench.reporting import aggregate, rows_to_csv, sensitivity
 
 
 def make_records(score_fn, models=("m1", "m2"), schemes=("0-shot", "CoT"),
@@ -130,27 +131,35 @@ def test_sensitivity_requires_coverage():
         sensitivity(records, "diameter", "easy")
 
 
-def test_token_report_fixed_tokens():
+def test_aggregate_mean_tokens_out_when_every_record_reports():
     records = make_records(lambda *a: 1)
-    report = token_report(records, ["model"])
-    assert report["excluded_no_usage"] == 0
-    assert all(row["mean_tokens_out"] == 100 for row in report["rows"])
+    rows = aggregate(records, ["model"])
+    assert [list(row) for row in rows] == [
+        ["model", "mean", "ci95", "combinations", "records", "mean_tokens_out"]] * 2
+    assert [row["mean_tokens_out"] for row in rows] == [100.0, 100.0]
 
 
-def test_token_report_exclusions():
+def test_aggregate_mean_tokens_out_when_some_or_none_report():
     records = make_records(lambda *a: 1, per_cell=2)
     for r in records:
         r["tokens_out"] = None
-    report = token_report(records, ["model"])
-    assert report["rows"] == [] and report["excluded_no_usage"] == len(records)
+    rows = aggregate(records, ["model"])
+    assert [(row["records"], row["mean_tokens_out"]) for row in rows] == [(16, None)] * 2
     records[0]["tokens_out"] = 40
     records[1]["tokens_out"] = 60
-    report = token_report(records, [])
-    assert report["rows"][0]["mean_tokens_out"] == 50.0
-    assert report["excluded_no_usage"] == len(records) - 2
+    (row,) = aggregate(records, [])
+    assert (row["records"], row["mean_tokens_out"]) == (len(records), 50.0)
 
 
 def test_rows_to_csv():
-    rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 0.25}]
-    assert rows_to_csv(rows) == "a,b\n1,0.5000\n2,0.2500\n"
+    rows = [{"a": 1, "b": 0.5, "c": None}, {"a": 2, "b": 0.25, "c": 7.0}]
+    assert rows_to_csv(rows) == "a,b,c\n1,0.5000,\n2,0.2500,7.0000\n"
     assert rows_to_csv([]) == ""
+
+
+def test_rows_to_csv_quotes_cells_that_hold_a_delimiter():
+    rows = [{"model": "a,b", "note": 'say "hi"', "mean": 1.0}]
+    text = rows_to_csv(rows)
+    assert text == 'model,note,mean\n"a,b","say ""hi""",1.0000\n'
+    assert list(csv.reader(text.splitlines())) == [["model", "note", "mean"],
+                                                    ["a,b", 'say "hi"', "1.0000"]]
