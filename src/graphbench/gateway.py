@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
 import sqlite3
 import threading
 import time
@@ -208,10 +209,11 @@ class Gateway:
     The cache is one SQLite file, `cache_dir/cache.sqlite3`, keyed on the
     backend's identity and the request, so identical requests never hit the
     network twice and one backend's answers are never served for another's.
-    `run_batch` reads it, once per distinct request; `complete` only writes
-    what the backend returned. Each completion is committed as soon as it
-    arrives, so a run that stops part-way keeps every finished entry and a
-    rerun resumes from them; two processes may fill one cache at once.
+    `run_batch` is its one reader and one writer, both on the calling
+    thread; `complete` only talks to the backend. Completions are committed,
+    in one transaction per group, before the calling thread next waits for
+    the backend, so a run that stops part-way keeps every finished entry and
+    a rerun resumes from them; two processes may fill one cache at once.
     Caches from the older one-file-per-entry layout are not read. Without a
     `cache_dir` nothing is cached and nothing is created; the CLI resolves
     it from `--cache-dir`, then GRAPHBENCH_CACHE_DIR, then the config file.
@@ -239,13 +241,18 @@ class Gateway:
     def _cache(self) -> sqlite3.Connection:
         if self._db is None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            # Autocommit: every INSERT is its own committed transaction.
-            db = sqlite3.connect(self.cache_dir / CACHE_FILE, timeout=60.0,
+            timeout = 60.0
+            # Autocommit: a write outside BEGIN is its own transaction.
+            db = sqlite3.connect(self.cache_dir / CACHE_FILE, timeout=timeout,
                                  isolation_level=None, check_same_thread=False)
-            db.execute("PRAGMA journal_mode=WAL")
-            db.execute("PRAGMA synchronous=NORMAL")
-            db.execute("CREATE TABLE IF NOT EXISTS completions "
-                       "(key TEXT PRIMARY KEY, payload TEXT NOT NULL) WITHOUT ROWID")
+            try:
+                _switch_to_wal(db, time.monotonic() + timeout)
+                db.execute("PRAGMA synchronous=NORMAL")
+                db.execute("CREATE TABLE IF NOT EXISTS completions "
+                           "(key TEXT PRIMARY KEY, payload TEXT NOT NULL) WITHOUT ROWID")
+            except BaseException:
+                db.close()
+                raise
             self._db = db
         return self._db
 
@@ -260,12 +267,22 @@ class Gateway:
                                   tokens_out=data.get("tokens_out"),
                                   latency_ms=data.get("latency_ms", 0.0))
 
-    def _cache_write(self, key: str, resp: CompletionResponse) -> None:
-        payload = {"text": resp.text, "tokens_in": resp.tokens_in,
-                   "tokens_out": resp.tokens_out, "latency_ms": resp.latency_ms}
+    def _cache_write(self, entries: Sequence[tuple[str, CompletionResponse]]) -> None:
+        """Store (key, response) entries in one transaction, or none of them."""
+        rows = [(key, json.dumps({"text": resp.text, "tokens_in": resp.tokens_in,
+                                  "tokens_out": resp.tokens_out,
+                                  "latency_ms": resp.latency_ms}))
+                for key, resp in entries]
         with self._lock:
-            self._cache().execute("INSERT OR REPLACE INTO completions VALUES (?, ?)",
-                                  (key, json.dumps(payload)))
+            db = self._cache()
+            db.execute("BEGIN IMMEDIATE")
+            try:
+                db.executemany("INSERT OR REPLACE INTO completions VALUES (?, ?)", rows)
+                db.execute("COMMIT")
+            except BaseException:
+                if db.in_transaction:
+                    db.execute("ROLLBACK")
+                raise
 
     def close(self) -> None:
         """Close the cache database, if one is open; later use reopens it."""
@@ -275,9 +292,8 @@ class Gateway:
                 self._db = None
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        """Send one request to the backend, retrying RateLimited, and store
-        the answer in the cache. It never reads the cache: `run_batch` has
-        looked the request up already."""
+        """Send one request to the backend, retrying RateLimited. It neither
+        reads nor writes the cache: `run_batch` does both."""
         delay = BACKOFF_BASE
         for attempt in range(MAX_RETRIES + 1):
             with self._lock:
@@ -290,8 +306,6 @@ class Gateway:
                     raise
                 self.sleep(min(delay, BACKOFF_CAP))
                 delay *= 2
-        if self.cache_dir is not None:
-            self._cache_write(self._cache_key(req), resp)
         return resp
 
     def run_batch(self, requests_in: Sequence[CompletionRequest],
@@ -304,44 +318,87 @@ class Gateway:
         that response or error, so however often one repeats it counts one
         network call (plus retries) or one cache hit.
 
-        This is the one place the cache is read: each distinct request is
-        looked up once, on the calling thread. Only the misses go to a pool
-        of max_in_flight worker threads, each through `complete`, and no
-        pool is started when nothing missed. A cache read that fails is an
-        error on its item; the item is not sent to the backend.
+        This is the one place the cache is read and written, both on the
+        calling thread, under a key computed once per distinct request.
+        Each is looked up once; only the misses go to a pool of
+        max_in_flight worker threads, each through `complete`, and no pool
+        is started when nothing missed. The calling thread takes the
+        completions as the workers finish them and commits every one that
+        has arrived in one transaction before it waits again. A cache read
+        that fails is an error on its item, which is not sent; a commit
+        that fails is an error on each answered item of its group.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        keys = [(r, id(r.query)) for r in requests_in]
+        items = [(r, id(r.query)) for r in requests_in]
         outcome: dict[tuple[CompletionRequest, int], tuple] = {}
-        misses = []
-        for key in dict.fromkeys(keys):
+        misses: dict[tuple[CompletionRequest, int], str | None] = {}
+        for item in dict.fromkeys(items):
             if self.cache_dir is None:
-                misses.append(key)
+                misses[item] = None
                 continue
+            key = self._cache_key(item[0])
             try:
-                cached = self._cache_read(self._cache_key(key[0]))
+                cached = self._cache_read(key)
             except Exception as exc:
-                outcome[key] = (None, _describe(exc))
+                outcome[item] = (None, _describe(exc))
                 continue
             if cached is None:
-                misses.append(key)
+                misses[item] = key
             else:
-                outcome[key] = (cached, None)
+                outcome[item] = (cached, None)
         with self._lock:
             self.cache_hits += sum(resp is not None for resp, _ in outcome.values())
 
-        def work(key) -> tuple:
+        done: queue.SimpleQueue = queue.SimpleQueue()
+
+        def work(item) -> None:
             try:
-                return self.complete(key[0]), None
+                done.put((item, self.complete(item[0]), None))
             except Exception as exc:
-                return None, _describe(exc)
+                done.put((item, None, _describe(exc)))
 
         if misses:
             with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-                outcome.update(zip(misses, pool.map(work, misses)))
-        return [BatchResult(*outcome[key]) for key in keys]
+                for item in misses:
+                    pool.submit(work, item)
+                waiting = len(misses)
+                while waiting:
+                    group = [done.get()]
+                    while not done.empty():
+                        group.append(done.get())
+                    waiting -= len(group)
+                    answered = [(misses[item], resp) for item, resp, _ in group
+                                if resp is not None]
+                    if self.cache_dir is not None and answered:
+                        try:
+                            self._cache_write(answered)
+                        except Exception as exc:
+                            group = [(item, None, _describe(exc) if resp is not None else error)
+                                     for item, resp, error in group]
+                    outcome.update((item, (resp, error)) for item, resp, error in group)
+        return [BatchResult(*outcome[item]) for item in items]
 
 
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _switch_to_wal(db: sqlite3.Connection, deadline: float) -> None:
+    """Put the database in WAL mode, retrying until `deadline` (a
+    time.monotonic() value) while another connection holds the lock.
+
+    Two connections that open a fresh file at once can both fail the
+    switch with "database is locked": SQLite answers BUSY at once there,
+    without waiting out the busy timeout, to avoid a deadlock. Whichever
+    gets through switches the file for both."""
+    while True:
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        if db.execute("PRAGMA journal_mode").fetchone()[0] == "wal":
+            return
+        time.sleep(0.001)

@@ -221,3 +221,39 @@ def test_every_dataclass_field_is_read_outside_tests():
     """A field that only tests read is state the program carries for nothing."""
     modules = sorted(Path(graphbench.__file__).parent.glob("*.py"))
     assert unread_fields(modules) == []
+
+
+def callers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
+    """For each bare name in `names`, the dotted paths of the innermost
+    defs (a class's methods as `Class.method`, nested defs and lambdas as
+    their own scope) whose code calls it."""
+    out = {name: set() for name in names}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Lambda):
+                visit(child, f"{scope}.<lambda>")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in out:
+                    out[name].add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_run_batch_keys_reads_and_writes_the_cache():
+    """The cache has one reader and one writer, `Gateway.run_batch`, and
+    the calls are made on the calling thread, not in a nested worker."""
+    names = {"_cache_key", "_cache_read", "_cache_write"}
+    found = {name: set() for name in names}
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        for name, scopes in callers(ast.parse(path.read_text("utf-8")), names).items():
+            found[name] |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert found == {name: {"gateway.Gateway.run_batch"} for name in names}

@@ -73,7 +73,7 @@ def test_cache_hit_skips_network(tmp_path):
 
 def test_cache_resumes_across_gateways(tmp_path):
     backend = CountingBackend(delay=0)
-    Gateway(backend, cache_dir=tmp_path).complete(CompletionRequest("m", "p1"))
+    Gateway(backend, cache_dir=tmp_path).run_batch([CompletionRequest("m", "p1")])
     gw2 = Gateway(backend, cache_dir=tmp_path)
     gw2.run_batch([CompletionRequest("m", "p1")])
     assert backend.calls == 1
@@ -103,22 +103,28 @@ def test_a_cached_batch_reads_each_distinct_request_once(tmp_path, monkeypatch):
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (2, 3, 5)
 
 
-def test_complete_sends_and_stores_without_reading_the_cache(tmp_path, monkeypatch):
+def test_complete_never_touches_the_cache(tmp_path, monkeypatch):
+    """`complete` is the send path only: it neither keys, reads, writes nor
+    opens the cache, so nothing it sends is stored; `run_batch` stores it."""
     backend = CountingBackend(delay=0)
     gw = Gateway(backend, cache_dir=tmp_path)
 
-    def failing_read(key):
-        raise AssertionError("complete read the cache")
+    def forbidden(*args):
+        raise AssertionError("complete touched the cache")
 
-    monkeypatch.setattr(gw, "_cache_read", failing_read)
-    resp = gw.complete(CompletionRequest("m", "p"))
+    with monkeypatch.context() as m:
+        for name in ("_cache_key", "_cache_read", "_cache_write", "_cache"):
+            m.setattr(gw, name, forbidden)
+        resp = gw.complete(CompletionRequest("m", "p"))
     assert resp.text == "echo:p"
     assert (backend.prompts, gw.network_calls) == (["p"], 1)
+    assert list(tmp_path.iterdir()) == []
+    gw.run_batch([CompletionRequest("m", "p")])
     assert cache_entries(tmp_path) == 1
     fresh = Gateway(backend, cache_dir=tmp_path)
     served = fresh.run_batch([CompletionRequest("m", "p")])
     assert served[0].response.text == "echo:p"
-    assert (backend.prompts, fresh.cache_hits, fresh.network_calls) == (["p"], 1, 0)
+    assert (backend.prompts, fresh.cache_hits, fresh.network_calls) == (["p", "p"], 1, 0)
 
 
 def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
@@ -128,7 +134,7 @@ def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
     gw = Gateway(MockBackend())
     assert gw.cache_dir is None
     q, prompt = sample_prompt()
-    gw.complete(CompletionRequest("m", prompt, query=q))
+    assert gw.run_batch([CompletionRequest("m", prompt, query=q)])[0].ok
     assert gw.network_calls == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -136,8 +142,8 @@ def test_library_gateway_ignores_cache_dir_env(tmp_path, monkeypatch):
 def test_identical_requests_in_flight_both_write_the_cache(tmp_path):
     """Two gateways on one cache miss the same key together and both write
     it; the store keeps one entry, which a fresh gateway serves. (One
-    gateway sends equal requests of a batch once and writes under its lock,
-    so the race needs two writers.)"""
+    gateway sends equal requests of a batch once, so the race needs two
+    writers.)"""
     both_called = threading.Barrier(2)
 
     class MeetingBackend:
@@ -150,8 +156,8 @@ def test_identical_requests_in_flight_both_write_the_cache(tmp_path):
     req = CompletionRequest("m", "p")
     gateways = [Gateway(MeetingBackend(), cache_dir=tmp_path) for _ in range(2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        texts = [r.text for r in pool.map(lambda gw: gw.complete(req), gateways)]
-    assert texts == ["answer", "answer"]
+        batches = list(pool.map(lambda gw: gw.run_batch([req]), gateways))
+    assert [[r.response.text for r in batch] for batch in batches] == [["answer"]] * 2
     assert [gw.network_calls for gw in gateways] == [1, 1]
     assert cache_entries(tmp_path) == 1
     fresh = Gateway(MeetingBackend(), cache_dir=tmp_path)
@@ -182,6 +188,92 @@ def test_cache_resumes_after_a_partial_batch(tmp_path):
     assert sorted(backend.prompts) == [f"p{i}" for i in range(5, 10)]
     assert [r.response.text for r in again] == [f"echo:p{i}" for i in range(10)]
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (5, 5, 5)
+
+
+def test_a_failed_group_write_fails_only_its_own_items(tmp_path, monkeypatch):
+    """When a group's transaction raises, each answered item of that group
+    becomes an error and stores nothing; other groups keep their answers,
+    a backend error keeps its own message, and nothing is sent twice."""
+
+    class FailsOnBad(CountingBackend):
+        def complete(self, req):
+            resp = super().complete(req)
+            if req.prompt == "bad":
+                raise TransportError("connection lost")
+            return resp
+
+    backend = FailsOnBad(delay=0.002)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    write, failed_keys = gw._cache_write, []
+
+    def fails_once(entries):
+        if not failed_keys:
+            failed_keys.extend(key for key, _ in entries)
+            raise sqlite3.OperationalError("disk I/O error")
+        return write(entries)
+
+    monkeypatch.setattr(gw, "_cache_write", fails_once)
+    prompts = ["bad", *(f"p{i}" for i in range(8))]
+    reqs = [CompletionRequest("m", p) for p in prompts]
+    results = gw.run_batch(reqs + reqs[:3], max_in_flight=2)
+    assert failed_keys
+    expected = ["TransportError: connection lost" if p == "bad"
+                else "OperationalError: disk I/O error" if gw._cache_key(r) in failed_keys
+                else None for p, r in zip(prompts, reqs)]
+    assert [r.error for r in results] == expected + expected[:3]
+    assert [r.ok for r in results] == [e is None for e in expected + expected[:3]]
+    assert sorted(backend.prompts) == sorted(prompts)
+    assert gw.network_calls == len(prompts)
+    assert None in expected and cache_entries(tmp_path) == expected.count(None)
+    fresh = CountingBackend(delay=0)
+    again = Gateway(fresh, cache_dir=tmp_path).run_batch(reqs)
+    assert all(r.ok for r in again)
+    assert sorted(fresh.prompts) == sorted(
+        p for p, e in zip(prompts, expected) if e is not None)
+
+
+def test_every_completion_is_committed_before_the_next_wait(tmp_path):
+    """The calling thread commits each completion that has reached it
+    before it waits for the next: the sixth request is answered only once
+    a second connection sees the first five committed."""
+    class WaitsForFive(CountingBackend):
+        def complete(self, req):
+            if req.prompt == "p5":
+                deadline = time.monotonic() + 10
+                while cache_entries(tmp_path) < 5:
+                    if time.monotonic() > deadline:
+                        raise TimeoutError("the first five were not committed")
+                    time.sleep(0.005)
+            return super().complete(req)
+
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(8)]
+    results = Gateway(WaitsForFive(delay=0), cache_dir=tmp_path).run_batch(reqs, max_in_flight=1)
+    assert [r.error for r in results] == [None] * 8
+    assert cache_entries(tmp_path) == 8
+
+
+def test_two_gateways_open_a_fresh_cache_at_once(tmp_path):
+    """Opening a new cache file from two connections at the same moment
+    switches it to WAL for both; neither fails with "database is locked"."""
+    failures = []
+    for i in range(200):
+        gateways = [Gateway(CountingBackend(), cache_dir=tmp_path / str(i)) for _ in range(2)]
+        meet = threading.Barrier(2)
+
+        def open_cache(gw):
+            meet.wait(timeout=10)
+            return gw._cache().execute("PRAGMA journal_mode").fetchone()[0]
+
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                modes = list(pool.map(open_cache, gateways))
+            assert modes == ["wal", "wal"]
+        except sqlite3.OperationalError as exc:
+            failures.append(f"{i}: {exc}")
+        finally:
+            for gw in gateways:
+                gw.close()
+    assert failures == []
 
 
 FILL_CACHE = """
