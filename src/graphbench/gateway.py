@@ -320,13 +320,13 @@ class Gateway:
 
         This is the one place the cache is read and written, both on the
         calling thread, under a key computed once per distinct request.
-        Each is looked up once; only the misses go to a pool of
-        max_in_flight worker threads, each through `complete`, and no pool
-        is started when nothing missed. The calling thread takes the
-        completions as the workers finish them and commits every one that
-        has arrived in one transaction before it waits again. A cache read
-        that fails is an error on its item, which is not sent; a commit
-        that fails is an error on each answered item of its group.
+        Each distinct request is looked up once; only the misses go to a
+        pool of max_in_flight worker threads, each through `complete`, and
+        no pool is started when nothing missed. The calling thread takes
+        the completions as the workers finish them and commits every one
+        that has arrived in one transaction before it waits again. A cache
+        read that fails is an error on its item, which is not sent; a
+        commit that fails is an error on each answered item of its group.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")

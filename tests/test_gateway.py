@@ -236,6 +236,7 @@ def test_every_completion_is_committed_before_the_next_wait(tmp_path):
     """The calling thread commits each completion that has reached it
     before it waits for the next: the sixth request is answered only once
     a second connection sees the first five committed."""
+
     class WaitsForFive(CountingBackend):
         def complete(self, req):
             if req.prompt == "p5":
