@@ -220,14 +220,22 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
     """Reward = accuracy over N generated graphs for the combo's settings.
 
     Every factor is applied to the evaluation; a factor name the evaluation
-    has no setting for is rejected before anything runs. A batch with a
-    failed request raises GraphBenchError rather than score the failure as
-    a wrong answer.
+    has no setting for, or an option it cannot apply, is rejected before
+    anything runs. A batch with a failed request raises GraphBenchError
+    rather than score the failure as a wrong answer.
     """
     unknown = [name for name in space.names if name not in _LIVE_DIMS]
     if unknown:
         raise ValueError(f"live reward cannot apply factor(s) {', '.join(unknown)}; "
                          f"known factors: {', '.join(_LIVE_DIMS)}")
+    options = dict(space.dims)
+    schemes = {o: _parse_one(PromptScheme, o, "prompt_scheme option")
+               for o in options.get("prompt_scheme", ())}
+    formats = {o: _parse_one(SerializationFormat, o, "serialization option")
+               for o in options.get("serialization", ())}
+    for d in _DECORATION_DIMS:
+        for o in options.get(d, ()):
+            DecorationFactors(**{d: o})
     queries = corpus_mod.build_corpus([task], [split], None, args.samples,
                                       master_seed=args.seed)
     bank_store = BankStore()
@@ -235,8 +243,8 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
 
     def reward(combo):
         by = dict(zip(names, combo))
-        scheme = _parse_list(PromptScheme, by.get("prompt_scheme", "0-shot"))[0]
-        fmt = _parse_list(SerializationFormat, by.get("serialization", "adjacency_list"))[0]
+        scheme = schemes.get(by.get("prompt_scheme"), PromptScheme.ZERO_SHOT)
+        fmt = formats.get(by.get("serialization"), SerializationFormat.ADJACENCY_LIST)
         deco = DecorationFactors(**{d: by[d] for d in _DECORATION_DIMS if d in by})
         records = run_evaluation(queries, [scheme], [fmt], gateway,
                                  model=by.get("model", args.model), deco=deco,

@@ -1,4 +1,5 @@
-"""Query corpus assembly, JSONL persistence, and the ground-truth selfcheck.
+"""Query corpus assembly, the one item draw that corpora and exemplar banks
+share, JSONL persistence, and the ground-truth selfcheck.
 
 Every query derives its own RNG stream from (master seed, task, split,
 family, index), so rebuilding any slice of a corpus reproduces it exactly.
@@ -7,6 +8,7 @@ family, index), so rebuilding any slice of a corpus reproduces it exactly.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -83,41 +85,50 @@ def load_queries(path: str | Path) -> list[QuerySpec]:
     return [QuerySpec.from_record(rec) for rec in read_jsonl(path)]
 
 
-# Draws per query before build_query gives up on its cell.
+# Draws per item before build_query or build_exemplars gives up on it.
 MAX_QUERY_ATTEMPTS = 50
+
+
+def draw_item(task: TaskKind, split: DifficultySplit, family: GraphFamily, rng: random.Random,
+              seen_hashes: set[frozenset]) -> tuple[Graph, dict[str, int], Any]:
+    """Draw one admissible (graph, params, ground truth) item from `rng`.
+
+    A draw is unusable, and raises ExhaustedAttempts, when it is a
+    Hamiltonian graph with an isolated vertex (trivially non-Hamiltonian,
+    and the edge-only serializations cannot even express it), when its edge
+    set is already in `seen_hashes`, or when the graph has no admissible
+    parameters. A usable draw's edge set is added to `seen_hashes`.
+    """
+    n = sample_n(task, split, rng)
+    if task is TaskKind.DIAMETER:
+        g = generate_connected(family, n, rng)
+    else:
+        g = generate(family, n, rng)
+    if task is TaskKind.HAMILTONIAN and any(g.degree(u) == 0 for u in range(g.n)):
+        raise ExhaustedAttempts("Hamiltonian draw has an isolated vertex")
+    if g.edges in seen_hashes:
+        raise ExhaustedAttempts("edge set already drawn")
+    params = sample_params(task, g, rng)
+    gt = compute_ground_truth(task, g, params)
+    seen_hashes.add(g.edges)
+    return g, params, gt
 
 
 def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
                 index: int, master_seed: int, seen_hashes: set[frozenset]) -> QuerySpec:
     """Build one query from its derived seed stream.
 
-    `seen_hashes` holds edge sets already used in the cell; exact duplicates
-    are resampled, and the new graph's edge set is added. Shortest-path
-    pairs are redrawn until reachable, and graphs with no reachable pair at
-    all are resampled. After MAX_QUERY_ATTEMPTS draws it raises
+    Each attempt draws through `draw_item` from its own derived seed, so
+    `seen_hashes` (the edge sets already used in the cell) gains the new
+    graph's edge set. After MAX_QUERY_ATTEMPTS unusable draws it raises
     ExhaustedAttempts.
     """
     for attempt in range(MAX_QUERY_ATTEMPTS):
         seed = (master_seed, task.value, split.value, family.value, index, attempt)
-        rng = derive_rng(*seed)
-        n = sample_n(task, split, rng)
         try:
-            if task is TaskKind.DIAMETER:
-                g = generate_connected(family, n, rng)
-            else:
-                g = generate(family, n, rng)
-            # A graph with an isolated vertex is trivially non-Hamiltonian
-            # and the edge-only serializations cannot even express it, so
-            # Hamiltonian cells resample those draws.
-            if task is TaskKind.HAMILTONIAN and any(g.degree(u) == 0 for u in range(g.n)):
-                continue
-            if g.edges in seen_hashes:
-                continue
-            params = sample_params(task, g, rng)
-            gt = compute_ground_truth(task, g, params)
+            g, params, gt = draw_item(task, split, family, derive_rng(*seed), seen_hashes)
         except ExhaustedAttempts:
             continue
-        seen_hashes.add(g.edges)
         qid = f"{task.value}-{split.value}-{family.value}-{index:05d}"
         return QuerySpec(id=qid, task=task, difficulty=split, family=family,
                          graph=g, params=params, ground_truth=gt,
@@ -143,15 +154,11 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
             continue
         for split in splits:
             seen: dict[GraphFamily, set] = {f: set() for f in chosen}
-            counters = {f: 0 for f in chosen}
             if per_cell:
                 plan = [(f, i) for f in chosen for i in range(count)]
             else:
-                plan = []
-                for j in range(count):
-                    f = chosen[j % len(chosen)]
-                    plan.append((f, counters[f]))
-                    counters[f] += 1
+                k = len(chosen)
+                plan = [(chosen[j % k], j // k) for j in range(count)]
             for family, index in plan:
                 out.append(build_query(task, split, family, index, master_seed,
                                        seen[family]))

@@ -13,7 +13,7 @@ import math
 import random
 
 from .errors import ExhaustedAttempts, InvalidN
-from .graphs import NP_NODE_CAP, Graph
+from .graphs import NP_NODE_CAP, Graph, is_connected
 from .tasks import NP_TASKS, TaskKind
 
 
@@ -231,8 +231,6 @@ def generate(family: GraphFamily, n: int, rng: random.Random) -> Graph:
 def generate_connected(family: GraphFamily, n: int, rng: random.Random) -> Graph:
     """Resample until the graph is connected (needed for diameter queries);
     raises ExhaustedAttempts after MAX_CONNECTED_ATTEMPTS draws."""
-    from .graphs import is_connected
-
     for _ in range(MAX_CONNECTED_ATTEMPTS):
         g = generate(family, n, rng)
         if is_connected(g):

@@ -141,22 +141,15 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int]:
 
 
 def has_cycle(g: Graph) -> bool:
-    """Cycle test via DFS back edges (non-parent edge to a visited node)."""
-    parent: dict[int, int] = {}
+    """A simple graph is a forest exactly when m = n - c, where c is its
+    number of components, so it has a cycle exactly when m > n - c."""
+    seen: set[int] = set()
+    components = 0
     for root in range(g.n):
-        if root in parent:
-            continue
-        parent[root] = -1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    stack.append(v)
-                elif v != parent[u]:
-                    return True
-    return False
+        if root not in seen:
+            seen.update(bfs_levels(g, root))
+            components += 1
+    return g.m > g.n - components
 
 
 def diameter(g: Graph) -> int:

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from . import templates
+from .corpus import MAX_QUERY_ATTEMPTS, QuerySpec, draw_item
 from .errors import EmptyBank, ExhaustedAttempts, MissingParam
-from .generators import DifficultySplit, admissible_families, derive_rng, generate, generate_connected, sample_n
+from .generators import DifficultySplit, admissible_families, derive_rng
 from .graphs import Graph, bfs_levels, shortest_path, triangles
 from .serialize import SerializationFormat, serialize
-from .tasks import TaskKind, compute_ground_truth, sample_params
-
-if TYPE_CHECKING:
-    from .corpus import QuerySpec
+from .tasks import TaskKind
 
 
 class PromptScheme(enum.Enum):
@@ -274,34 +272,28 @@ def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -
 
 def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
     """Build EXEMPLARS_PER_BANK oracle-validated exemplars on Easy-split
-    graphs.
+    graphs, drawn by the corpus's own `draw_item` rules.
 
     Exemplar graphs come from a reserved seed stream, derived from the task,
     the scheme and the bank size, so they never collide with evaluation
-    graphs.
+    graphs; no bank repeats an edge set.
     """
     rng = derive_rng("exemplar-bank", task.value, scheme.value, EXEMPLARS_PER_BANK)
     families = sorted(admissible_families(task), key=lambda f: f.value)
     narrated = scheme in (PromptScheme.COT, PromptScheme.INSTRUCT, PromptScheme.ALGORITHM)
+    seen: set[frozenset] = set()
     exemplars = []
     for i in range(EXEMPLARS_PER_BANK):
         family = families[i % len(families)]
-        for _ in range(100):
-            n = sample_n(task, DifficultySplit.EASY, rng)
+        for _ in range(MAX_QUERY_ATTEMPTS):
             try:
-                if task is TaskKind.DIAMETER:
-                    g = generate_connected(family, n, rng)
-                else:
-                    g = generate(family, n, rng)
-                    if task is TaskKind.SHORTEST_PATH and g.m == 0:
-                        continue
-                params = sample_params(task, g, rng)
+                g, params, gt = draw_item(task, DifficultySplit.EASY, family, rng, seen)
             except ExhaustedAttempts:
                 continue
             break
         else:
-            raise ValueError(f"could not build an exemplar for {task.value}/{family.value}")
-        gt = compute_ground_truth(task, g, params)
+            raise ExhaustedAttempts(
+                f"could not build an exemplar for {task.value}/{family.value}")
         answer = narrated_answer(task, g, params, gt) if narrated else gold_answer(task, g, params, gt)
         exemplars.append(Exemplar(graph=g, params=params, answer=answer))
     return ExemplarBank(exemplars)
@@ -325,7 +317,7 @@ def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
     return "".join(parts)
 
 
-def compose_prompt(query: "QuerySpec", scheme: PromptScheme, fmt: SerializationFormat,
+def compose_prompt(query: QuerySpec, scheme: PromptScheme, fmt: SerializationFormat,
                    bank: ExemplarBank | None = None,
                    deco: DecorationFactors = IDENTITY_DECORATION) -> str:
     """Assemble the full prompt for one query under (scheme, format, deco)."""

@@ -32,13 +32,16 @@ NP_TASKS = {TaskKind.HAMILTONIAN, TaskKind.MAX_CUT}
 
 def sample_params(task: TaskKind, g: Graph, rng: random.Random) -> dict[str, int]:
     """Draw the task's node parameters; shortest-path pairs are redrawn until
-    reachable."""
+    reachable, and an edgeless graph, which has none, raises ExhaustedAttempts
+    before drawing anything."""
     if task is TaskKind.BFS_ORDER:
         return {"start": rng.randrange(g.n)}
     if task is TaskKind.CONNECTIVITY:
         u, v = rng.sample(range(g.n), 2)
         return {"u": u, "v": v}
     if task is TaskKind.SHORTEST_PATH:
+        if g.m == 0:
+            raise ExhaustedAttempts("an edgeless graph has no connected node pair")
         for _ in range(1000):
             u, v = rng.sample(range(g.n), 2)
             if graphs.connected(g, u, v):

@@ -227,6 +227,35 @@ def test_live_reward_rejects_unknown_factor(tmp_path, capsys):
     assert "temperature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, options, message", [
+    ("prompt_scheme", ["0-shot", ""], "prompt_scheme option takes one prompt scheme, got ''"),
+    ("serialization", ["edge_list", "adjacency_list,edge_list"],
+     "serialization option takes one format, got 'adjacency_list,edge_list'"),
+    ("serialization", ["yaml", "edge_list", "adjacency_list", "gmol"], "unknown format 'yaml'"),
+    ("case", ["shout", "upper"], "case function 'shout' not in pool"),
+], ids=["empty-scheme", "two-formats", "unknown-format", "unknown-case"])
+def test_live_reward_rejects_an_unusable_option_before_any_request(
+        tmp_path, monkeypatch, capsys, name, options, message):
+    # An option the evaluation cannot apply must stop the search before it
+    # starts, not run as another option or fail midway through.
+    sent = []
+
+    class Recording(MockBackend):
+        def complete(self, req):
+            sent.append(req.prompt)
+            return super().complete(req)
+
+    monkeypatch.setattr(cli, "_make_gateway",
+                        lambda args, config: Gateway(Recording(mode="oracle")))
+    factors = tmp_path / "factors.json"
+    factors.write_text(json.dumps([{"name": name, "options": options}]))
+    assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "2",
+                   "--episodes", "8") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sent == []
+
+
 FACTOR_NEEDS = 'needs a string "name" and a list of strings "options"'
 
 

@@ -257,3 +257,18 @@ def test_only_run_batch_keys_reads_and_writes_the_cache():
         for name, scopes in callers(ast.parse(path.read_text("utf-8")), names).items():
             found[name] |= {f"{path.stem}.{scope}" for scope in scopes}
     assert found == {name: {"gateway.Gateway.run_batch"} for name in names}
+
+
+def test_only_draw_item_draws_items():
+    """Corpus queries and exemplars are drawn by one function,
+    `corpus.draw_item`, so both follow the same admissibility rules;
+    `generate_connected` also redraws through `generate`."""
+    names = {"sample_n", "sample_params", "generate", "generate_connected"}
+    found = {name: set() for name in names}
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        for name, scopes in callers(ast.parse(path.read_text("utf-8")), names).items():
+            found[name] |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert found == {"sample_n": {"corpus.draw_item"},
+                     "sample_params": {"corpus.draw_item"},
+                     "generate_connected": {"corpus.draw_item"},
+                     "generate": {"corpus.draw_item", "generators.generate_connected"}}

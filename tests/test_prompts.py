@@ -210,26 +210,53 @@ def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
     assert len(calls) == len(fresh) + len(cells) * len(bank)
 
 
-# sha256 over the prompts test_prompts_match_the_pinned_digest composes, in
-# order, each followed by a NUL byte.
-PROMPTS_DIGEST = "b3bdf1ae01e9947ca31e97fb0c56a30b7c2ab17e181aa7089579ad6204ddfb55"
+# Per task, sha256 over the prompts test_prompts_match_the_pinned_digest
+# composes for that task's query, in order, each followed by a NUL byte.
+PROMPT_DIGESTS = {
+    "connectivity": "66f6c9b113e3f0a5f86e7614abf3a6c510ffa4bac93e60feab7f0cd9980bf37a",
+    "cycle": "e3a8bd694e74c7cb35b8a9b00521d0d4802982ef1c78a7a9c69fcb7b91677ced",
+    "diameter": "47a1720e5ef60e82c214bed79e0bc4036a9d0c5c656dd536be6065ef72e1ad8d",
+    "bfs_order": "998241ed4899610a43765417c81779d9534e544fd808ca4ebf4fe86ef34d5f2b",
+    "shortest_path": "173ba8e124600dc813ed3c706107548172ac35a8ce7993675516e51890da716a",
+    "triangle": "ded207a2d919219f42f46b410389b47f69da28573f3e43308cf1f7ed9bfa5562",
+    "hamiltonian": "96574889df1a143d7180945823779bb54c5c67e12bf57214146a5078a51972ea",
+    "max_cut": "0df95737fbdd49d9f5d7765f96104db08148da902e09c4163747e297b973bba8",
+}
+
+
+def prompt_digests() -> dict[str, str]:
+    queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=0)
+    decos = (IDENTITY_DECORATION, DecorationFactors(sentence_delim=" <sep> ", qa_delim=" :: ",
+                                                    word_delim="\t", case="upper"))
+    banks = BankStore()
+    digests = {}
+    for q in queries:
+        digest = hashlib.sha256()
+        for deco in decos:
+            for scheme in PromptScheme:
+                for fmt in F:
+                    prompt = compose_prompt(q, scheme, fmt, banks.get(q.task, scheme), deco)
+                    digest.update(prompt.encode("utf-8") + b"\x00")
+        digests[q.task.value] = digest.hexdigest()
+    return digests
 
 
 def test_prompts_match_the_pinned_digest():
     """Every scheme x format x decoration prompt for one easy query per task
     is byte-identical to the pinned rendering."""
-    queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=0)
-    decos = (IDENTITY_DECORATION, DecorationFactors(sentence_delim=" <sep> ", qa_delim=" :: ",
-                                                    word_delim="\t", case="upper"))
-    banks = BankStore()
-    digest = hashlib.sha256()
-    for deco in decos:
-        for q in queries:
-            for scheme in PromptScheme:
-                for fmt in F:
-                    prompt = compose_prompt(q, scheme, fmt, banks.get(q.task, scheme), deco)
-                    digest.update(prompt.encode("utf-8") + b"\x00")
-    assert digest.hexdigest() == PROMPTS_DIGEST
+    assert prompt_digests() == PROMPT_DIGESTS
+
+
+def test_every_bank_follows_the_corpus_draw_rules():
+    """No exemplar bank repeats an edge set, and no Hamiltonian exemplar has
+    an isolated vertex, which the edge-only formats would render as a
+    different graph than the one its answer is about."""
+    for task in TaskKind:
+        for scheme in (s for s in PromptScheme if s.shot_bearing):
+            graphs = [ex.graph for ex in build_exemplars(task, scheme).exemplars]
+            assert len({g.edges for g in graphs}) == len(graphs), (task, scheme)
+            if task is TaskKind.HAMILTONIAN:
+                assert all(g.degree(u) > 0 for g in graphs for u in range(g.n)), scheme
 
 
 def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
