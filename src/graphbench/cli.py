@@ -107,8 +107,10 @@ def cmd_run(args) -> int:
     finally:
         gateway.close()
     n = corpus_mod.write_jsonl(records, args.out)
+    errors = sum("error" in rec for rec in records)
     print(f"wrote {n} results to {args.out} (accuracy {accuracy(records):.4f}, "
-          f"network calls {gateway.network_calls}, cache hits {gateway.cache_hits})")
+          f"errors {errors}, network calls {gateway.network_calls}, "
+          f"cache hits {gateway.cache_hits})")
     return 0
 
 

@@ -210,10 +210,13 @@ class Gateway:
     backend's identity and the request, so identical requests never hit the
     network twice and one backend's answers are never served for another's.
     `run_batch` is its one reader and one writer, both on the calling
-    thread; `complete` only talks to the backend. Completions are committed,
-    in one transaction per group, before the calling thread next waits for
-    the backend, so a run that stops part-way keeps every finished entry and
-    a rerun resumes from them; two processes may fill one cache at once.
+    thread; `complete` only talks to the backend. Worker threads pull
+    misses from one queue and take only the counter lock, never the one
+    that guards the cache, so no worker waits behind a commit. Completions
+    are committed, in one transaction per group, before the calling thread
+    next waits for the backend, so a run that stops part-way keeps every
+    finished entry and a rerun resumes from them; an interrupted batch
+    sends nothing new. Two processes may fill one cache at once.
     Caches from the older one-file-per-entry layout are not read. Without a
     `cache_dir` nothing is cached and nothing is created; the CLI resolves
     it from `--cache-dir`, then GRAPHBENCH_CACHE_DIR, then the config file.
@@ -228,11 +231,15 @@ class Gateway:
         self.backend = backend
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.sleep = sleep
+        # Both counters are changed under _count_lock, held for one increment.
         self.network_calls = 0
         self.cache_hits = 0
-        self._lock = threading.Lock()
-        # Opened on first use, and only with a cache_dir; used under _lock.
+        self._count_lock = threading.Lock()
+        # Opened on first use, and only with a cache_dir; used under
+        # _cache_lock, which only the calling threads of run_batch and close
+        # take, never a worker.
         self._db: sqlite3.Connection | None = None
+        self._cache_lock = threading.Lock()
 
     def _cache_key(self, req: CompletionRequest) -> str:
         payload = f"{self.backend.identity}\x00{req.cache_key()}"
@@ -257,7 +264,7 @@ class Gateway:
         return self._db
 
     def _cache_read(self, key: str) -> CompletionResponse | None:
-        with self._lock:
+        with self._cache_lock:
             row = self._cache().execute("SELECT payload FROM completions WHERE key = ?",
                                         (key,)).fetchone()
         if row is None:
@@ -273,7 +280,7 @@ class Gateway:
                                   "tokens_out": resp.tokens_out,
                                   "latency_ms": resp.latency_ms}))
                 for key, resp in entries]
-        with self._lock:
+        with self._cache_lock:
             db = self._cache()
             db.execute("BEGIN IMMEDIATE")
             try:
@@ -286,7 +293,7 @@ class Gateway:
 
     def close(self) -> None:
         """Close the cache database, if one is open; later use reopens it."""
-        with self._lock:
+        with self._cache_lock:
             if self._db is not None:
                 self._db.close()
                 self._db = None
@@ -296,7 +303,7 @@ class Gateway:
         reads nor writes the cache: `run_batch` does both."""
         delay = BACKOFF_BASE
         for attempt in range(MAX_RETRIES + 1):
-            with self._lock:
+            with self._count_lock:
                 self.network_calls += 1
             try:
                 resp = self.backend.complete(req)
@@ -320,13 +327,16 @@ class Gateway:
 
         This is the one place the cache is read and written, both on the
         calling thread, under a key computed once per distinct request.
-        Each distinct request is looked up once; only the misses go to a
-        pool of max_in_flight worker threads, each through `complete`, and
-        no pool is started when nothing missed. The calling thread takes
-        the completions as the workers finish them and commits every one
-        that has arrived in one transaction before it waits again. A cache
-        read that fails is an error on its item, which is not sent; a
-        commit that fails is an error on each answered item of its group.
+        Each distinct request is looked up once; only the misses go on one
+        queue, which up to max_in_flight worker threads empty, each sending
+        one request at a time through `complete`; no pool is started when
+        nothing missed. The calling thread takes the completions as the
+        workers finish them and commits every one that has arrived in one
+        transaction before it waits again. A cache read that fails is an
+        error on its item, which is not sent; a commit that fails is an
+        error on each answered item of its group. If the calling thread
+        leaves by an exception, the unsent misses are dropped, so the
+        workers finish only the requests they are sending.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -347,36 +357,51 @@ class Gateway:
                 misses[item] = key
             else:
                 outcome[item] = (cached, None)
-        with self._lock:
+        with self._count_lock:
             self.cache_hits += sum(resp is not None for resp, _ in outcome.values())
 
+        todo: queue.SimpleQueue = queue.SimpleQueue()
+        for item in misses:
+            todo.put(item)
         done: queue.SimpleQueue = queue.SimpleQueue()
+        stop = threading.Event()
 
-        def work(item) -> None:
-            try:
-                done.put((item, self.complete(item[0]), None))
-            except Exception as exc:
-                done.put((item, None, _describe(exc)))
+        def pull() -> None:
+            while not stop.is_set():
+                try:
+                    item = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    done.put((item, self.complete(item[0]), None))
+                except Exception as exc:
+                    done.put((item, None, _describe(exc)))
 
         if misses:
-            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-                for item in misses:
-                    pool.submit(work, item)
-                waiting = len(misses)
-                while waiting:
-                    group = [done.get()]
-                    while not done.empty():
-                        group.append(done.get())
-                    waiting -= len(group)
-                    answered = [(misses[item], resp) for item, resp, _ in group
-                                if resp is not None]
-                    if self.cache_dir is not None and answered:
-                        try:
-                            self._cache_write(answered)
-                        except Exception as exc:
-                            group = [(item, None, _describe(exc) if resp is not None else error)
-                                     for item, resp, error in group]
-                    outcome.update((item, (resp, error)) for item, resp, error in group)
+            workers = min(max_in_flight, len(misses))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                try:
+                    for _ in range(workers):
+                        pool.submit(pull)
+                    waiting = len(misses)
+                    while waiting:
+                        group = [done.get()]
+                        while not done.empty():
+                            group.append(done.get())
+                        waiting -= len(group)
+                        answered = [(misses[item], resp) for item, resp, _ in group
+                                    if resp is not None]
+                        if self.cache_dir is not None and answered:
+                            try:
+                                self._cache_write(answered)
+                            except Exception as exc:
+                                group = [(item, None,
+                                          _describe(exc) if resp is not None else error)
+                                         for item, resp, error in group]
+                        outcome.update((item, (resp, error)) for item, resp, error in group)
+                finally:
+                    # After an exception, the workers take no more misses.
+                    stop.set()
         return [BatchResult(*outcome[item]) for item in items]
 
 

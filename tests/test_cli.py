@@ -161,6 +161,28 @@ def test_run_caches_to_env_dir_without_flag(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith("network calls 0, cache hits 2)")
 
 
+def test_run_summary_counts_failed_records(tmp_path, monkeypatch, capsys):
+    # A failed request scores 0, so the summary must show the outage too.
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "4", "--seed", "0", "--out", str(q))
+    failing = {rec["id"] for rec in list(read_jsonl(q))[:3:2]}
+
+    class FailsSome(MockBackend):
+        def complete(self, req):
+            if req.query.id in failing:
+                raise TransportError("connection refused")
+            return super().complete(req)
+
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(FailsSome()))
+    assert run_cli("run", "--queries", str(q), "--formats", "adjacency_list,edge_list",
+                   "--out", str(r)) == 0
+    records = list(read_jsonl(r))
+    assert sum("error" in rec for rec in records) == 4
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "(accuracy 0.5000, errors 4, network calls 8, cache hits 0)")
+
+
 def test_baseline_output(tmp_path, capsys):
     q = tmp_path / "q.jsonl"
     run_cli("generate", "--task", "bfs_order", "--difficulty", "easy",

@@ -272,3 +272,31 @@ def test_only_draw_item_draws_items():
                      "sample_params": {"corpus.draw_item"},
                      "generate_connected": {"corpus.draw_item"},
                      "generate": {"corpus.draw_item", "generators.generate_connected"}}
+
+
+def test_workers_take_no_lock_the_cache_holds():
+    """No lock that guards the cache connection (one that `_cache_read`,
+    `_cache_write` or `close` enters with `with self.<lock>:`) appears in
+    `Gateway.complete` or in the worker loop nested in `run_batch`, so a
+    worker never waits behind a commit."""
+    path = Path(graphbench.__file__).parent / "gateway.py"
+    gateway = next(node for node in ast.parse(path.read_text("utf-8")).body
+                   if isinstance(node, ast.ClassDef) and node.name == "Gateway")
+    methods = {node.name: node for node in gateway.body if isinstance(node, ast.FunctionDef)}
+
+    def self_attrs(nodes) -> set[str]:
+        return {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+    cache_locks = set()
+    for name in ("_cache_read", "_cache_write", "close"):
+        for node in ast.walk(methods[name]):
+            if isinstance(node, ast.With):
+                cache_locks |= self_attrs(item.context_expr for item in node.items)
+    assert cache_locks, "the cache connection is no longer guarded by a lock"
+    loops = [node for node in ast.walk(methods["run_batch"])
+             if isinstance(node, ast.FunctionDef) and node is not methods["run_batch"]]
+    assert loops, "run_batch has no nested worker loop"
+    found = {f"{worker.name}: self.{attr}" for worker in [methods["complete"], *loops]
+             for attr in self_attrs(ast.walk(worker)) & cache_locks}
+    assert found == set()

@@ -253,6 +253,90 @@ def test_every_completion_is_committed_before_the_next_wait(tmp_path):
     assert cache_entries(tmp_path) == 8
 
 
+def test_a_commit_in_progress_does_not_hold_up_the_workers(tmp_path, monkeypatch):
+    """While the first commit is held open, the one worker keeps sending:
+    the commit's `_cache()` call returns only once the backend has received
+    the last prompt."""
+    backend = CountingBackend(delay=0.01)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    cache, write = gw._cache, gw._cache_write
+    writes, held = [], []
+
+    def counting_write(entries):
+        writes.append(len(entries))
+        return write(entries)
+
+    def holding_cache():
+        if len(writes) == 1 and not held:
+            deadline = time.monotonic() + 5
+            while "p2" not in backend.prompts and time.monotonic() < deadline:
+                time.sleep(0.002)
+            held.append("p2" in backend.prompts)
+        return cache()
+
+    monkeypatch.setattr(gw, "_cache_write", counting_write)
+    monkeypatch.setattr(gw, "_cache", holding_cache)
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(3)]
+    results = gw.run_batch(reqs, max_in_flight=1)
+    assert held == [True], "the worker waited for the commit"
+    assert [r.response.text for r in results] == ["echo:p0", "echo:p1", "echo:p2"]
+    assert cache_entries(tmp_path) == 3
+
+
+def test_one_task_per_worker(monkeypatch):
+    """A batch hands the pool one pull loop per worker, not one task per
+    request."""
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", CountingPool)
+    backend = CountingBackend(delay=0)
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(50)]
+    results = Gateway(backend).run_batch(reqs, max_in_flight=3)
+    assert [r.response.text for r in results] == [f"echo:p{i}" for i in range(50)]
+    assert backend.calls == 50
+    assert 1 <= len(submitted) <= 3
+
+
+def test_many_workers_send_each_miss_once_and_count_every_call(tmp_path):
+    """Under frequent thread switches, more workers than cores take every
+    miss off the one queue exactly once, and no counter update is lost."""
+    backend = CountingBackend(delay=0)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = gw.run_batch(reqs, max_in_flight=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.response.text for r in results] == [f"echo:p{i}" for i in range(400)]
+    assert sorted(backend.prompts) == sorted(r.prompt for r in reqs)
+    assert gw.network_calls == 400 and cache_entries(tmp_path) == 400
+
+
+def test_an_interrupted_batch_stops_sending(tmp_path, monkeypatch):
+    """When the calling thread leaves `run_batch` by an exception, the
+    unsent requests are dropped: the workers finish the ones they are
+    sending and take no more."""
+    backend = CountingBackend(delay=0.02)
+    gw = Gateway(backend, cache_dir=tmp_path)
+
+    def interrupted(entries):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gw, "_cache_write", interrupted)
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(40)]
+    with pytest.raises(KeyboardInterrupt):
+        gw.run_batch(reqs, max_in_flight=2)
+    assert backend.calls <= 4, f"{backend.calls} of 40 requests were sent"
+    assert backend.active == 0
+
+
 def test_two_gateways_open_a_fresh_cache_at_once(tmp_path):
     """Opening a new cache file from two connections at the same moment
     switches it to WAL for both; neither fails with "database is locked"."""
