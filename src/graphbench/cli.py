@@ -173,6 +173,11 @@ def cmd_rlopt(args) -> int:
                              f"{', '.join(space.names)}")
         space = rlopt.FactorSpace(tuple((n, by_name[n]) for n in wanted))
 
+    cfg = rlopt.DQNConfig(episodes=args.episodes, seed=args.seed,
+                          decay_mode=args.epsilon_decay_mode,
+                          learning_rate=args.learning_rate,
+                          epsilon_min=args.epsilon_min,
+                          optimizer=args.optimizer, input_skip=args.input_skip)
     gateway = None
     if args.reward.startswith("table:"):
         table_path = args.reward.split(":", 1)[1]
@@ -186,11 +191,6 @@ def cmd_rlopt(args) -> int:
     else:
         raise ValueError(f"unknown reward spec {args.reward!r}")
 
-    cfg = rlopt.DQNConfig(episodes=args.episodes, seed=args.seed,
-                          decay_mode=args.epsilon_decay_mode,
-                          learning_rate=args.learning_rate,
-                          epsilon_min=args.epsilon_min,
-                          optimizer=args.optimizer, input_skip=args.input_skip)
     try:
         result = rlopt.run_dqn((task.value, split.value), space, reward_fn, cfg)
     finally:
@@ -222,10 +222,13 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
     """Reward = accuracy over N generated graphs for the combo's settings.
 
     Every factor is applied to the evaluation; a factor name the evaluation
-    has no setting for, or an option it cannot apply, is rejected before
-    anything runs. A batch with a failed request raises GraphBenchError
-    rather than score the failure as a wrong answer.
+    has no setting for, an option it cannot apply, or fewer than one graph
+    per combo is rejected before anything runs. A batch with a failed
+    request raises GraphBenchError rather than score the failure as a wrong
+    answer.
     """
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     unknown = [name for name in space.names if name not in _LIVE_DIMS]
     if unknown:
         raise ValueError(f"live reward cannot apply factor(s) {', '.join(unknown)}; "

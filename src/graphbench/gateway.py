@@ -334,9 +334,11 @@ class Gateway:
         workers finish them and commits every one that has arrived in one
         transaction before it waits again. A cache read that fails is an
         error on its item, which is not sent; a commit that fails is an
-        error on each answered item of its group. If the calling thread
-        leaves by an exception, the unsent misses are dropped, so the
-        workers finish only the requests they are sending.
+        error on each answered item of its group. A backend that raises a
+        BaseException other than an Exception (SystemExit, ...) fails the
+        batch: the calling thread raises it once its group is committed. If
+        the calling thread leaves by an exception, the unsent misses are
+        dropped, so the workers finish only the requests they are sending.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -376,6 +378,11 @@ class Gateway:
                     done.put((item, self.complete(item[0]), None))
                 except Exception as exc:
                     done.put((item, None, _describe(exc)))
+                except BaseException as exc:
+                    # Not an item failure (SystemExit, KeyboardInterrupt):
+                    # the calling thread raises it, rather than wait forever.
+                    done.put((item, None, exc))
+                    raise
 
         if misses:
             workers = min(max_in_flight, len(misses))
@@ -398,6 +405,9 @@ class Gateway:
                                 group = [(item, None,
                                           _describe(exc) if resp is not None else error)
                                          for item, resp, error in group]
+                        for item, resp, error in group:
+                            if isinstance(error, BaseException):
+                                raise error
                         outcome.update((item, (resp, error)) for item, resp, error in group)
                 finally:
                     # After an exception, the workers take no more misses.

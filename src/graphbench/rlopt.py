@@ -127,6 +127,11 @@ class DQNConfig:
         if self.decay_mode not in DECAY_MODES:
             raise ValueError(f"unknown decay mode {self.decay_mode!r}; "
                              f"expected one of {', '.join(DECAY_MODES)}")
+        if self.episodes < 1:
+            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
 
 
 class QFunction(Protocol):
@@ -164,7 +169,9 @@ class MLPQ:
     buffer, and their gradients views into a second one, so an optimizer
     step is a few whole-buffer operations. They are element-wise (the NLMS
     norm is still summed array by array), so the step equals the same
-    update applied to each array in turn, bit for bit.
+    update applied to each array in turn, bit for bit. A step writes its
+    intermediates into two scratch buffers of the parameters' size and
+    allocates nothing parameter-sized.
     """
 
     def __init__(self, encoder: _Encoder, t: int, hidden: tuple[int, int],
@@ -189,6 +196,7 @@ class MLPQ:
             w[...] = rng.normal(0.0, scale, size=w.shape)
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
+        self._scratch = (np.empty_like(self._params), np.empty_like(self._params))
         self._t = 0
 
     def _forward(self, x: np.ndarray) -> list[np.ndarray]:
@@ -218,7 +226,7 @@ class MLPQ:
         grads_w, grads_b = self._grad_views[:layers], self._grad_views[layers:2 * layers]
         delta = np.array([err])
         for i in reversed(range(layers)):
-            np.outer(acts[i], delta, out=grads_w[i])
+            np.multiply(acts[i][:, None], delta, out=grads_w[i])
             grads_b[i][...] = delta
             if i > 0:
                 delta = (self.weights[i] @ delta) * (acts[i] > 0)
@@ -226,28 +234,46 @@ class MLPQ:
             np.multiply(err, x, out=self._grad_views[-1])
         self._t += 1
         params, grads = self._params, self._grads
+        a, b = self._scratch
         if self.optimizer == "nlms":
             # Summed array by array: one flat sum would reorder the reduction.
             norm_sq = sum(float((g * g).sum()) for g in self._grad_views) / err ** 2
             step = lr / max(norm_sq, 1e-12)
-            params -= step * grads
+            np.multiply(step, grads, out=a)
+            params -= a
             return
         if self.optimizer == "sgd":
-            params -= lr * grads
+            np.multiply(lr, grads, out=a)
+            params -= a
             return
+        # Adam, with its intermediates in `a` and `b`, in the order of
+        # m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g and
+        # params -= (lr * (m/c1)) / (sqrt(v/c2) + eps). Any other order, or
+        # m * (1/c1) for m/c1, rounds differently and changes the search.
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         m, v = self._m, self._v
         m *= beta1
-        m += (1 - beta1) * grads
+        np.multiply(1 - beta1, grads, out=a)
+        m += a
         v *= beta2
-        v += (1 - beta2) * grads * grads
-        m_hat = m / (1 - beta1 ** self._t)
-        v_hat = v / (1 - beta2 ** self._t)
-        params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1 - beta2, grads, out=a)
+        a *= grads
+        v += a
+        np.divide(m, 1 - beta1 ** self._t, out=a)
+        a *= lr
+        np.divide(v, 1 - beta2 ** self._t, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        params -= a
 
 
 class _Encoder:
-    """One-hot encoding of the initial state plus chosen-so-far actions."""
+    """One-hot encoding of the initial state plus chosen-so-far actions.
+
+    It keeps every encoding it builds, one per (prefix, options), read-only,
+    so a search encodes each prefix it visits once.
+    """
 
     def __init__(self, s0: tuple[str, str], space: FactorSpace):
         tasks, splits = list(TaskKind), list(DifficultySplit)
@@ -259,18 +285,38 @@ class _Encoder:
         # the width of a full combination's encoding.
         self._offsets = list(itertools.accumulate(space.sizes, initial=len(tasks) + len(splits)))
         self._index = [{a: i for i, a in enumerate(options)} for _, options in space.dims]
+        self._memo: dict[tuple[Combo, tuple[str, ...]], np.ndarray] = {}
 
     def input_dim(self, t: int) -> int:
         return self._offsets[t + 1]
 
     def encode(self, prefix: Combo, options: Sequence[str]) -> np.ndarray:
-        """One row per option: the encoding of `prefix + (a,)`."""
-        t = len(prefix)
-        rows = np.zeros((len(options), self._offsets[t + 1]))
-        cols = self._s0_cols + [self._offsets[d] + self._index[d][a] for d, a in enumerate(prefix)]
-        rows[:, cols] = 1.0
-        rows[range(len(options)), [self._offsets[t] + self._index[t][a] for a in options]] = 1.0
+        """One row per option: the encoding of `prefix + (a,)`. The array is
+        read-only; writing to it raises ValueError."""
+        key = (prefix, tuple(options))
+        rows = self._memo.get(key)
+        if rows is None:
+            t = len(prefix)
+            rows = np.zeros((len(options), self._offsets[t + 1]))
+            cols = self._s0_cols + [self._offsets[d] + self._index[d][a]
+                                    for d, a in enumerate(prefix)]
+            rows[:, cols] = 1.0
+            rows[range(len(options)), [self._offsets[t] + self._index[t][a] for a in options]] = 1.0
+            rows.flags.writeable = False
+            self._memo[key] = rows
         return rows
+
+
+def _first_max(row: Sequence[float]) -> int:
+    """What np.argmax(row) returns, without building an array: the index of
+    the first maximum, or of the first NaN when the row holds one."""
+    best = 0
+    for i, q in enumerate(row):
+        if q != q:
+            return i
+        if q > row[best]:
+            best = i
+    return best
 
 
 def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
@@ -321,7 +367,7 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
             else:
                 if row is None:
                     row = q_functions[t].predict(prefix, options)
-                action = options[int(np.argmax(row))]
+                action = options[_first_max(row)]
             prefix = prefix + (action,)
             if t == t_count - 1:
                 target = evaluate(prefix)

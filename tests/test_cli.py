@@ -1,6 +1,7 @@
 """CLI contracts: subcommand behavior, determinism, and exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,7 @@ from graphbench import cli
 from graphbench.cli import _live_reward_fn, build_parser, main
 from graphbench.corpus import read_jsonl, write_jsonl
 from graphbench.errors import TransportError
-from graphbench.gateway import CACHE_FILE, Gateway, MockBackend
+from graphbench.gateway import CACHE_DIR_ENV, CACHE_FILE, Gateway, MockBackend
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.prompts import CASE_FUNCTIONS, PromptScheme
 from conftest import cache_entries, combos, make_planted_landscape
@@ -298,6 +299,66 @@ def test_rlopt_rejects_a_malformed_factors_file(tmp_path, capsys, spec, message)
     assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "1",
                    "--episodes", "1") == 1
     assert capsys.readouterr().err == f"error: {factors}: {message}\n"
+
+
+class Recording:
+    """A backend that records each request and answers none of them."""
+
+    identity = "recording"
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, req):
+        self.calls += 1
+        raise TransportError("not expected")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--episodes", "0", "error: episodes must be >= 1, got 0"),
+    ("--episodes", "-3", "error: episodes must be >= 1, got -3"),
+    ("--learning-rate", "nan", "error: learning rate must be finite and positive, got nan"),
+    ("--learning-rate", "inf", "error: learning rate must be finite and positive, got inf"),
+    ("--learning-rate", "0", "error: learning rate must be finite and positive, got 0.0"),
+    ("--learning-rate", "-0.1", "error: learning rate must be finite and positive, got -0.1"),
+    ("--samples", "0", "error: --samples must be >= 1, got 0"),
+    ("--samples", "-1", "error: --samples must be >= 1, got -1"),
+], ids=["no-episodes", "negative-episodes", "nan-rate", "inf-rate", "zero-rate",
+        "negative-rate", "no-samples", "negative-samples"])
+def test_rlopt_rejects_a_setting_a_search_cannot_run_with(monkeypatch, capsys, flag, value,
+                                                          message):
+    """No episodes, a learning rate that is not finite and positive, or no
+    graphs per combo exit 1 with an `error:` line before any request."""
+    backend = Recording()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    assert run_cli("rlopt", "--backend", "mock-bernoulli", "--samples", "2",
+                   "--episodes", "3", flag, value) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert backend.calls == 0
+
+
+# sha256 of `rlopt --reward live --backend mock-bernoulli` stdout for
+# shortest_path/medium, 5 samples and 300 episodes, recorded from the
+# implementation that re-encoded every prefix on each step. It covers the
+# whole live path: corpus, prompts, mock answers, scoring and the search.
+LIVE_SEARCH_GOLDENS = {
+    (0, "adam"): "d517d09a142d7952e5d35f5f0fbf32054480f33e0cf900926a29f6db095ec242",
+    (1, "adam"): "9c75ad4cfd0b644a6b917a62dea369043dd3e36fb5720389253c0c13118526ec",
+    (0, "nlms"): "5cf8d1a295aa2f2af14012a7a96b69a85d970bc37be7827a00ab402763a9e3b7",
+    (1, "nlms"): "8ddb5e5790afe38d7e7d5d44b815551086f19cf330fa3296dfb55b7d2c833600",
+}
+
+
+@pytest.mark.parametrize("seed, optimizer", sorted(LIVE_SEARCH_GOLDENS))
+def test_live_search_matches_golden_stdout(monkeypatch, capsys, seed, optimizer):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    extra = ["--optimizer", "nlms", "--input-skip"] if optimizer == "nlms" else []
+    capsys.readouterr()
+    assert run_cli("rlopt", "--reward", "live", "--backend", "mock-bernoulli",
+                   "--task", "shortest_path", "--difficulty", "medium", "--samples", "5",
+                   "--episodes", "300", "--seed", str(seed), *extra) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIVE_SEARCH_GOLDENS[(seed, optimizer)]
 
 
 def test_rlopt_order_rejects_unknown_factor(capsys):

@@ -337,6 +337,33 @@ def test_an_interrupted_batch_stops_sending(tmp_path, monkeypatch):
     assert backend.active == 0
 
 
+def test_a_backend_base_exception_fails_the_batch_instead_of_hanging(tmp_path):
+    """A backend that raises a BaseException that is not an Exception
+    (here SystemExit) makes `run_batch` raise it on the calling thread. The
+    batch runs in a daemon thread, so a hang fails the test, not the run."""
+    class Exits:
+        identity = "exits"
+
+        def complete(self, req):
+            raise SystemExit(3)
+
+    gw = Gateway(Exits(), cache_dir=tmp_path)
+    raised = []
+
+    def call():
+        try:
+            gw.run_batch([CompletionRequest("m", "p")], max_in_flight=1)
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(5)
+    assert not caller.is_alive(), "run_batch hung on a backend's SystemExit"
+    assert len(raised) == 1 and isinstance(raised[0], SystemExit)
+    assert raised[0].code == 3
+
+
 def test_two_gateways_open_a_fresh_cache_at_once(tmp_path):
     """Opening a new cache file from two connections at the same moment
     switches it to WAL for both; neither fails with "database is locked"."""

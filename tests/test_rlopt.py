@@ -3,6 +3,7 @@ replay determinism, and the episode logs the search is pinned to."""
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import combos, grid_search, make_planted_landscape, make_tabular_q
 from graphbench.errors import EmptyFactor, ZeroDenominator
 from graphbench import rlopt
 from graphbench.generators import DifficultySplit
-from graphbench.rlopt import (MLPQ, DQNConfig, FactorSpace, _Encoder, cost_rate,
+from graphbench.rlopt import (MLPQ, DQNConfig, FactorSpace, _Encoder, _first_max, cost_rate,
                               default_space, run_dqn, table_reward_fn)
 from graphbench.tasks import TaskKind
 
@@ -150,6 +151,15 @@ def test_config_rejects_unknown_optimizer(optimizer):
         DQNConfig(optimizer=optimizer)
 
 
+@pytest.mark.parametrize("field, value", [("episodes", 0), ("episodes", -1),
+                                          ("learning_rate", float("nan")),
+                                          ("learning_rate", float("inf")),
+                                          ("learning_rate", 0.0), ("learning_rate", -0.001)])
+def test_config_rejects_a_setting_a_search_cannot_run_with(field, value):
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        DQNConfig(**{field: value})
+
+
 def test_cost_band_across_all_task_split_cases():
     """Replaying M=80 searches over every (task, split) initial state lands
     the average exploration cost in the expected band (~0.2 of K=315)."""
@@ -262,3 +272,43 @@ def test_batched_predict_matches_per_row_forward(optimizer, skip):
                        for a in options]
             assert batched == pytest.approx(per_row, rel=0, abs=1e-12)
             assert np.argmax(batched) == np.argmax(per_row)
+
+
+def test_encodings_are_memoized_and_read_only():
+    space = default_space()
+    encoder = _Encoder(S0, space)
+    prefix = ("k-shot", "edge_list")
+    rows = encoder.encode(prefix, space.options(2))
+    assert encoder.encode(prefix, list(space.options(2))) is rows
+    expected = [one_hot_row(S0, space, prefix + (a,)) for a in space.options(2)]
+    assert np.array_equal(rows, np.array(expected))
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rows[0] += 1.0
+
+
+@pytest.mark.parametrize("row", [
+    [0.2, 0.7, 0.7, 0.1], [0.5, 0.5, 0.5], [-1.0, float("-inf"), -1.0],
+    [float("nan")] * 3, [0.1, 0.9, float("nan"), 0.9], [float("nan"), 0.9, float("nan")],
+    [float("inf"), 0.3, float("inf")], [0.4],
+], ids=["tie", "all-equal", "negative", "all-nan", "nan-after-max", "nan-first", "inf", "one"])
+def test_first_max_matches_argmax(row):
+    assert _first_max(row) == int(np.argmax(row))
+
+
+def test_an_adam_step_allocates_nothing_parameter_sized():
+    """After warm-up, one Adam update peaks below twice the parameter
+    buffer. The remainder is numpy's buffer for the outer products."""
+    space = default_space()
+    q = MLPQ(_Encoder(S0, space), 2, (64, 64), np.random.default_rng(0))
+    combo = ("k-shot", "edge_list", "mistral")
+    for _ in range(3):
+        q.update(combo, 0.5, 0.001)
+    tracemalloc.start()
+    try:
+        q.update(combo, 0.5, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * q._params.nbytes
