@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import enum
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -95,20 +96,42 @@ def cmd_render(args) -> int:
     return 0
 
 
+# `run` evaluates and writes its records one chunk at a time: the fewest
+# whole queries that reach this many cells per worker. Memory then follows
+# the chunk, not the corpus. Scaling with --max-in-flight keeps each
+# worker's share of a chunk fixed, and 256 requests each make a chunk's own
+# costs (starting its workers, looking up its cache entries, the tail where
+# workers idle while the last requests finish) small next to its work.
+_CHUNK_CELLS_PER_WORKER = 256
+
+
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     queries = corpus_mod.load_queries(args.queries)
     schemes = _parse_list(PromptScheme, args.schemes)
     formats = _parse_list(SerializationFormat, args.formats)
+    if args.max_in_flight < 1:
+        raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
+    per_chunk = math.ceil(_CHUNK_CELLS_PER_WORKER * args.max_in_flight
+                          / max(1, len(schemes) * len(formats)))
+    bank_store = BankStore()
+    n = score = errors = 0
     gateway = _make_gateway(args, config)
     try:
-        records = run_evaluation(queries, schemes, formats, gateway, model=args.model,
-                                 max_in_flight=args.max_in_flight)
+        with open(args.out, "w", encoding="utf-8") as out:
+            for start in range(0, len(queries), per_chunk):
+                records = run_evaluation(queries[start:start + per_chunk], schemes, formats,
+                                         gateway, model=args.model,
+                                         max_in_flight=args.max_in_flight,
+                                         bank_store=bank_store)
+                n += corpus_mod.write_jsonl(records, out)
+                # Complete lines reach the file before the next chunk is sent.
+                out.flush()
+                score += sum(rec["score"] for rec in records)
+                errors += sum("error" in rec for rec in records)
     finally:
         gateway.close()
-    n = corpus_mod.write_jsonl(records, args.out)
-    errors = sum("error" in rec for rec in records)
-    print(f"wrote {n} results to {args.out} (accuracy {accuracy(records):.4f}, "
+    print(f"wrote {n} results to {args.out} (accuracy {score / n if n else 0.0:.4f}, "
           f"errors {errors}, network calls {gateway.network_calls}, "
           f"cache hits {gateway.cache_hits})")
     return 0
@@ -182,7 +205,18 @@ def cmd_rlopt(args) -> int:
     if args.reward.startswith("table:"):
         table_path = args.reward.split(":", 1)[1]
         raw = json.loads(Path(table_path).read_text("utf-8"))
-        table = {tuple(k.split("|")): float(v) for k, v in raw.items()}
+        if not isinstance(raw, dict):
+            raise ValueError(f"{table_path}: expected a JSON object of rewards")
+        table = {}
+        for key, value in raw.items():
+            try:
+                reward = float(value)
+            except (TypeError, ValueError):
+                reward = math.nan
+            if not math.isfinite(reward):
+                raise ValueError(f"{table_path}: the reward of {key!r} is {json.dumps(value)}, "
+                                 f"not a finite number")
+            table[tuple(key.split("|"))] = reward
         reward_fn = rlopt.table_reward_fn(table)
     elif args.reward == "live":
         config = _load_config(args.config)
@@ -269,19 +303,23 @@ _PIVOTS = {"model": "model", "scheme": "prompt_scheme",
            "format": "serialization", "graph-type": "graph_type"}
 
 
+# The record fields `report` reads: its filters', its pivots' and the
+# values each row averages.
+_REPORT_FIELDS = ("score", "tokens_out", "task", "difficulty", *reporting.FACTOR_DIMS)
+
+
 def cmd_report(args) -> int:
     if args.pivot == "sensitivity" and not (args.task and args.split):
         raise ValueError("--pivot sensitivity needs --task and --split")
-    records = list(corpus_mod.read_jsonl(args.results))
-    unscored = next((i for i, r in enumerate(records, 1)
-                     if not isinstance(r, dict) or "score" not in r), None)
-    if unscored is not None:
-        raise ValueError(f"{args.results}: record {unscored} has no 'score'; "
-                         f"report reads the result records `run` writes")
-    if args.task:
-        records = [r for r in records if r.get("task") == args.task]
-    if args.split:
-        records = [r for r in records if r.get("difficulty") == args.split]
+    records = []
+    for i, rec in enumerate(corpus_mod.read_jsonl(args.results), 1):
+        if not isinstance(rec, dict) or "score" not in rec:
+            raise ValueError(f"{args.results}: record {i} has no 'score'; "
+                             f"report reads the result records `run` writes")
+        if ((args.task and rec.get("task") != args.task)
+                or (args.split and rec.get("difficulty") != args.split)):
+            continue
+        records.append({k: rec[k] for k in _REPORT_FIELDS if k in rec})
     if not records:
         print("no records after filtering", file=sys.stderr)
         return 1

@@ -8,10 +8,11 @@ family, index), so rebuilding any slice of a corpus reproduces it exactly.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ExhaustedAttempts
 from .generators import (DifficultySplit, GraphFamily, admissible_families,
@@ -65,12 +66,21 @@ class QuerySpec:
         )
 
 
-def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> int:
-    count = 0
+def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path | TextIO) -> int:
+    """Write one JSON line per record and return how many. A path is
+    created or replaced; a text file already open for writing is appended
+    to and left open."""
+    if not isinstance(path, (str, os.PathLike)):
+        return _write_lines(records, path)
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
-            count += 1
+        return _write_lines(records, fh)
+
+
+def _write_lines(records: Iterable[dict[str, Any]], fh: TextIO) -> int:
+    count = 0
+    for rec in records:
+        fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
+        count += 1
     return count
 
 

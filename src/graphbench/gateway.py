@@ -17,9 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 from . import prompts as prompt_mod
 from .errors import MalformedResponse, RateLimited, TransportError
@@ -83,10 +81,16 @@ class HttpBackend:
     The endpoint URL and key come from arguments or the GRAPHBENCH_ENDPOINT /
     GRAPHBENCH_API_KEY environment variables. A request that takes longer
     than HTTP_TIMEOUT seconds fails as a TransportError.
+
+    `requests` is imported here and nowhere else, so only a command that
+    talks HTTP loads it and its stack (urllib3, ssl, ...). `session` is a
+    `requests.Session`, made here when none is given.
     """
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
-                 session: requests.Session | None = None):
+                 session: Any = None):
+        import requests
+
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
         if not self.endpoint:
             raise TransportError(f"no endpoint configured (set {ENDPOINT_ENV})")
@@ -95,6 +99,8 @@ class HttpBackend:
         self.identity = f"http\x00{self.endpoint}"
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
+        import requests
+
         body = {
             "model": req.model,
             "messages": [{"role": "user", "content": req.prompt}],

@@ -331,7 +331,7 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
 
     Without `q_functions`, a start state s0 that is not a (TaskKind,
     DifficultySplit) value pair raises ValueError before any reward is
-    evaluated.
+    evaluated. A reward that is not a finite number raises ValueError.
     """
     cfg = cfg or DQNConfig()
     t_count = len(space.dims)
@@ -346,7 +346,11 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
 
     def evaluate(combo: Combo) -> float:
         if combo not in reward_cache:
-            reward_cache[combo] = float(reward_fn(combo))
+            reward = float(reward_fn(combo))
+            if not math.isfinite(reward):
+                raise ValueError(f"reward for {'|'.join(combo)} is {reward}; "
+                                 f"a reward must be a finite number")
+            reward_cache[combo] = reward
         return reward_cache[combo]
 
     epsilon = EPSILON_START

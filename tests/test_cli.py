@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,155 @@ def test_run_summary_counts_failed_records(tmp_path, monkeypatch, capsys):
     assert sum("error" in rec for rec in records) == 4
     assert capsys.readouterr().out.splitlines()[-1].endswith(
         "(accuracy 0.5000, errors 4, network calls 8, cache hits 0)")
+
+
+# Every scheme x format: 63 cells per query, the most one query can have.
+EVERY_CELL = ("--schemes", ",".join(s.value for s in PromptScheme),
+              "--formats", ",".join(f.value for f in SerializationFormat))
+POLY_TASKS = "connectivity,cycle,diameter,bfs_order,shortest_path,triangle"
+
+
+def make_corpus(path, count: int) -> list[str]:
+    """`count` easy queries of each polynomial task at seed 11; their ids."""
+    assert run_cli("generate", "--task", POLY_TASKS, "--difficulty", "easy",
+                   "--count", str(count), "--seed", "11", "--out", str(path)) == 0
+    return [rec["id"] for rec in read_jsonl(path)]
+
+
+class CountingMock(MockBackend):
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def complete(self, req):
+        self.sent.append(req)
+        return super().complete(req)
+
+
+# The corpus of make_corpus(count=4) and the sha256 of `run`'s results on
+# it: mock-bernoulli at error rate 0.2 and seed 3, every cell, at
+# --max-in-flight 2, where its 24 queries make three chunks. Recorded from
+# the `run` that evaluated the whole corpus before it wrote a line.
+RUN_GOLDEN_CORPUS = "7d1147fd29f86a27fda6a5f3f68fcfea3e5fb181f3604f3ed222f83095c9a3c0"
+RUN_GOLDEN = "8fd0f3626a355ff9c41fdcd29c86739ba03be5bbf0075b3ea5642f3907574a0e"
+
+
+def test_run_matches_golden_cold_and_warm(tmp_path, capsys):
+    q, cache = tmp_path / "q.jsonl", tmp_path / "cache"
+    make_corpus(q, 4)
+    assert hashlib.sha256(q.read_bytes()).hexdigest() == RUN_GOLDEN_CORPUS
+    summaries = []
+    for name in ("cold", "warm"):
+        out = tmp_path / f"{name}.jsonl"
+        capsys.readouterr()
+        assert run_cli("run", "--queries", str(q), *EVERY_CELL, "--backend", "mock-bernoulli",
+                       "--error-rate", "0.2", "--seed", "3", "--max-in-flight", "2",
+                       "--cache-dir", str(cache), "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_GOLDEN
+        summaries.append(capsys.readouterr().out.replace(str(out), "<out>"))
+    assert summaries == [
+        "wrote 1512 results to <out> (accuracy 0.7923, errors 0, network calls 1512, "
+        "cache hits 0)\n",
+        "wrote 1512 results to <out> (accuracy 0.7923, errors 0, network calls 0, "
+        "cache hits 1512)\n"]
+
+
+def test_run_on_an_empty_corpus(tmp_path, capsys):
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    q.write_text("")
+    r.write_text("stale\n")
+    assert run_cli("run", "--queries", str(q), "--out", str(r)) == 0
+    assert r.read_text() == ""
+    assert capsys.readouterr().out == (f"wrote 0 results to {r} (accuracy 0.0000, errors 0, "
+                                       f"network calls 0, cache hits 0)\n")
+
+
+def test_run_sends_nothing_when_out_cannot_be_written(tmp_path, monkeypatch, capsys):
+    q = tmp_path / "q.jsonl"
+    make_corpus(q, 1)
+    backend = CountingMock()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    out = tmp_path / "missing" / "r.jsonl"
+    assert run_cli("run", "--queries", str(q), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    assert backend.sent == []
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_run_rejects_max_in_flight_below_one_before_opening_out(tmp_path, monkeypatch,
+                                                                capsys, value):
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    make_corpus(q, 1)
+    r.write_text("kept\n")
+    backend = CountingMock()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    assert run_cli("run", "--queries", str(q), "--max-in-flight", value, "--out", str(r)) == 1
+    assert capsys.readouterr().err == f"error: --max-in-flight must be >= 1, got {value}\n"
+    assert r.read_text() == "kept\n"
+    assert backend.sent == []
+
+
+def test_an_interrupted_run_keeps_whole_queries_and_a_rerun_sends_the_rest(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    q, full, cut, cache = (tmp_path / "q.jsonl", tmp_path / "full.jsonl",
+                           tmp_path / "cut.jsonl", tmp_path / "cache")
+    ids = make_corpus(q, 2)
+    per_chunk = -(-cli._CHUNK_CELLS_PER_WORKER // 63)
+    assert 2 * per_chunk < len(ids)
+    argv = ("run", "--queries", str(q), *EVERY_CELL, "--backend", "mock-bernoulli",
+            "--max-in-flight", "1")
+    assert run_cli(*argv, "--out", str(full)) == 0
+    full_lines = full.read_text().splitlines()
+    stop_at = ids[2 * per_chunk]  # the first query of the third chunk
+
+    class Interrupted(MockBackend):
+        def complete(self, req):
+            if req.query.id == stop_at:
+                raise KeyboardInterrupt
+            return super().complete(req)
+
+    backend = Interrupted(mode="bernoulli", error_rate=0.2)
+    monkeypatch.setattr(cli, "_make_gateway",
+                        lambda args, config: Gateway(backend, cache_dir=cache))
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv, "--out", str(cut))
+    lines = cut.read_text().splitlines()
+    assert all(isinstance(json.loads(line), dict) for line in lines)
+    assert len(lines) == 2 * per_chunk * 63
+    assert lines == full_lines[:len(lines)]
+
+    monkeypatch.undo()
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    cached = cache_entries(cache)
+    assert cached >= len(lines)
+    capsys.readouterr()
+    assert run_cli(*argv, "--cache-dir", str(cache), "--out", str(cut)) == 0
+    assert cut.read_bytes() == full.read_bytes()
+    assert capsys.readouterr().out.endswith(
+        f"network calls {len(full_lines) - cached}, cache hits {cached})\n")
+
+
+def test_run_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    """`run` holds the prompts and records of one chunk at a time, so a
+    corpus four times larger peaks at about the same traced memory."""
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    make_corpus(small, 2)
+    make_corpus(large, 8)
+    argv = ("run", *EVERY_CELL, "--backend", "mock-bernoulli", "--max-in-flight", "1",
+            "--out", str(tmp_path / "r.jsonl"))
+    # A first run builds what every run shares (exemplar tables, imports).
+    assert run_cli(*argv, "--queries", str(small)) == 0
+    peaks = []
+    for corpus in (small, large):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--queries", str(corpus)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 1.5, peaks
 
 
 def test_baseline_output(tmp_path, capsys):
@@ -434,6 +584,17 @@ def test_rlopt_table_without_a_visited_combo_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: reward table has no entry for ")
     assert len(err.removeprefix("error: reward table has no entry for ").split("|")) == 3
+
+
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", "Infinity", '"high"', "null"])
+def test_rlopt_table_rejects_a_reward_that_is_not_a_finite_number(tmp_path, capsys, value):
+    # Every entry is bad: a search on them would find no best combination.
+    keys = ["|".join(combo) for combo in combos(default_space())]
+    table_path = tmp_path / "table.json"
+    table_path.write_text("{" + ", ".join(f"{json.dumps(k)}: {value}" for k in keys) + "}")
+    assert run_cli("rlopt", "--reward", f"table:{table_path}", "--episodes", "2") == 1
+    assert capsys.readouterr().err == (f"error: {table_path}: the reward of {keys[0]!r} is "
+                                       f"{value}, not a finite number\n")
 
 
 @pytest.mark.parametrize("acc_max", ["-1", "0"])

@@ -3,6 +3,8 @@ requests, and holds only code that a command or the benchmark's tracer
 reaches."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,60 @@ def test_runtime_imports_are_stdlib_numpy_or_requests():
     foreign = {f"{m.name}: {name}" for m in modules for name in imported_packages(m)
                if name not in ALLOWED and name not in sys.stdlib_module_names}
     assert not foreign
+
+
+def importers(tree: ast.Module, package: str) -> set[str]:
+    """Dotted paths of the defs (a class's methods as `Class.method`) whose
+    code imports `package`; "" for an import outside every def."""
+    out = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == package for name in names):
+                out.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_http_backend_imports_requests():
+    """No module imports requests when it is loaded; only `HttpBackend`
+    does, when one is made or sends, so no offline command loads the HTTP
+    stack."""
+    found = {f"{m.stem}:{scope}" for m in sorted(Path(graphbench.__file__).parent.glob("*.py"))
+             for scope in importers(ast.parse(m.read_text("utf-8")), "requests")}
+    assert found == {"gateway:HttpBackend.__init__", "gateway:HttpBackend.complete"}
+
+
+def test_an_offline_run_does_not_load_requests(tmp_path):
+    script = """
+import sys
+from graphbench import cli
+corpus, results = sys.argv[1:]
+for argv in (["generate", "--task", "cycle", "--count", "2", "--out", corpus],
+             ["run", "--queries", corpus, "--backend", "mock-oracle", "--out", results]):
+    assert cli.main(argv) == 0
+print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+"""
+    src = str(Path(graphbench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("GRAPHBENCH_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "q.jsonl"),
+                           str(tmp_path / "r.jsonl")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def annotation_names(node: ast.AST) -> set[str]:

@@ -13,12 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+import requests
 
 import graphbench
 import graphbench.gateway as gateway_mod
 from conftest import CannedBackend, RateLimitedMock, cache_entries
 from graphbench.corpus import build_corpus
-from graphbench.errors import RateLimited, TransportError
+from graphbench.errors import MalformedResponse, RateLimited, TransportError
 from graphbench.gateway import (BACKOFF_BASE, CACHE_FILE, MAX_RETRIES, CompletionRequest,
                                 CompletionResponse, Gateway, HttpBackend, MockBackend)
 from graphbench.generators import DifficultySplit as D
@@ -554,6 +555,60 @@ def test_http_identity_covers_endpoint():
     a = HttpBackend(endpoint="http://localhost:1/v1/chat/completions")
     b = HttpBackend(endpoint="http://localhost:2/v1/chat/completions")
     assert a.identity != b.identity
+
+
+class StubSession:
+    """Stands in for `requests.Session`: records each post and answers it
+    with a canned status and JSON body, or raises a canned exception."""
+
+    def __init__(self, status=200, body=None, exc=None):
+        self.status, self.body, self.exc = status, body, exc
+        self.posts = []
+
+    def post(self, url, json, headers, timeout):
+        self.posts.append((url, json, headers, timeout))
+        if self.exc is not None:
+            raise self.exc
+        return StubResponse(self.status, self.body)
+
+
+class StubResponse:
+    def __init__(self, status_code, body):
+        self.status_code, self.body = status_code, body
+        self.text = json.dumps(body)
+
+    def json(self):
+        if self.body is None:
+            raise ValueError("no JSON body")
+        return self.body
+
+
+ENDPOINT = "http://localhost:1/v1/chat/completions"
+
+
+def test_http_backend_posts_a_chat_request_and_reads_the_answer():
+    session = StubSession(body={"choices": [{"message": {"content": "Yes."}}],
+                                "usage": {"prompt_tokens": 12, "completion_tokens": 2}})
+    resp = HttpBackend(endpoint=ENDPOINT, api_key="k", session=session).complete(
+        CompletionRequest("m", "Is there a cycle?"))
+    assert (resp.text, resp.tokens_in, resp.tokens_out) == ("Yes.", 12, 2)
+    [(url, body, headers, timeout)] = session.posts
+    assert url == ENDPOINT and timeout == gateway_mod.HTTP_TIMEOUT
+    assert body["model"] == "m"
+    assert body["messages"] == [{"role": "user", "content": "Is there a cycle?"}]
+    assert headers["Authorization"] == "Bearer k"
+
+
+@pytest.mark.parametrize("session, error", [
+    (StubSession(exc=requests.ConnectionError("refused")), TransportError),
+    (StubSession(status=429, body={}), RateLimited),
+    (StubSession(status=503, body={}), TransportError),
+    (StubSession(body={"choices": []}), MalformedResponse),
+    (StubSession(body=None), MalformedResponse),
+], ids=["connection", "429", "503", "no-choice", "not-json"])
+def test_http_backend_maps_failures_to_its_errors(session, error):
+    with pytest.raises(error):
+        HttpBackend(endpoint=ENDPOINT, session=session).complete(CompletionRequest("m", "p"))
 
 
 def test_run_batch_preserves_order():

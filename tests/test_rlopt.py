@@ -57,6 +57,19 @@ def test_degenerate_single_combo():
     assert cost == 1.0 and rate == 1.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), float("inf")],
+                         ids=["nan", "-inf", "inf"])
+def test_a_reward_that_is_not_finite_is_rejected(bad):
+    """A NaN or infinite reward is a ValueError naming the combination, not
+    an assertion at the end of the search; the search stops at that
+    reward."""
+    calls = []
+    message = r"^reward for \w\|\w is (nan|-?inf); a reward must be a finite number$"
+    with pytest.raises(ValueError, match=message):
+        run_dqn(S0, tiny_space(), lambda c: calls.append(c) or bad, DQNConfig(episodes=4))
+    assert len(calls) == 1
+
+
 def test_cost_rate_arithmetic():
     space = default_space()
     result = run_dqn(S0, space, lambda c: 0.5, DQNConfig(episodes=3, seed=1))
