@@ -54,6 +54,14 @@ def _parse_list(enum_cls: type[E], spec: str) -> list[E]:
     return out
 
 
+def _parse_names(enum_cls: type[E], spec: str, flag: str) -> list[E]:
+    """`_parse_list`, for a flag that must name at least one member."""
+    members = _parse_list(enum_cls, spec)
+    if not members:
+        raise ValueError(f"{flag} names no {_KINDS[enum_cls]}, got {spec!r}")
+    return members
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -74,9 +82,12 @@ def _make_gateway(args, config: dict) -> Gateway:
 
 
 def cmd_generate(args) -> int:
-    tasks = _parse_list(TaskKind, args.task)
-    splits = _parse_list(DifficultySplit, args.difficulty)
-    families = _parse_list(GraphFamily, args.graph_types) if args.graph_types else None
+    tasks = _parse_names(TaskKind, args.task, "--task")
+    splits = _parse_names(DifficultySplit, args.difficulty, "--difficulty")
+    families = (_parse_names(GraphFamily, args.graph_types, "--graph-types")
+                if args.graph_types is not None else None)
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     queries = corpus_mod.build_corpus(tasks, splits, families, args.count,
                                       master_seed=args.seed, per_cell=args.per_cell)
     n = corpus_mod.write_jsonl((q.to_record() for q in queries), args.out)
@@ -86,8 +97,8 @@ def cmd_generate(args) -> int:
 
 def cmd_render(args) -> int:
     queries = corpus_mod.load_queries(args.queries)
-    schemes = _parse_list(PromptScheme, args.schemes)
-    formats = _parse_list(SerializationFormat, args.formats)
+    schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
+    formats = _parse_names(SerializationFormat, args.formats, "--formats")
     rows = [{"query_id": q.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
              "prompt_text": prompt}
             for q, scheme, fmt, prompt in compose_cells(queries, schemes, formats)]
@@ -97,19 +108,22 @@ def cmd_render(args) -> int:
 
 
 # `run` evaluates and writes its records one chunk at a time: the fewest
-# whole queries that reach this many cells per worker. Memory then follows
-# the chunk, not the corpus. Scaling with --max-in-flight keeps each
-# worker's share of a chunk fixed, and 256 requests each make a chunk's own
-# costs (starting its workers, looking up its cache entries, the tail where
-# workers idle while the last requests finish) small next to its work.
+# whole queries that reach this many cells per --max-in-flight slot. Memory
+# then follows the chunk, not the corpus. For an HTTP backend, scaling with
+# --max-in-flight keeps each worker's share of a chunk fixed, and 256
+# requests each make a chunk's own costs (starting its workers, looking up
+# its cache entries, the tail where workers idle while the last requests
+# finish) small next to its work. The mock answers on the calling thread,
+# with no workers; there the constant only sets the chunk size, and with
+# it how many answers one commit holds.
 _CHUNK_CELLS_PER_WORKER = 256
 
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     queries = corpus_mod.load_queries(args.queries)
-    schemes = _parse_list(PromptScheme, args.schemes)
-    formats = _parse_list(SerializationFormat, args.formats)
+    schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
+    formats = _parse_names(SerializationFormat, args.formats, "--formats")
     if args.max_in_flight < 1:
         raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
     per_chunk = math.ceil(_CHUNK_CELLS_PER_WORKER * args.max_in_flight
@@ -169,6 +183,8 @@ def _parse_one(enum_cls: type[E], spec: str, flag: str) -> E:
 def cmd_rlopt(args) -> int:
     task = _parse_one(TaskKind, args.task, "--task")
     split = _parse_one(DifficultySplit, args.difficulty, "--difficulty")
+    if args.acc_max is not None:
+        rlopt.check_acc_max(args.acc_max)
     if args.factors_file:
         spec = json.loads(Path(args.factors_file).read_text("utf-8"))
         if not isinstance(spec, list):
@@ -380,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["mock-oracle", "mock-bernoulli", "http"])
     backend.add_argument("--error-rate", type=float, default=0.2)
     backend.add_argument("--seed", type=int, default=0)
-    backend.add_argument("--max-in-flight", type=int, default=4)
+    backend.add_argument("--max-in-flight", type=int, default=4,
+                         help="concurrent HTTP requests; the mock backends answer on the "
+                              "calling thread, and for `run` this also sizes the chunks")
     backend.add_argument("--cache-dir", default=None)
     backend.add_argument("--config", default=None)
 

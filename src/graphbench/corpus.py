@@ -79,7 +79,7 @@ def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path | TextIO) ->
 def _write_lines(records: Iterable[dict[str, Any]], fh: TextIO) -> int:
     count = 0
     for rec in records:
-        fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
+        fh.write(json.dumps(rec) + "\n")
         count += 1
     return count
 

@@ -7,6 +7,7 @@ This is the only concurrent module; everything it calls into is pure.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -69,6 +70,16 @@ class CompletionResponse:
 
 
 class Backend(Protocol):
+    """What `Gateway` needs of a backend.
+
+    A backend may also set `waits_on_io`: whether `complete` spends its time
+    waiting outside the interpreter (on a socket, say). Only then do worker
+    threads overlap requests; for a backend that computes its answers in
+    Python they would only take turns holding the GIL, so `run_batch` calls
+    it on the calling thread instead. A backend that does not say counts as
+    waiting.
+    """
+
     # Every setting that changes the answers; the cache keys on it.
     identity: str
 
@@ -86,6 +97,8 @@ class HttpBackend:
     talks HTTP loads it and its stack (urllib3, ssl, ...). `session` is a
     `requests.Session`, made here when none is given.
     """
+
+    waits_on_io = True
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
                  session: Any = None):
@@ -169,12 +182,20 @@ class MockBackend:
     prompt so repeats (and cache hits) agree. It reports the words of the
     prompt as input tokens and the words of the answer as output tokens, and
     never fails a request, except that one without a query cannot be
-    answered and raises ValueError.
+    answered and raises ValueError. An error_rate outside [0, 1], NaN
+    included, is rejected.
+
+    It answers in Python, without waiting on anything, so `run_batch` calls
+    it on the calling thread.
     """
+
+    waits_on_io = False
 
     def __init__(self, mode: str = "oracle", error_rate: float = 0.0, seed: int = 0):
         if mode not in ("oracle", "bernoulli"):
             raise ValueError(f"unknown mock mode {mode!r}")
+        if not 0.0 <= error_rate <= 1.0:
+            raise ValueError(f"the mock's error rate must be in [0, 1], got {error_rate!r}")
         self.mode = mode
         self.error_rate = error_rate
         self.seed = seed
@@ -216,13 +237,15 @@ class Gateway:
     backend's identity and the request, so identical requests never hit the
     network twice and one backend's answers are never served for another's.
     `run_batch` is its one reader and one writer, both on the calling
-    thread; `complete` only talks to the backend. Worker threads pull
-    misses from one queue and take only the counter lock, never the one
-    that guards the cache, so no worker waits behind a commit. Completions
-    are committed, in one transaction per group, before the calling thread
-    next waits for the backend, so a run that stops part-way keeps every
-    finished entry and a rerun resumes from them; an interrupted batch
-    sends nothing new. Two processes may fill one cache at once.
+    thread; `complete` only talks to the backend. For a backend that waits
+    on I/O, worker threads pull misses from one queue and take only the
+    counter lock, never the one that guards the cache, so no worker waits
+    behind a commit; a backend that answers in process (the mock) is called
+    on the calling thread, with no worker. Completions are committed,
+    in one transaction per group, before the calling thread next waits for
+    the backend, so a run that stops part-way keeps every finished entry
+    and a rerun resumes from them; an interrupted batch sends nothing new.
+    Two processes may fill one cache at once.
     Caches from the older one-file-per-entry layout are not read. Without a
     `cache_dir` nothing is cached and nothing is created; the CLI resolves
     it from `--cache-dir`, then GRAPHBENCH_CACHE_DIR, then the config file.
@@ -334,11 +357,14 @@ class Gateway:
         This is the one place the cache is read and written, both on the
         calling thread, under a key computed once per distinct request.
         Each distinct request is looked up once; only the misses go on one
-        queue, which up to max_in_flight worker threads empty, each sending
-        one request at a time through `complete`; no pool is started when
-        nothing missed. The calling thread takes the completions as the
-        workers finish them and commits every one that has arrived in one
-        transaction before it waits again. A cache read that fails is an
+        queue, emptied one request at a time through `complete`. For a
+        backend that waits on I/O (see `Backend`), up to max_in_flight
+        worker threads empty it, and no pool is started when nothing
+        missed; the calling thread takes the completions as the workers
+        finish them and commits every one that has arrived in one
+        transaction before it waits again. A backend that does not wait is
+        called on the calling thread, which then commits the batch's
+        completions in one transaction. A cache read that fails is an
         error on its item, which is not sent; a commit that fails is an
         error on each answered item of its group. A backend that raises a
         BaseException other than an Exception (SystemExit, ...) fails the
@@ -386,38 +412,44 @@ class Gateway:
                     done.put((item, None, _describe(exc)))
                 except BaseException as exc:
                     # Not an item failure (SystemExit, KeyboardInterrupt):
-                    # the calling thread raises it, rather than wait forever.
+                    # this loop stops, and the calling thread raises it
+                    # once its group is committed.
                     done.put((item, None, exc))
-                    raise
+                    return
 
         if misses:
-            workers = min(max_in_flight, len(misses))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                try:
+            with contextlib.ExitStack() as stack:
+                if getattr(self.backend, "waits_on_io", True):
+                    workers = min(max_in_flight, len(misses))
+                    pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+                    # After an exception, the workers take no more misses.
+                    stack.callback(stop.set)
                     for _ in range(workers):
                         pool.submit(pull)
-                    waiting = len(misses)
-                    while waiting:
-                        group = [done.get()]
-                        while not done.empty():
-                            group.append(done.get())
-                        waiting -= len(group)
-                        answered = [(misses[item], resp) for item, resp, _ in group
-                                    if resp is not None]
-                        if self.cache_dir is not None and answered:
-                            try:
-                                self._cache_write(answered)
-                            except Exception as exc:
-                                group = [(item, None,
-                                          _describe(exc) if resp is not None else error)
-                                         for item, resp, error in group]
-                        for item, resp, error in group:
-                            if isinstance(error, BaseException):
-                                raise error
-                        outcome.update((item, (resp, error)) for item, resp, error in group)
-                finally:
-                    # After an exception, the workers take no more misses.
-                    stop.set()
+                else:
+                    # Workers would only take turns with this thread for
+                    # the GIL; `done` then holds the whole batch, or every
+                    # completion up to a backend's BaseException.
+                    pull()
+                waiting = len(misses)
+                while waiting:
+                    group = [done.get()]
+                    while not done.empty():
+                        group.append(done.get())
+                    waiting -= len(group)
+                    answered = [(misses[item], resp) for item, resp, _ in group
+                                if resp is not None]
+                    if self.cache_dir is not None and answered:
+                        try:
+                            self._cache_write(answered)
+                        except Exception as exc:
+                            group = [(item, None,
+                                      _describe(exc) if resp is not None else error)
+                                     for item, resp, error in group]
+                    for item, resp, error in group:
+                        if isinstance(error, BaseException):
+                            raise error
+                    outcome.update((item, (resp, error)) for item, resp, error in group)
         return [BatchResult(*outcome[item]) for item in items]
 
 

@@ -61,11 +61,15 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
                    model: str = "mock", max_in_flight: int = 4,
                    deco: DecorationFactors = IDENTITY_DECORATION,
                    bank_store: BankStore | None = None) -> list[dict[str, Any]]:
-    """Evaluate every (query, scheme, format) cell and return result records."""
+    """Evaluate every (query, scheme, format) cell and return result records.
+
+    Each distinct (query, response text) is extracted and scored once, and
+    the cells that repeat it share that answer value and score."""
     cells = list(compose_cells(queries, schemes, formats, deco=deco, bank_store=bank_store))
     results = gateway.run_batch([CompletionRequest(model=model, prompt=prompt, query=query)
                                  for query, _, _, prompt in cells],
                                 max_in_flight=max_in_flight)
+    scored: dict[tuple[int, str], tuple[Any, int]] = {}
     records = []
     for (query, scheme, fmt, _), item in zip(cells, results):
         rec: dict[str, Any] = {
@@ -78,7 +82,10 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
             "graph_type": query.family.value,
         }
         if item.ok:
-            extracted, s = score_response(query, item.response.text)
+            key = (id(query), item.response.text)
+            if key not in scored:
+                scored[key] = score_response(query, item.response.text)
+            extracted, s = scored[key]
             rec.update({
                 "response": item.response.text,
                 "extracted": extracted,

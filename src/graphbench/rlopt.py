@@ -395,10 +395,17 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
                         log=log, epsilon_mode=cfg.decay_mode)
 
 
+def check_acc_max(acc_max: float) -> None:
+    """Reject a best possible accuracy that cannot be a Rate's denominator."""
+    if not math.isfinite(acc_max):
+        raise ValueError(f"acc_max must be a finite number, got {acc_max!r}")
+    if acc_max <= 0:
+        raise ZeroDenominator(f"acc_max must be positive, got {acc_max!r}")
+
+
 def cost_rate(result: SearchResult, space: FactorSpace, acc_max: float) -> tuple[float, float]:
     """Cost = explored/K; Rate = best found accuracy / best possible."""
-    if acc_max <= 0:
-        raise ZeroDenominator("acc_max must be positive")
+    check_acc_max(acc_max)
     return result.explored / space.k_total, result.best_reward / acc_max
 
 

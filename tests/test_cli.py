@@ -608,6 +608,53 @@ def test_rlopt_rejects_nonpositive_acc_max(tmp_path, capsys, acc_max):
     assert capsys.readouterr().err.startswith("error: acc_max must be positive")
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_generate_rejects_a_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "q.jsonl"
+    assert run_cli("generate", "--task", "cycle", "--count", count, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("acc_max, message", [
+    ("0", "acc_max must be positive, got 0.0"),
+    ("-0.5", "acc_max must be positive, got -0.5"),
+    ("nan", "acc_max must be a finite number, got nan"),
+    ("inf", "acc_max must be a finite number, got inf"),
+])
+def test_rlopt_checks_acc_max_before_it_builds_or_sends_anything(monkeypatch, capsys,
+                                                                 acc_max, message):
+    built, sent = [], []
+    build_corpus, complete = cli.corpus_mod.build_corpus, MockBackend.complete
+    monkeypatch.setattr(cli.corpus_mod, "build_corpus",
+                        lambda *a, **k: built.append(a) or build_corpus(*a, **k))
+    monkeypatch.setattr(MockBackend, "complete",
+                        lambda self, req: sent.append(req) or complete(self, req))
+    assert run_cli("rlopt", "--reward", "live", "--samples", "2", "--episodes", "3",
+                   "--acc-max", acc_max) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert (built, sent) == ([], [])
+
+
+@pytest.mark.parametrize("command", ["run", "rlopt"])
+@pytest.mark.parametrize("rate", ["1.5", "-0.5", "nan"])
+def test_mock_error_rate_outside_zero_to_one_is_rejected(tmp_path, monkeypatch, capsys,
+                                                         command, rate):
+    q, out, cache = tmp_path / "q.jsonl", tmp_path / "r.jsonl", tmp_path / "cache"
+    make_corpus(q, 1)
+    sent, complete = [], MockBackend.complete
+    monkeypatch.setattr(MockBackend, "complete",
+                        lambda self, req: sent.append(req) or complete(self, req))
+    argv = {"run": ("run", "--queries", str(q), "--out", str(out)),
+            "rlopt": ("rlopt", "--reward", "live", "--samples", "2", "--episodes", "3")}
+    capsys.readouterr()
+    assert run_cli(*argv[command], "--backend", "mock-bernoulli", "--error-rate", rate,
+                   "--cache-dir", str(cache)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: the mock's error rate must be in [0, 1], got {float(rate)!r}\n")
+    assert sent == [] and not out.exists() and not cache.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["generate"])  # missing required flags
@@ -628,15 +675,23 @@ def test_unknown_scheme_is_validation_error(tmp_path):
     ("generate", "--graph-types", GraphFamily, "graph type", "ERM"),
     ("render", "--schemes", PromptScheme, "prompt scheme", "0-cot"),
     ("render", "--formats", SerializationFormat, "format", "Edge_List"),
+    ("run", "--schemes", PromptScheme, "prompt scheme", "K-SHOT"),
+    ("run", "--formats", SerializationFormat, "format", "gmol"),
 ])
 def test_comma_list_flags(tmp_path, capsys, command, flag, enum_cls, kind, valid):
     q = tmp_path / "q.jsonl"
     argv = {"generate": ["generate", "--task", "cycle", "--count", "1", "--out", str(q)],
-            "render": ["render", "--queries", str(q), "--out", str(tmp_path / "p.jsonl")]}
+            "render": ["render", "--queries", str(q), "--out", str(tmp_path / "p.jsonl")],
+            "run": ["run", "--queries", str(q), "--out", str(tmp_path / "r.jsonl")]}
     assert run_cli(*argv["generate"]) == 0
     # Values match without regard to case, and empty tokens are skipped.
     assert run_cli(*argv[command], flag, f"{valid}, ,") == 0
     capsys.readouterr()
+    # A value that names nothing is an error, and no file is written.
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run_cli(*argv[command], flag, " , ") == 1
+    assert capsys.readouterr().err == f"error: {flag} names no {kind}, got ' , '\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
     assert run_cli(*argv[command], flag, f"{valid},nope") == 1
     expected = ", ".join(m.value for m in enum_cls)
     assert capsys.readouterr().err == f"error: unknown {kind} 'nope'; expected one of {expected}\n"

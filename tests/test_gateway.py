@@ -17,6 +17,7 @@ import requests
 
 import graphbench
 import graphbench.gateway as gateway_mod
+from graphbench import answer_eval
 from conftest import CannedBackend, RateLimitedMock, cache_entries
 from graphbench.corpus import build_corpus
 from graphbench.errors import MalformedResponse, RateLimited, TransportError
@@ -541,6 +542,89 @@ def test_failed_cache_read_is_an_item_error(tmp_path, monkeypatch):
         "DatabaseError: database disk image is malformed"] * 2
     assert not failed.ok and not failed_again.ok
     assert (gw.cache_hits, gw.network_calls, backend.calls) == (1, 0, 2)
+
+
+def mock_requests(count=6, seed=5):
+    """Requests for `count` cycle queries, two prompts each, with their
+    queries attached, as the mock backend needs."""
+    queries = build_corpus([T.CYCLE], [D.EASY], None, count, master_seed=seed)
+    return [CompletionRequest("m", compose_prompt(q, scheme, F.EDGE_LIST), query=q)
+            for q in queries for scheme in (S.ZERO_SHOT, S.ZERO_COT)]
+
+
+def test_a_batch_of_mock_misses_starts_no_thread_and_commits_every_completion(
+        tmp_path, monkeypatch):
+    """The mock answers in process, so `run_batch` calls it on the calling
+    thread, starts no thread, and commits every completion, duplicates
+    sent once."""
+    reqs = mock_requests()
+    caller, threads = threading.current_thread(), []
+
+    class Recording(MockBackend):
+        def complete(self, req):
+            threads.append(threading.current_thread())
+            return super().complete(req)
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    gw = Gateway(Recording(mode="bernoulli", error_rate=0.5, seed=2), cache_dir=tmp_path)
+    results = gw.run_batch(reqs + reqs[:3], max_in_flight=4)
+    monkeypatch.undo()
+    expected = [MockBackend(mode="bernoulli", error_rate=0.5, seed=2).complete(r)
+                for r in reqs + reqs[:3]]
+    assert [r.response for r in results] == expected
+    assert threads == [caller] * len(reqs)
+    assert (gw.network_calls, gw.cache_hits, cache_entries(tmp_path)) == (len(reqs), 0, len(reqs))
+
+
+def test_an_interrupt_from_an_in_process_backend_is_raised_after_the_finished_are_committed(
+        tmp_path):
+    """A KeyboardInterrupt out of the mock, on the calling thread, stops
+    the batch: the completions finished before it are committed, nothing
+    after it is sent, and a rerun sends only the rest."""
+    reqs = mock_requests()
+    caller, sent = threading.current_thread(), []
+
+    class Interrupted(MockBackend):
+        def complete(self, req):
+            assert threading.current_thread() is caller
+            sent.append(req)
+            if len(sent) == 5:
+                raise KeyboardInterrupt
+            return super().complete(req)
+
+    with pytest.raises(KeyboardInterrupt):
+        Gateway(Interrupted(), cache_dir=tmp_path).run_batch(reqs, max_in_flight=2)
+    assert sent == reqs[:5]
+    assert cache_entries(tmp_path) == 4
+    gw = Gateway(MockBackend(), cache_dir=tmp_path)
+    assert all(r.ok for r in gw.run_batch(reqs))
+    assert (gw.cache_hits, gw.network_calls) == (4, len(reqs) - 4)
+
+
+def test_run_evaluation_scores_each_distinct_response_once(monkeypatch):
+    """Cells that repeat a (query, response) pair share one extraction and
+    one score; the same text answering another query is scored again."""
+    queries = build_corpus([T.CYCLE, T.CONNECTIVITY], [D.EASY], None, 3, master_seed=1)
+    extract, calls = answer_eval.extract, []
+
+    def counting_extract(task, text):
+        calls.append((task, text))
+        return extract(task, text)
+
+    monkeypatch.setattr(answer_eval, "extract", counting_extract)
+    records = run_evaluation(queries, [S.ZERO_SHOT, S.ZERO_COT], list(F),
+                             Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=4)))
+    monkeypatch.undo()
+    by_id = {q.id: q for q in queries}
+    pairs = {(r["query_id"], r["response"]) for r in records}
+    assert len(calls) == len(pairs) < len(records)
+    assert len(pairs) > len({text for _, text in pairs})
+    for r in records:
+        assert (r["extracted"], r["score"]) == score_response(by_id[r["query_id"]],
+                                                               r["response"])
 
 
 def test_cache_key_ignores_query():

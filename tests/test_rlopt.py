@@ -2,6 +2,7 @@
 replay determinism, and the episode logs the search is pinned to."""
 
 import hashlib
+import math
 import random
 import tracemalloc
 
@@ -80,6 +81,9 @@ def test_cost_rate_arithmetic():
     assert rate == 1.0
     with pytest.raises(ZeroDenominator):
         cost_rate(result, space, 0.0)
+    for acc_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="acc_max must be a finite number"):
+            cost_rate(result, space, acc_max)
 
 
 def test_grid_search_is_exhaustive_and_optimal():
