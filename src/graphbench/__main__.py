@@ -1,0 +1,8 @@
+"""`python -m graphbench`: the same command line as `graphbench`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

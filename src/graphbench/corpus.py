@@ -92,7 +92,21 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
 
 
 def load_queries(path: str | Path) -> list[QuerySpec]:
-    return [QuerySpec.from_record(rec) for rec in read_jsonl(path)]
+    """The corpus at `path`, one query per JSONL record. A record that is
+    not a JSON object, lacks a field or holds a value of the wrong kind
+    raises ValueError naming the file and the record, numbered from 1 as
+    `read_jsonl` yields them."""
+    queries = []
+    for i, rec in enumerate(read_jsonl(path), 1):
+        try:
+            if not isinstance(rec, dict):
+                raise ValueError(f"expected a JSON object, got {json.dumps(rec)[:80]}")
+            queries.append(QuerySpec.from_record(rec))
+        except KeyError as exc:
+            raise ValueError(f"{path}: record {i}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: record {i}: {exc}") from None
+    return queries
 
 
 # Draws per item before build_query or build_exemplars gives up on it.

@@ -37,6 +37,9 @@ CACHE_FILE = "cache.sqlite3"
 MAX_RETRIES = 5
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 30.0
+# Keys per cache SELECT: under 999, the smallest default limit on one
+# SQLite statement's parameters.
+READ_SLICE = 500
 # Seconds an HTTP request may take before it fails as a TransportError.
 HTTP_TIMEOUT = 120.0
 # Sampling settings sent with every request; MAX_TOKENS None sends no cap.
@@ -185,6 +188,12 @@ class MockBackend:
     answered and raises ValueError. An error_rate outside [0, 1], NaN
     included, is rejected.
 
+    A query has only two answers, the right one and the wrong one, so the
+    mock keeps them for the last query it answered (matched by identity;
+    a query is not changed once built): the gold value, and each answer's
+    text and word count once rendered. `run_evaluation` sends a query's
+    cells one after another, so each answer is rendered once per query.
+
     It answers in Python, without waiting on anything, so `run_batch` calls
     it on the calling thread.
     """
@@ -200,6 +209,8 @@ class MockBackend:
         self.error_rate = error_rate
         self.seed = seed
         self.identity = f"mock\x00{mode}\x00{error_rate!r}\x00{seed!r}"
+        # (query, gold value, {wrong: (answer text, its word count)}).
+        self._memo: tuple[QuerySpec, Any, dict[bool, tuple[str, int]]] | None = None
 
     def _unit(self, prompt: str) -> float:
         digest = hashlib.sha256(f"{self.seed}\x00bernoulli\x00{prompt}".encode()).digest()
@@ -212,12 +223,32 @@ class MockBackend:
                              "and this request carries none")
         wrong = (self.mode == "bernoulli"
                  and self._unit(req.prompt) < self.error_rate)
-        value = prompt_mod.gold_value(q.task, q.graph, q.params, q.ground_truth)
-        if wrong:
-            value = _wrong_value(q.task, q.graph.n, value)
-        text = prompt_mod.render_answer(q.task, q.params, value)
-        return CompletionResponse(text=text, tokens_in=len(req.prompt.split()),
-                                  tokens_out=len(text.split()), latency_ms=0.0)
+        memo = self._memo
+        if memo is None or memo[0] is not q:
+            memo = self._memo = (q, prompt_mod.gold_value(q.task, q.graph, q.params,
+                                                          q.ground_truth), {})
+        answers = memo[2]
+        if wrong not in answers:
+            value = _wrong_value(q.task, q.graph.n, memo[1]) if wrong else memo[1]
+            text = prompt_mod.render_answer(q.task, q.params, value)
+            answers[wrong] = (text, len(text.split()))
+        text, tokens_out = answers[wrong]
+        return CompletionResponse(text=text, tokens_in=_word_count(req.prompt),
+                                  tokens_out=tokens_out, latency_ms=0.0)
+
+
+# Per byte of ASCII text: 0 where `str.split()` splits (whitespace), else 1.
+_WORD_BYTES = bytes(0 if chr(b).isspace() else 1 for b in range(256))
+
+
+def _word_count(text: str) -> int:
+    """len(text.split()), counted without building the words: an ASCII
+    text is marked byte by byte, and each word start (a 1 at the start or
+    after a 0) is one word."""
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode("ascii").translate(_WORD_BYTES)
+    return marks.count(b"\x00\x01") + (marks[:1] == b"\x01")
 
 
 @dataclass
@@ -292,16 +323,35 @@ class Gateway:
             self._db = db
         return self._db
 
-    def _cache_read(self, key: str) -> CompletionResponse | None:
+    def _cache_read(self, keys: Sequence[str]) -> dict[str, CompletionResponse | Exception]:
+        """The cached response of each key that has one, read with one
+        SELECT per slice of at most READ_SLICE keys; a key not cached is
+        left out. A slice whose statement or one of whose rows fails to
+        decode is read again key by key, and a key whose own read fails maps
+        to its exception, so a bad entry fails only its own item. No keys
+        open no database."""
+        found: dict[str, CompletionResponse | Exception] = {}
+        if not keys:
+            return found
         with self._cache_lock:
-            row = self._cache().execute("SELECT payload FROM completions WHERE key = ?",
-                                        (key,)).fetchone()
-        if row is None:
-            return None
-        data = json.loads(row[0])
-        return CompletionResponse(text=data["text"], tokens_in=data.get("tokens_in"),
-                                  tokens_out=data.get("tokens_out"),
-                                  latency_ms=data.get("latency_ms", 0.0))
+            db = self._cache()
+            for start in range(0, len(keys), READ_SLICE):
+                part = keys[start:start + READ_SLICE]
+                marks = ",".join("?" * len(part))
+                try:
+                    rows = db.execute("SELECT key, payload FROM completions "
+                                      f"WHERE key IN ({marks})", part).fetchall()
+                    found.update({key: _decode(payload) for key, payload in rows})
+                except Exception:
+                    for key in part:
+                        try:
+                            row = db.execute("SELECT payload FROM completions WHERE key = ?",
+                                             (key,)).fetchone()
+                            if row is not None:
+                                found[key] = _decode(row[0])
+                        except Exception as exc:
+                            found[key] = exc
+        return found
 
     def _cache_write(self, entries: Sequence[tuple[str, CompletionResponse]]) -> None:
         """Store (key, response) entries in one transaction, or none of them."""
@@ -356,8 +406,9 @@ class Gateway:
 
         This is the one place the cache is read and written, both on the
         calling thread, under a key computed once per distinct request.
-        Each distinct request is looked up once; only the misses go on one
-        queue, emptied one request at a time through `complete`. For a
+        The batch's distinct keys are looked up together, one SELECT per
+        slice of READ_SLICE keys (see `_cache_read`); only the misses go on
+        one queue, emptied one request at a time through `complete`. For a
         backend that waits on I/O (see `Backend`), up to max_in_flight
         worker threads empty it, and no pool is started when nothing
         missed; the calling thread takes the completions as the workers
@@ -377,20 +428,23 @@ class Gateway:
         items = [(r, id(r.query)) for r in requests_in]
         outcome: dict[tuple[CompletionRequest, int], tuple] = {}
         misses: dict[tuple[CompletionRequest, int], str | None] = {}
-        for item in dict.fromkeys(items):
-            if self.cache_dir is None:
-                misses[item] = None
-                continue
-            key = self._cache_key(item[0])
+        if self.cache_dir is None:
+            misses = dict.fromkeys(items)
+        else:
+            keys = {item: self._cache_key(item[0]) for item in dict.fromkeys(items)}
+            distinct = list(dict.fromkeys(keys.values()))
             try:
-                cached = self._cache_read(key)
+                found = self._cache_read(distinct)
             except Exception as exc:
-                outcome[item] = (None, _describe(exc))
-                continue
-            if cached is None:
-                misses[item] = key
-            else:
-                outcome[item] = (cached, None)
+                found = dict.fromkeys(distinct, exc)
+            for item, key in keys.items():
+                cached = found.get(key)
+                if cached is None:
+                    misses[item] = key
+                elif isinstance(cached, Exception):
+                    outcome[item] = (None, _describe(cached))
+                else:
+                    outcome[item] = (cached, None)
         with self._count_lock:
             self.cache_hits += sum(resp is not None for resp, _ in outcome.values())
 
@@ -451,6 +505,13 @@ class Gateway:
                             raise error
                     outcome.update((item, (resp, error)) for item, resp, error in group)
         return [BatchResult(*outcome[item]) for item in items]
+
+
+def _decode(payload: str) -> CompletionResponse:
+    data = json.loads(payload)
+    return CompletionResponse(text=data["text"], tokens_in=data.get("tokens_in"),
+                              tokens_out=data.get("tokens_out"),
+                              latency_ms=data.get("latency_ms", 0.0))
 
 
 def _describe(exc: Exception) -> str:

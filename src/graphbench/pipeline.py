@@ -47,13 +47,16 @@ def compose_cells(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
                   bank_store: BankStore | None = None,
                   ) -> Iterator[tuple[QuerySpec, PromptScheme, SerializationFormat, str]]:
     """Every (query, scheme, format) cell with its prompt, in query, then
-    scheme, then format order."""
+    scheme, then format order. The schemes that end a query's prompts alike
+    share one rendering of its item (see `compose_prompt`)."""
     bank_store = bank_store or BankStore()
     for query in queries:
+        finals: dict[tuple, str] = {}
         for scheme in schemes:
             bank = bank_store.get(query.task, scheme)
             for fmt in formats:
-                yield query, scheme, fmt, compose_prompt(query, scheme, fmt, bank=bank, deco=deco)
+                yield query, scheme, fmt, compose_prompt(query, scheme, fmt, bank=bank,
+                                                         deco=deco, finals=finals)
 
 
 def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
@@ -71,15 +74,23 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
                                 max_in_flight=max_in_flight)
     scored: dict[tuple[int, str], tuple[Any, int]] = {}
     records = []
+    # Field values that are fixed per scheme, per format or per query,
+    # read once each: the enum members by identity, the query when it changes.
+    names = {id(member): member.value for member in (*schemes, *formats)}
+    last = None
     for (query, scheme, fmt, _), item in zip(cells, results):
+        if query is not last:
+            last = query
+            task, difficulty, graph_type = (query.task.value, query.difficulty.value,
+                                            query.family.value)
         rec: dict[str, Any] = {
             "query_id": query.id,
             "model": model,
-            "prompt_scheme": scheme.value,
-            "serialization": fmt.value,
-            "task": query.task.value,
-            "difficulty": query.difficulty.value,
-            "graph_type": query.family.value,
+            "prompt_scheme": names[id(scheme)],
+            "serialization": names[id(fmt)],
+            "task": task,
+            "difficulty": difficulty,
+            "graph_type": graph_type,
         }
         if item.ok:
             key = (id(query), item.response.text)

@@ -142,25 +142,33 @@ class Exemplar:
 
 @dataclass
 class ExemplarBank:
-    """Frozen per-(task, scheme) list of oracle-validated worked examples."""
+    """Frozen per-(task, scheme) list of oracle-validated worked examples.
+
+    `head` renders the part of a prompt the bank fixes, everything before
+    the query's own item, once per key and keeps it."""
 
     exemplars: list[Exemplar]
-    # Rendered items per (task, format, decoration, instruct line).
-    _items: dict[tuple, list[str]] = field(default_factory=dict, init=False,
-                                           repr=False, compare=False)
+    # The rendered head per (task, format, decoration, instruct line,
+    # algorithm block).
+    _heads: dict[tuple, str] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.exemplars)
 
-    def items(self, task: TaskKind, fmt: SerializationFormat, deco: DecorationFactors,
-              instruct_line: bool) -> list[str]:
-        """The exemplars as prompt items, rendered once per key."""
-        key = (task, fmt, deco, instruct_line)
-        if key not in self._items:
-            self._items[key] = [_item_text(task, fmt, serialize(ex.graph, fmt), ex.params,
-                                           deco, instruct_line, ex.answer, None)
-                                for ex in self.exemplars]
-        return self._items[key]
+    def head(self, task: TaskKind, fmt: SerializationFormat, deco: DecorationFactors,
+             instruct_line: bool, algorithm: bool) -> str:
+        """The algorithm block (when `algorithm`) and the exemplar items,
+        joined as they open the prompt, rendered once per key."""
+        key = (task, fmt, deco, instruct_line, algorithm)
+        head = self._heads.get(key)
+        if head is None:
+            blocks = [deco.text(templates.ALGORITHM_BLOCKS[task])] if algorithm else []
+            blocks += [_item_text(task, fmt, serialize(ex.graph, fmt), ex.params,
+                                  deco, instruct_line, ex.answer, None)
+                       for ex in self.exemplars]
+            head = self._heads[key] = "\n\n".join(blocks)
+        return head
 
 
 def _seq(nodes: list[int]) -> str:
@@ -319,15 +327,33 @@ def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
 
 def compose_prompt(query: QuerySpec, scheme: PromptScheme, fmt: SerializationFormat,
                    bank: ExemplarBank | None = None,
-                   deco: DecorationFactors = IDENTITY_DECORATION) -> str:
-    """Assemble the full prompt for one query under (scheme, format, deco)."""
-    blocks: list[str] = []
-    if scheme.has_algorithm_block:
-        blocks.append(deco.text(templates.ALGORITHM_BLOCKS[query.task]))
+                   deco: DecorationFactors = IDENTITY_DECORATION,
+                   finals: dict[tuple, str] | None = None) -> str:
+    """Assemble the full prompt for one query under (scheme, format, deco):
+    the head (the bank's, for a shot-bearing scheme; else the algorithm
+    block, if the scheme has one) and the query's own item, joined.
+
+    The query's item depends on the scheme only through its instruct line
+    and its suffix, so nine schemes end in five distinct items. `finals`,
+    when given, keeps the items rendered so far, keyed on the graph text,
+    the format and those two; the caller passes one dict for all the calls
+    of one query and one decoration (see `pipeline.compose_cells`)."""
     if scheme.shot_bearing:
         if bank is None or len(bank) == 0:
             raise EmptyBank(f"scheme {scheme.value} needs exemplars for task {query.task.value}")
-        blocks.extend(bank.items(query.task, fmt, deco, scheme.instruct_items))
-    blocks.append(_item_text(query.task, fmt, serialize(query.graph, fmt),
-                             query.params, deco, scheme.instruct_items, None, scheme.suffix))
-    return "\n\n".join(blocks)
+        head = bank.head(query.task, fmt, deco, scheme.instruct_items,
+                         scheme.has_algorithm_block)
+    elif scheme.has_algorithm_block:
+        head = deco.text(templates.ALGORITHM_BLOCKS[query.task])
+    else:
+        head = None
+    graph_text = serialize(query.graph, fmt)
+    instruct_line, suffix = scheme.instruct_items, scheme.suffix
+    key = (graph_text, fmt, instruct_line, suffix)
+    final = None if finals is None else finals.get(key)
+    if final is None:
+        final = _item_text(query.task, fmt, graph_text, query.params, deco,
+                           instruct_line, None, suffix)
+        if finals is not None:
+            finals[key] = final
+    return final if head is None else f"{head}\n\n{final}"

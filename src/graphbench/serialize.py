@@ -44,7 +44,10 @@ def _render_matrix(g: Graph) -> str:
         return "[]"
     rows = []
     for u in range(g.n):
-        cells = " ".join("1" if g.has_edge(u, v) else "0" for v in range(g.n))
+        row = ["0"] * g.n
+        for v in g.neighbors(u):
+            row[v] = "1"
+        cells = " ".join(row)
         open_b = "[[" if u == 0 else " ["
         close_b = "]]" if u == g.n - 1 else "]"
         # Middle rows carry one trailing space, matching the reference text.
@@ -121,9 +124,10 @@ def serialize(g: Graph, fmt: SerializationFormat) -> str:
     Each format is rendered once per graph; the text is kept in `g.texts`
     and every later call returns it.
     """
-    texts = g.texts
-    if fmt not in texts:
-        if fmt not in _RENDERERS:
+    text = g.texts.get(fmt)
+    if text is None:
+        render = _RENDERERS.get(fmt)
+        if render is None:
             raise ValueError(f"unknown format {fmt!r}")
-        texts[fmt] = _RENDERERS[fmt](g)
-    return texts[fmt]
+        text = g.texts[fmt] = render(g)
+    return text

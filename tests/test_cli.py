@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import graphbench
 from graphbench import cli
 from graphbench.cli import _live_reward_fn, build_parser, main
 from graphbench.corpus import read_jsonl, write_jsonl
@@ -695,3 +700,62 @@ def test_comma_list_flags(tmp_path, capsys, command, flag, enum_cls, kind, valid
     assert run_cli(*argv[command], flag, f"{valid},nope") == 1
     expected = ", ".join(m.value for m in enum_cls)
     assert capsys.readouterr().err == f"error: unknown {kind} 'nope'; expected one of {expected}\n"
+
+
+# A corpus line that `load_queries` cannot read, and the end of its error.
+_GOOD_RECORD = {"id": "x", "task": "connectivity", "difficulty": "easy", "graph_type": "erm",
+                "n": 3, "edges": [[0, 1]], "params": {"u": 0, "v": 2},
+                "ground_truth": False, "seed": 0}
+MALFORMED_RECORDS = {
+    "missing-field": ('{"id": "x", "task": "cycle"}', "missing field 'difficulty'"),
+    "not-an-object": ("[1, 2]", "expected a JSON object, got [1, 2]"),
+    "bad-value": (json.dumps({**_GOOD_RECORD, "params": {"u": "q", "v": 2}}),
+                  "invalid literal for int() with base 10: 'q'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECORDS)
+@pytest.mark.parametrize("command", ["run", "render", "baseline", "selfcheck"])
+def test_a_malformed_corpus_record_is_an_error_naming_the_file_and_record(
+        tmp_path, capsys, command, case):
+    """Every command that reads a corpus exits 1 with one `error:` line
+    naming the file and the record, not a traceback, and writes nothing."""
+    q = tmp_path / "q.jsonl"
+    assert run_cli("generate", "--task", "cycle", "--count", "2", "--out", str(q)) == 0
+    line, message = MALFORMED_RECORDS[case]
+    with open(q, "a", encoding="utf-8") as fh:
+        fh.write("\n" + line + "\n")
+    out = tmp_path / "out.jsonl"
+    argv = {"run": ["run", "--queries", str(q), "--out", str(out)],
+            "render": ["render", "--queries", str(q), "--out", str(out)],
+            "baseline": ["baseline", "--queries", str(q)],
+            "selfcheck": ["selfcheck", str(q)]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {q}: record 3: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_python_m_graphbench_runs_the_cli(tmp_path):
+    """`python -m graphbench` is the `graphbench` command: `--help` exits 0,
+    and a `generate` writes its corpus without importing `requests`."""
+    src = str(Path(graphbench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("GRAPHBENCH_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "graphbench", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: graphbench")
+    q = tmp_path / "q.jsonl"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "graphbench", "generate",
+                           "--task", "cycle", "--count", "2", "--out", str(q)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 2 queries to {q}\n"
+    assert len(q.read_text().splitlines()) == 2
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "graphbench.cli" in imported
+    assert {name for name in imported if name.split(".")[0] in ("requests", "urllib3")} == set()

@@ -24,7 +24,8 @@ from graphbench.errors import MalformedResponse, RateLimited, TransportError
 from graphbench.gateway import (BACKOFF_BASE, CACHE_FILE, MAX_RETRIES, CompletionRequest,
                                 CompletionResponse, Gateway, HttpBackend, MockBackend)
 from graphbench.generators import DifficultySplit as D
-from graphbench.pipeline import accuracy, run_evaluation, score_response
+from graphbench import prompts as prompt_mod
+from graphbench.pipeline import BankStore, accuracy, compose_cells, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
 from graphbench.prompts import PromptScheme as S
 from graphbench.prompts import build_exemplars, compose_prompt
@@ -92,9 +93,9 @@ def test_a_cached_batch_reads_each_distinct_request_once(tmp_path, monkeypatch):
     gw = Gateway(backend, cache_dir=tmp_path)
     read, reads = gw._cache_read, []
 
-    def counting_read(key):
-        reads.append(key)
-        return read(key)
+    def counting_read(keys):
+        reads.extend(keys)
+        return read(keys)
 
     monkeypatch.setattr(gw, "_cache_read", counting_read)
     prompts = ["m1", "h1", "m2", "h1", "m1", "h2", "m3"]
@@ -497,11 +498,10 @@ def test_mixed_batch_sends_only_misses_to_the_pool(tmp_path, monkeypatch):
     read, complete = gw._cache_read, gw.complete
     hit_threads, completed = [], []
 
-    def recording_read(key):
-        resp = read(key)
-        if resp is not None:
-            hit_threads.append(threading.current_thread())
-        return resp
+    def recording_read(keys):
+        found = read(keys)
+        hit_threads.extend(threading.current_thread() for _ in found)
+        return found
 
     def recording_complete(req):
         completed.append((req.prompt, threading.current_thread()))
@@ -528,10 +528,11 @@ def test_failed_cache_read_is_an_item_error(tmp_path, monkeypatch):
     gw = Gateway(backend, cache_dir=tmp_path)
     bad_key, read = gw._cache_key(bad), gw._cache_read
 
-    def failing_read(key):
-        if key == bad_key:
-            raise sqlite3.DatabaseError("database disk image is malformed")
-        return read(key)
+    def failing_read(keys):
+        found = read([key for key in keys if key != bad_key])
+        if bad_key in keys:
+            found[bad_key] = sqlite3.DatabaseError("database disk image is malformed")
+        return found
 
     monkeypatch.setattr(gw, "_cache_read", failing_read)
     monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
@@ -625,6 +626,81 @@ def test_run_evaluation_scores_each_distinct_response_once(monkeypatch):
     for r in records:
         assert (r["extracted"], r["score"]) == score_response(by_id[r["query_id"]],
                                                                r["response"])
+
+
+def test_a_warm_batch_reads_the_cache_with_one_select_per_slice(tmp_path):
+    """The distinct keys of a batch are looked up together, one SELECT per
+    slice of at most READ_SLICE keys: 1,200 hits take three."""
+    backend = CountingBackend(delay=0)
+    assert Gateway(backend, cache_dir=tmp_path / "unused").run_batch([]) == []
+    assert not (tmp_path / "unused").exists()
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(1200)]
+    Gateway(backend, cache_dir=tmp_path).run_batch(reqs)
+    gw = Gateway(backend, cache_dir=tmp_path)
+    statements = []
+    gw._cache().set_trace_callback(statements.append)
+    results = gw.run_batch(reqs + reqs[:7])
+    assert [r.response.text for r in results] == [f"echo:{r.prompt}" for r in reqs + reqs[:7]]
+    assert (gw.cache_hits, gw.network_calls, backend.calls) == (1200, 0, 1200)
+    selects = [st for st in statements if st.startswith("SELECT")]
+    assert len(selects) == 3 == -(-1200 // gateway_mod.READ_SLICE)
+
+
+def test_an_entry_that_cannot_be_decoded_fails_only_its_own_item(tmp_path):
+    """A slice with one unreadable entry is read again key by key: that
+    item is an error, not sent, and every other hit in the slice is served."""
+    backend = CountingBackend(delay=0)
+    reqs = [CompletionRequest("m", f"p{i}") for i in range(600)]
+    gw = Gateway(backend, cache_dir=tmp_path)
+    gw.run_batch(reqs)
+    gw.close()
+    with sqlite3.connect(tmp_path / CACHE_FILE) as db:
+        db.execute("UPDATE completions SET payload = 'not json' WHERE key = ?",
+                   (gw._cache_key(reqs[42]),))
+    db.close()
+    fresh = Gateway(backend, cache_dir=tmp_path)
+    results = fresh.run_batch(reqs)
+    assert [i for i, r in enumerate(results) if not r.ok] == [42]
+    assert results[42].error.startswith("JSONDecodeError: ")
+    assert all(r.response.text == f"echo:p{i}" for i, r in enumerate(results) if i != 42)
+    assert (fresh.cache_hits, fresh.network_calls, backend.calls) == (599, 0, 600)
+
+
+def test_a_mock_counts_the_words_of_every_prompt():
+    """`tokens_in` is the prompt's word count as `str.split()` makes it,
+    for every task, scheme and format, decorated or not."""
+    queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=6)
+    backend = MockBackend(mode="bernoulli", error_rate=0.5, seed=1)
+    for deco in (DecorationFactors(), DecorationFactors(word_delim="\t", case="upper",
+                                                        sentence_delim=" \n ", qa_delim=" \t")):
+        for query, _, _, prompt in compose_cells(queries, list(S), list(F), deco=deco):
+            resp = backend.complete(CompletionRequest("m", prompt, query=query))
+            assert resp.tokens_in == len(prompt.split())
+            assert resp.tokens_out == len(resp.text.split())
+
+
+def test_the_mock_renders_each_querys_answers_once(monkeypatch):
+    """A 9 x 7 run asks for each query's gold value once and renders each
+    of its two answers at most once, and answers as a fresh mock would."""
+    queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=2)
+    bank_store = BankStore()
+    cells = list(compose_cells(queries, list(S), list(F), bank_store=bank_store))
+    calls = {"gold_value": [], "render_answer": []}
+    for name, log in calls.items():
+        original = getattr(prompt_mod, name)
+        monkeypatch.setattr(prompt_mod, name,
+                            lambda *a, _f=original, _log=log: _log.append(a[0]) or _f(*a))
+    records = run_evaluation(queries, list(S), list(F),
+                             Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=3)),
+                             bank_store=bank_store)
+    monkeypatch.undo()
+    assert calls["gold_value"] == [q.task for q in queries]
+    assert len(calls["render_answer"]) <= 2 * len(queries)
+    fresh = [MockBackend(mode="bernoulli", error_rate=0.5, seed=3).complete(
+        CompletionRequest("mock", prompt, query=q)) for q, _, _, prompt in cells]
+    assert [r["response"] for r in records] == [resp.text for resp in fresh]
+    assert [r["tokens_in"] for r in records] == [resp.tokens_in for resp in fresh]
+    assert len({r["score"] for r in records}) == 2
 
 
 def test_cache_key_ignores_query():

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import connected_components, read_back
 from graphbench import answer_eval
+from graphbench.gateway import _word_count
 from graphbench.graphs import Graph, bfs_levels, has_cycle, is_connected, triangle_count
 from graphbench.prompts import gold_answer, gold_value
 from graphbench.serialize import SerializationFormat as F
@@ -76,3 +77,41 @@ def test_gold_answers_always_score_one(g, task, rng):
 def test_triangle_count_nonnegative_and_bounded(g):
     count = triangle_count(g)
     assert 0 <= count <= g.n * (g.n - 1) * (g.n - 2) // 6
+
+
+# Every ASCII character `str.split()` splits on, three non-ASCII spaces it
+# also splits on, and letters.
+WORD_ALPHABET = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u2003ab"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=WORD_ALPHABET, max_size=40))
+@example("")
+@example("a")
+@example(" a\x1fb\x0b")
+@example("a\xa0b")
+def test_word_count_is_the_length_of_split(text):
+    assert _word_count(text) == len(text.split())
+
+
+def render_matrix_by_pairs(g: Graph) -> str:
+    """The adjacency-matrix text from one `has_edge` test per node pair:
+    the reference the serializer's row-by-neighbours rendering must match."""
+    if g.n == 0:
+        return "[]"
+    rows = []
+    for u in range(g.n):
+        cells = " ".join("1" if g.has_edge(u, v) else "0" for v in range(g.n))
+        open_b = "[[" if u == 0 else " ["
+        close_b = "]]" if u == g.n - 1 else "]"
+        pad = " " if 0 < u < g.n - 1 else ""
+        rows.append(f"{open_b}{cells}{close_b}{pad}")
+    return "\n".join(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=0, max_n=25))
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(1, []))
+def test_matrix_rendering_matches_the_pairwise_reference(g):
+    assert serialize(g, F.ADJACENCY_MATRIX) == render_matrix_by_pairs(g)
