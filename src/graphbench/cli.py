@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -217,7 +218,7 @@ def cmd_rlopt(args) -> int:
                           learning_rate=args.learning_rate,
                           epsilon_min=args.epsilon_min,
                           optimizer=args.optimizer, input_skip=args.input_skip)
-    gateway = None
+    gateway = reward_fn = None
     if args.reward.startswith("table:"):
         table_path = args.reward.split(":", 1)[1]
         raw = json.loads(Path(table_path).read_text("utf-8"))
@@ -235,27 +236,32 @@ def cmd_rlopt(args) -> int:
             table[tuple(key.split("|"))] = reward
         reward_fn = rlopt.table_reward_fn(table)
     elif args.reward == "live":
-        config = _load_config(args.config)
-        gateway = _make_gateway(args, config)
-        reward_fn = _live_reward_fn(args, task, split, space, gateway)
+        gateway = _make_gateway(args, _load_config(args.config))
+        _live_settings(args, space)
     else:
         raise ValueError(f"unknown reward spec {args.reward!r}")
 
-    try:
-        result = rlopt.run_dqn((task.value, split.value), space, reward_fn, cfg)
-    finally:
+    with contextlib.ExitStack() as stack:
         if gateway is not None:
-            gateway.close()
-    if args.acc_max is not None:
-        cost, rate = rlopt.cost_rate(result, space, args.acc_max)
-    else:
-        cost, rate = result.explored / space.k_total, None
-    payload = result.to_dict()
-    payload.update({"cost": cost, "rate": rate})
-    print(json.dumps(payload, indent=2))
-    if args.episodes_csv:
-        with open(args.episodes_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+            stack.callback(gateway.close)
+        # Opened (and emptied) once every setting is checked, but before the
+        # live corpus is built or a request is sent, so a path that cannot
+        # be written costs nothing.
+        episodes = (stack.enter_context(open(args.episodes_csv, "w", newline="",
+                                             encoding="utf-8"))
+                    if args.episodes_csv else None)
+        if reward_fn is None:
+            reward_fn = _live_reward_fn(args, task, split, space, gateway)
+        result = rlopt.run_dqn((task.value, split.value), space, reward_fn, cfg)
+        if args.acc_max is not None:
+            cost, rate = rlopt.cost_rate(result, space, args.acc_max)
+        else:
+            cost, rate = result.explored / space.k_total, None
+        payload = result.to_dict()
+        payload.update({"cost": cost, "rate": rate})
+        print(json.dumps(payload, indent=2))
+        if episodes is not None:
+            writer = csv.writer(episodes)
             writer.writerow(["episode", *space.names, "reward", "epsilon"])
             for entry in result.log:
                 writer.writerow([entry.episode, *entry.combo, f"{entry.reward:.6f}",
@@ -267,16 +273,10 @@ _DECORATION_DIMS = tuple(f.name for f in dataclasses.fields(DecorationFactors))
 _LIVE_DIMS = ("prompt_scheme", "serialization", "model", *_DECORATION_DIMS)
 
 
-def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
-                    space: rlopt.FactorSpace, gateway: Gateway):
-    """Reward = accuracy over N generated graphs for the combo's settings.
-
-    Every factor is applied to the evaluation; a factor name the evaluation
-    has no setting for, an option it cannot apply, or fewer than one graph
-    per combo is rejected before anything runs. A batch with a failed
-    request raises GraphBenchError rather than score the failure as a wrong
-    answer.
-    """
+def _live_settings(args, space: rlopt.FactorSpace) -> tuple[dict, dict]:
+    """The prompt scheme and the format each option of the space names.
+    A factor name the evaluation has no setting for, an option it cannot
+    apply, or fewer than one graph per combo raises ValueError."""
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     unknown = [name for name in space.names if name not in _LIVE_DIMS]
@@ -291,6 +291,19 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
     for d in _DECORATION_DIMS:
         for o in options.get(d, ()):
             DecorationFactors(**{d: o})
+    return schemes, formats
+
+
+def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
+                    space: rlopt.FactorSpace, gateway: Gateway):
+    """Reward = accuracy over N generated graphs for the combo's settings.
+
+    Every factor is applied to the evaluation; the settings are checked by
+    `_live_settings` before anything is built or sent. A batch with a
+    failed request raises GraphBenchError rather than score the failure as
+    a wrong answer.
+    """
+    schemes, formats = _live_settings(args, space)
     queries = corpus_mod.build_corpus([task], [split], None, args.samples,
                                       master_seed=args.seed)
     bank_store = BankStore()

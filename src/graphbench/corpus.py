@@ -85,10 +85,23 @@ def _write_lines(records: Iterable[dict[str, Any]], fh: TextIO) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """The JSON value on each non-blank line of `path`. A line that is not
+    JSON raises ValueError naming the file and the record, numbered from 1
+    over the non-blank lines, and the column on that line."""
     with open(path, encoding="utf-8") as fh:
+        i = 0
         for line in fh:
             if line.strip():
-                yield json.loads(line)
+                i += 1
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    # An error at the end of the record points just past
+                    # its last character, not into its line ending.
+                    column = min(exc.pos, len(line.rstrip("\r\n"))) + 1
+                    raise ValueError(f"{path}: record {i}: not JSON: {exc.msg} "
+                                     f"at column {column}") from None
+                yield rec
 
 
 def load_queries(path: str | Path) -> list[QuerySpec]:

@@ -3,6 +3,10 @@ a deterministic mock backend for desk-scale testing, a content-addressed
 SQLite cache, and bounded-concurrency batch execution.
 
 This is the only concurrent module; everything it calls into is pure.
+Each heavy module is imported where it is used, so a command loads only
+what it needs: `requests` when an `HttpBackend` is made or sends, `sqlite3`
+when a cache is first opened, and `concurrent.futures` when a batch has
+misses for a backend that waits on I/O.
 """
 
 from __future__ import annotations
@@ -12,10 +16,8 @@ import hashlib
 import json
 import os
 import queue
-import sqlite3
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
@@ -25,6 +27,8 @@ from .errors import MalformedResponse, RateLimited, TransportError
 from .tasks import TaskKind
 
 if TYPE_CHECKING:
+    import sqlite3
+
     from .corpus import QuerySpec
 
 ENDPOINT_ENV = "GRAPHBENCH_ENDPOINT"
@@ -277,6 +281,9 @@ class Gateway:
     the backend, so a run that stops part-way keeps every finished entry
     and a rerun resumes from them; an interrupted batch sends nothing new.
     Two processes may fill one cache at once.
+    `sqlite3` is imported when the cache is first opened, and the worker
+    pool's `concurrent.futures` only when a backend that waits on I/O has
+    misses, so a mock run without a cache loads neither.
     Caches from the older one-file-per-entry layout are not read. Without a
     `cache_dir` nothing is cached and nothing is created; the CLI resolves
     it from `--cache-dir`, then GRAPHBENCH_CACHE_DIR, then the config file.
@@ -306,7 +313,11 @@ class Gateway:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _cache(self) -> sqlite3.Connection:
+        """The cache connection, opened on first use; `sqlite3` is imported
+        here, so a gateway that never opens its cache never loads it."""
         if self._db is None:
+            import sqlite3
+
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             timeout = 60.0
             # Autocommit: a write outside BEGIN is its own transaction.
@@ -410,10 +421,11 @@ class Gateway:
         slice of READ_SLICE keys (see `_cache_read`); only the misses go on
         one queue, emptied one request at a time through `complete`. For a
         backend that waits on I/O (see `Backend`), up to max_in_flight
-        worker threads empty it, and no pool is started when nothing
-        missed; the calling thread takes the completions as the workers
-        finish them and commits every one that has arrived in one
-        transaction before it waits again. A backend that does not wait is
+        worker threads empty it, and no pool is started (nor
+        `concurrent.futures` imported) when nothing missed; the calling
+        thread takes the completions as the workers finish them and commits
+        every one that has arrived in one transaction before it waits
+        again. A backend that does not wait is
         called on the calling thread, which then commits the batch's
         completions in one transaction. A cache read that fails is an
         error on its item, which is not sent; a commit that fails is an
@@ -474,6 +486,8 @@ class Gateway:
         if misses:
             with contextlib.ExitStack() as stack:
                 if getattr(self.backend, "waits_on_io", True):
+                    from concurrent.futures import ThreadPoolExecutor
+
                     workers = min(max_in_flight, len(misses))
                     pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
                     # After an exception, the workers take no more misses.
@@ -525,12 +539,13 @@ def _switch_to_wal(db: sqlite3.Connection, deadline: float) -> None:
     Two connections that open a fresh file at once can both fail the
     switch with "database is locked": SQLite answers BUSY at once there,
     without waiting out the busy timeout, to avoid a deadlock. Whichever
-    gets through switches the file for both."""
+    gets through switches the file for both. The error class is read from
+    the connection, so this module need not import `sqlite3`."""
     while True:
         try:
             db.execute("PRAGMA journal_mode=WAL")
             return
-        except sqlite3.OperationalError as exc:
+        except db.OperationalError as exc:
             if "locked" not in str(exc) or time.monotonic() >= deadline:
                 raise
         if db.execute("PRAGMA journal_mode").fetchone()[0] == "wal":

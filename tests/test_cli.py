@@ -641,6 +641,23 @@ def test_rlopt_checks_acc_max_before_it_builds_or_sends_anything(monkeypatch, ca
     assert (built, sent) == ([], [])
 
 
+def test_rlopt_checks_the_episodes_csv_path_before_it_builds_or_sends_anything(
+        tmp_path, monkeypatch, capsys):
+    built, backend = [], CountingMock()
+    build_corpus = cli.corpus_mod.build_corpus
+    monkeypatch.setattr(cli.corpus_mod, "build_corpus",
+                        lambda *a, **k: built.append(a) or build_corpus(*a, **k))
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    episodes = tmp_path / "missing" / "episodes.csv"
+    capsys.readouterr()
+    assert run_cli("rlopt", "--reward", "live", "--samples", "2", "--episodes", "3",
+                   "--episodes-csv", str(episodes)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1 and str(episodes) in err
+    assert (built, backend.sent) == ([], [])
+
+
 @pytest.mark.parametrize("command", ["run", "rlopt"])
 @pytest.mark.parametrize("rate", ["1.5", "-0.5", "nan"])
 def test_mock_error_rate_outside_zero_to_one_is_rejected(tmp_path, monkeypatch, capsys,
@@ -735,6 +752,24 @@ def test_a_malformed_corpus_record_is_an_error_naming_the_file_and_record(
     captured = capsys.readouterr()
     assert captured.err == f"error: {q}: record 3: {message}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "render", "baseline", "selfcheck", "report"])
+def test_a_line_that_is_not_json_is_an_error_naming_the_file_and_record(tmp_path, capsys,
+                                                                         command):
+    """A corpus or results line that is not JSON exits 1 with one `error:`
+    line naming the file, the record and the column on its line."""
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+    bad.write_text('{"id": 1\n')
+    argv = {"run": ["run", "--queries", str(bad), "--out", str(out)],
+            "render": ["render", "--queries", str(bad), "--out", str(out)],
+            "baseline": ["baseline", "--queries", str(bad)],
+            "selfcheck": ["selfcheck", str(bad)],
+            "report": ["report", "--results", str(bad)]}[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: record 1: not JSON: Expecting ',' delimiter at column 9\n")
+    assert not out.exists()
 
 
 def test_python_m_graphbench_runs_the_cli(tmp_path):

@@ -3,12 +3,16 @@ requests, and holds only code that a command or the benchmark's tracer
 reaches."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import graphbench
+from graphbench import cli
 from test_tracing_targets import load_targets
 
 ALLOWED = {"numpy", "requests", "graphbench"}
@@ -34,13 +38,18 @@ def test_runtime_imports_are_stdlib_numpy_or_requests():
 
 def importers(tree: ast.Module, package: str) -> set[str]:
     """Dotted paths of the defs (a class's methods as `Class.method`) whose
-    code imports `package`; "" for an import outside every def."""
+    code imports `package`; "" for an import outside every def. Imports
+    under `if TYPE_CHECKING:` never run and are not counted."""
     out = set()
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                    and child.test.id == "TYPE_CHECKING"):
+                visit(ast.Module(body=child.orelse, type_ignores=[]), scope)
                 continue
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
@@ -56,34 +65,66 @@ def importers(tree: ast.Module, package: str) -> set[str]:
     return out
 
 
-def test_only_http_backend_imports_requests():
-    """No module imports requests when it is loaded; only `HttpBackend`
-    does, when one is made or sends, so no offline command loads the HTTP
-    stack."""
+# Where each module that only some commands need may be imported: the HTTP
+# stack when an `HttpBackend` is made or sends, SQLite when a cache is first
+# opened, and the worker pool when a batch has misses for a backend that
+# waits on I/O.
+LAZY_IMPORTS = {
+    "requests": {"gateway:HttpBackend.__init__", "gateway:HttpBackend.complete"},
+    "sqlite3": {"gateway:Gateway._cache"},
+    "concurrent": {"gateway:Gateway.run_batch"},
+}
+
+
+@pytest.mark.parametrize("package", sorted(LAZY_IMPORTS))
+def test_a_lazy_module_is_imported_only_where_it_is_used(package):
+    """No module imports these when it is loaded, only the defs that use
+    them, so a command that needs none of them loads none."""
     found = {f"{m.stem}:{scope}" for m in sorted(Path(graphbench.__file__).parent.glob("*.py"))
-             for scope in importers(ast.parse(m.read_text("utf-8")), "requests")}
-    assert found == {"gateway:HttpBackend.__init__", "gateway:HttpBackend.complete"}
+             for scope in importers(ast.parse(m.read_text("utf-8")), package)}
+    assert found == LAZY_IMPORTS[package]
 
 
-def test_an_offline_run_does_not_load_requests(tmp_path):
+# Argument lists run in a fresh interpreter, each with the lazily imported
+# modules it may load. "{d}" is a directory holding `q.jsonl`, a corpus,
+# and `r.jsonl`, that corpus's results.
+COMMANDS = {
+    "generate": (["generate", "--task", "cycle", "--count", "2", "--out", "{d}/g.jsonl"], []),
+    "run": (["run", "--queries", "{d}/q.jsonl", "--backend", "mock-bernoulli",
+             "--out", "{d}/out.jsonl"], []),
+    "run-cached": (["run", "--queries", "{d}/q.jsonl", "--backend", "mock-bernoulli",
+                    "--cache-dir", "{d}/cache", "--out", "{d}/out.jsonl"], ["sqlite3"]),
+    "rlopt": (["rlopt", "--reward", "live", "--backend", "mock-bernoulli", "--task", "cycle",
+               "--samples", "2", "--episodes", "5"], []),
+    "report": (["report", "--results", "{d}/r.jsonl"], []),
+    "baseline": (["baseline", "--queries", "{d}/q.jsonl"], []),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, command):
+    """Offline commands never load the HTTP stack, the worker pool, or,
+    without a cache, SQLite."""
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    assert cli.main(["generate", "--task", "cycle", "--count", "2", "--out", str(q)]) == 0
+    assert cli.main(["run", "--queries", str(q), "--out", str(r)]) == 0
+    argv, expected = COMMANDS[command]
     script = """
-import sys
+import json, sys
 from graphbench import cli
-corpus, results = sys.argv[1:]
-for argv in (["generate", "--task", "cycle", "--count", "2", "--out", corpus],
-             ["run", "--queries", corpus, "--backend", "mock-oracle", "--out", results]):
-    assert cli.main(argv) == 0
-print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps([name for name in ("sqlite3", "concurrent.futures", "requests", "urllib3")
+                  if name in sys.modules]))
 """
     src = str(Path(graphbench.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     env.pop("GRAPHBENCH_CACHE_DIR", None)
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "q.jsonl"),
-                           str(tmp_path / "r.jsonl")],
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps([a.format(d=tmp_path) for a in argv])],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
 
 
 def annotation_names(node: ast.AST) -> set[str]:

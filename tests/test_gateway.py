@@ -296,7 +296,7 @@ def test_one_task_per_worker(monkeypatch):
             submitted.append(fn)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
     backend = CountingBackend(delay=0)
     reqs = [CompletionRequest("m", f"p{i}") for i in range(50)]
     results = Gateway(backend).run_batch(reqs, max_in_flight=3)
@@ -479,7 +479,7 @@ def test_all_hit_batch_runs_on_the_calling_thread(tmp_path, monkeypatch):
     backend = CountingBackend(delay=0)
     reqs = [CompletionRequest("m", f"p{i}") for i in range(6)]
     Gateway(backend, cache_dir=tmp_path).run_batch(reqs)
-    monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     fresh = CountingBackend(delay=0)
     gw = Gateway(fresh, cache_dir=tmp_path)
     batch = reqs[::-1] + reqs[:2]
@@ -535,7 +535,7 @@ def test_failed_cache_read_is_an_item_error(tmp_path, monkeypatch):
         return found
 
     monkeypatch.setattr(gw, "_cache_read", failing_read)
-    monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     first, failed, again, failed_again = gw.run_batch([good, bad, good, bad])
     assert first.response.text == "echo:good" and again.response is first.response
     assert sorted(backend.prompts) == ["bad", "good"]
