@@ -23,11 +23,11 @@ from . import baselines as baselines_mod
 from . import corpus as corpus_mod
 from . import reporting
 from . import rlopt
-from .errors import GraphBenchError
+from .errors import BadRecord, EmptyGroup, GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
 from .generators import DifficultySplit, GraphFamily
 from .pipeline import BankStore, accuracy, compose_cells, run_evaluation
-from .prompts import DecorationFactors, PromptScheme
+from .prompts import DecorationFactors, PromptScheme, join_prompt
 from .serialize import SerializationFormat, serialize
 from .tasks import TaskKind
 
@@ -100,9 +100,10 @@ def cmd_render(args) -> int:
     queries = corpus_mod.load_queries(args.queries)
     schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
     formats = _parse_names(SerializationFormat, args.formats, "--formats")
-    rows = [{"query_id": q.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
-             "prompt_text": prompt}
-            for q, scheme, fmt, prompt in compose_cells(queries, schemes, formats)]
+    # Written as they are composed, so only one joined prompt is held at a time.
+    rows = ({"query_id": q.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
+             "prompt_text": join_prompt(head, body)}
+            for q, scheme, fmt, head, body in compose_cells(queries, schemes, formats))
     n = corpus_mod.write_jsonl(rows, args.out)
     print(f"wrote {n} prompts to {args.out}")
     return 0
@@ -332,31 +333,34 @@ _PIVOTS = {"model": "model", "scheme": "prompt_scheme",
            "format": "serialization", "graph-type": "graph_type"}
 
 
-# The record fields `report` reads: its filters', its pivots' and the
-# values each row averages.
-_REPORT_FIELDS = ("score", "tokens_out", "task", "difficulty", *reporting.FACTOR_DIMS)
-
-
 def cmd_report(args) -> int:
     if args.pivot == "sensitivity" and not (args.task and args.split):
         raise ValueError("--pivot sensitivity needs --task and --split")
-    records = []
-    for i, rec in enumerate(corpus_mod.read_jsonl(args.results), 1):
-        if not isinstance(rec, dict) or "score" not in rec:
-            raise ValueError(f"{args.results}: record {i} has no 'score'; "
-                             f"report reads the result records `run` writes")
-        if ((args.task and rec.get("task") != args.task)
-                or (args.split and rec.get("difficulty") != args.split)):
-            continue
-        records.append({k: rec[k] for k in _REPORT_FIELDS if k in rec})
-    if not records:
+    # The number of the record read last: the one being folded in when the
+    # fold finds it bad, since `reporting` reads the stream one at a time.
+    at = 0
+
+    def records():
+        nonlocal at
+        for at, rec in enumerate(corpus_mod.read_jsonl(args.results), 1):
+            if not isinstance(rec, dict) or "score" not in rec:
+                raise ValueError(f"{args.results}: record {at} has no 'score'; "
+                                 f"report reads the result records `run` writes")
+            if ((args.task and rec.get("task") != args.task)
+                    or (args.split and rec.get("difficulty") != args.split)):
+                continue
+            yield rec
+
+    try:
+        if args.pivot == "sensitivity":
+            rows = reporting.sensitivity(records(), args.task, args.split)
+        else:
+            rows = reporting.aggregate(records(), [_PIVOTS[args.pivot]])
+    except BadRecord as exc:
+        raise ValueError(f"{args.results}: record {at}: {exc}") from None
+    except EmptyGroup:
         print("no records after filtering", file=sys.stderr)
         return 1
-
-    if args.pivot == "sensitivity":
-        rows = reporting.sensitivity(records, args.task, args.split)
-    else:
-        rows = reporting.aggregate(records, [_PIVOTS[args.pivot]])
     return _emit_csv(rows, args.csv_out)
 
 

@@ -59,3 +59,8 @@ class EmptyGroup(GraphBenchError):
 
 class InsufficientCoverage(GraphBenchError):
     """Sensitivity analysis needs at least two schemes and two formats."""
+
+
+class BadRecord(GraphBenchError, ValueError):
+    """A result record a report cannot fold in: a field it reads is missing
+    or holds a value of the wrong kind."""

@@ -54,18 +54,46 @@ TOP_P = 0.9
 MAX_TOKENS = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
+    """One prompt for one model, kept as the two parts it is composed of:
+    `head`, the part many prompts share (a bank's algorithm block and
+    exemplars; None when there is none), and
+    `body`, the query's own item. The prompt is the two joined by a blank
+    line (`prompts.join_prompt`); `CompletionRequest(model, text)` is a
+    prompt with no head.
+
+    The joined text is built only by `prompt`, which the HTTP backend
+    sends. The cache key and the mock's draw hash the two parts in order
+    and the mock counts their words apart, so each is what it would be on
+    the joined text. Equality covers the model, the head and the body.
+    """
+
     model: str
-    prompt: str
+    body: str
+    head: str | None = None
     # The query the prompt was composed from. Only the mock backend reads it;
     # it is not part of the cache key.
     query: QuerySpec | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def prompt(self) -> str:
+        return prompt_mod.join_prompt(self.head, self.body)
+
+    def prompt_sha256(self, before: str, after: str = ""):
+        """sha256 over `before`, the prompt and `after`, fed part by part,
+        so the joined prompt is never built."""
+        digest = hashlib.sha256(before.encode("utf-8"))
+        if self.head is not None:
+            digest.update(self.head.encode("utf-8"))
+            digest.update(prompt_mod.HEAD_SEPARATOR.encode("utf-8"))
+        digest.update(self.body.encode("utf-8"))
+        digest.update(after.encode("utf-8"))
+        return digest
+
     def cache_key(self) -> str:
-        payload = "\x00".join([self.model, self.prompt, repr(TEMPERATURE),
-                               repr(TOP_P), repr(MAX_TOKENS)])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        settings = "".join(f"\x00{value!r}" for value in (TEMPERATURE, TOP_P, MAX_TOKENS))
+        return self.prompt_sha256(f"{self.model}\x00", settings).hexdigest()
 
 
 @dataclass
@@ -216,8 +244,8 @@ class MockBackend:
         # (query, gold value, {wrong: (answer text, its word count)}).
         self._memo: tuple[QuerySpec, Any, dict[bool, tuple[str, int]]] | None = None
 
-    def _unit(self, prompt: str) -> float:
-        digest = hashlib.sha256(f"{self.seed}\x00bernoulli\x00{prompt}".encode()).digest()
+    def _unit(self, req: CompletionRequest) -> float:
+        digest = req.prompt_sha256(f"{self.seed}\x00bernoulli\x00").digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
@@ -226,7 +254,7 @@ class MockBackend:
             raise ValueError("the mock backend answers from the request's query, "
                              "and this request carries none")
         wrong = (self.mode == "bernoulli"
-                 and self._unit(req.prompt) < self.error_rate)
+                 and self._unit(req) < self.error_rate)
         memo = self._memo
         if memo is None or memo[0] is not q:
             memo = self._memo = (q, prompt_mod.gold_value(q.task, q.graph, q.params,
@@ -237,7 +265,12 @@ class MockBackend:
             text = prompt_mod.render_answer(q.task, q.params, value)
             answers[wrong] = (text, len(text.split()))
         text, tokens_out = answers[wrong]
-        return CompletionResponse(text=text, tokens_in=_word_count(req.prompt),
+        # The blank line between head and body ends a word, so the two
+        # counts add up to the joined prompt's.
+        tokens_in = _word_count(req.body)
+        if req.head is not None:
+            tokens_in += _word_count(req.head)
+        return CompletionResponse(text=text, tokens_in=tokens_in,
                                   tokens_out=tokens_out, latency_ms=0.0)
 
 

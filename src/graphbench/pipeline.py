@@ -45,18 +45,20 @@ def compose_cells(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
                   formats: Sequence[SerializationFormat],
                   deco: DecorationFactors = IDENTITY_DECORATION,
                   bank_store: BankStore | None = None,
-                  ) -> Iterator[tuple[QuerySpec, PromptScheme, SerializationFormat, str]]:
-    """Every (query, scheme, format) cell with its prompt, in query, then
-    scheme, then format order. The schemes that end a query's prompts alike
-    share one rendering of its item (see `compose_prompt`)."""
+                  ) -> Iterator[tuple[QuerySpec, PromptScheme, SerializationFormat,
+                                      str | None, str]]:
+    """Every (query, scheme, format) cell with its prompt's head and body
+    (see `compose_prompt`), in query, then scheme, then format order. The
+    cells of one bank and format share one head string, and the schemes
+    that end a query's prompts alike share one rendering of its item."""
     bank_store = bank_store or BankStore()
     for query in queries:
         finals: dict[tuple, str] = {}
         for scheme in schemes:
             bank = bank_store.get(query.task, scheme)
             for fmt in formats:
-                yield query, scheme, fmt, compose_prompt(query, scheme, fmt, bank=bank,
-                                                         deco=deco, finals=finals)
+                yield query, scheme, fmt, *compose_prompt(query, scheme, fmt, bank=bank,
+                                                          deco=deco, finals=finals)
 
 
 def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
@@ -67,10 +69,12 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
     """Evaluate every (query, scheme, format) cell and return result records.
 
     Each distinct (query, response text) is extracted and scored once, and
-    the cells that repeat it share that answer value and score."""
+    the cells that repeat it share that answer value and score. No prompt
+    is joined: a request carries its head and body, so the batch holds one
+    copy of each distinct part, not one of each prompt."""
     cells = list(compose_cells(queries, schemes, formats, deco=deco, bank_store=bank_store))
-    results = gateway.run_batch([CompletionRequest(model=model, prompt=prompt, query=query)
-                                 for query, _, _, prompt in cells],
+    results = gateway.run_batch([CompletionRequest(model, body, head, query=query)
+                                 for query, _, _, head, body in cells],
                                 max_in_flight=max_in_flight)
     scored: dict[tuple[int, str], tuple[Any, int]] = {}
     records = []
@@ -78,7 +82,7 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
     # read once each: the enum members by identity, the query when it changes.
     names = {id(member): member.value for member in (*schemes, *formats)}
     last = None
-    for (query, scheme, fmt, _), item in zip(cells, results):
+    for (query, scheme, fmt, _, _), item in zip(cells, results):
         if query is not last:
             last = query
             task, difficulty, graph_type = (query.task.value, query.difficulty.value,

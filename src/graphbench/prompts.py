@@ -325,13 +325,25 @@ def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
     return "".join(parts)
 
 
+# What joins a prompt's head to its body: a blank line.
+HEAD_SEPARATOR = "\n\n"
+
+
+def join_prompt(head: str | None, body: str) -> str:
+    """The prompt text of a head (None for none) and a body."""
+    return body if head is None else f"{head}{HEAD_SEPARATOR}{body}"
+
+
 def compose_prompt(query: QuerySpec, scheme: PromptScheme, fmt: SerializationFormat,
                    bank: ExemplarBank | None = None,
                    deco: DecorationFactors = IDENTITY_DECORATION,
-                   finals: dict[tuple, str] | None = None) -> str:
-    """Assemble the full prompt for one query under (scheme, format, deco):
-    the head (the bank's, for a shot-bearing scheme; else the algorithm
-    block, if the scheme has one) and the query's own item, joined.
+                   finals: dict[tuple, str] | None = None) -> tuple[str | None, str]:
+    """The full prompt for one query under (scheme, format, deco), as its
+    two parts: the head (the bank's, for a shot-bearing scheme; else the
+    algorithm block, if the scheme has one; else None) and the query's own
+    item. `join_prompt` joins them into the prompt text. The head is the
+    bank's own string, shared by every prompt of its bank and format, so
+    a caller that keeps the parts holds no copy of it per prompt.
 
     The query's item depends on the scheme only through its instruct line
     and its suffix, so nine schemes end in five distinct items. `finals`,
@@ -356,4 +368,4 @@ def compose_prompt(query: QuerySpec, scheme: PromptScheme, fmt: SerializationFor
                            instruct_line, None, suffix)
         if finals is not None:
             finals[key] = final
-    return final if head is None else f"{head}\n\n{final}"
+    return head, final

@@ -564,6 +564,65 @@ def test_report_sensitivity_errors_are_validation_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# A field value that stands for deleting the field.
+MISSING = object()
+
+
+@pytest.mark.parametrize("pivot, field, value, message", [
+    ("sensitivity", "prompt_scheme", MISSING, "prompt_scheme is missing"),
+    ("scheme", "score", None, "score null is not a number"),
+    ("scheme", "score", "x", 'score "x" is not a number'),
+    ("scheme", "prompt_scheme", ["0-shot"], 'prompt_scheme ["0-shot"] is not a string'),
+    ("model", "tokens_out", "7", 'tokens_out "7" is not a number'),
+], ids=["no-scheme", "null-score", "string-score", "list-scheme", "string-tokens"])
+def test_report_names_the_file_and_record_it_cannot_fold_in(tmp_path, capsys, pivot, field,
+                                                            value, message):
+    """A results record whose field `report` reads is missing or of the
+    wrong kind exits 1 with one `error:` line naming the file and the
+    record, and prints no table."""
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--difficulty", "easy",
+            "--count", "2", "--seed", "0", "--out", str(q))
+    run_cli("run", "--queries", str(q), "--schemes", "0-shot,0-CoT",
+            "--formats", "adjacency_list,edge_list", "--out", str(r))
+    records = list(read_jsonl(r))
+    if value is MISSING:
+        del records[2][field]
+    else:
+        records[2][field] = value
+    write_jsonl(records, r)
+    capsys.readouterr()
+    argv = ["report", "--results", str(r), "--pivot", pivot]
+    if pivot == "sensitivity":
+        argv += ["--task", "cycle", "--split", "easy"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {r}: record 3: {message}\n")
+
+
+def test_report_memory_does_not_grow_with_the_records(tmp_path):
+    """`report` folds each record into its pivot as it reads it, so ten
+    times the records peak at about the same traced memory."""
+    q, small, large = tmp_path / "q.jsonl", tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    run_cli("generate", "--task", ",".join(t.value for t in TaskKind), "--difficulty", "easy",
+            "--count", "7", "--seed", "2", "--out", str(q))
+    run_cli("run", "--queries", str(q), *EVERY_CELL, "--backend", "mock-bernoulli",
+            "--out", str(small))
+    large.write_text(small.read_text() * 10)
+    assert len(small.read_text().splitlines()) == 3528
+    argv = ("report", "--pivot", "scheme", "--results")
+    # A first report imports what every report shares.
+    assert run_cli(*argv, str(small)) == 0
+    peaks = []
+    for results in (small, large):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, str(results)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 1.2, peaks
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--task", "nope", "error: unknown task 'nope'; expected one of "),
     ("--difficulty", "bogus", "error: unknown difficulty 'bogus'; expected one of "),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from graphbench import prompts as prompt_mod
 from graphbench.pipeline import BankStore, accuracy, compose_cells, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
 from graphbench.prompts import PromptScheme as S
-from graphbench.prompts import build_exemplars, compose_prompt
+from graphbench.prompts import build_exemplars, compose_prompt, join_prompt
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind as T
@@ -36,7 +37,7 @@ from graphbench.tasks import TaskKind as T
 
 def sample_prompt(task=T.CYCLE, fmt=F.ADJACENCY_LIST, seed=3):
     q = build_corpus([task], [D.EASY], None, 1, master_seed=seed)[0]
-    return q, compose_prompt(q, S.ZERO_SHOT, fmt)
+    return q, join_prompt(*compose_prompt(q, S.ZERO_SHOT, fmt))
 
 
 class CountingBackend:
@@ -66,7 +67,7 @@ class CountingBackend:
 def test_cache_hit_skips_network(tmp_path):
     backend = CountingBackend(delay=0)
     gw = Gateway(backend, cache_dir=tmp_path)
-    req = CompletionRequest(model="m", prompt="hello")
+    req = CompletionRequest(model="m", body="hello")
     first = gw.run_batch([req])[0].response
     second = gw.run_batch([req])[0].response
     assert backend.prompts == ["hello"]
@@ -549,7 +550,7 @@ def mock_requests(count=6, seed=5):
     """Requests for `count` cycle queries, two prompts each, with their
     queries attached, as the mock backend needs."""
     queries = build_corpus([T.CYCLE], [D.EASY], None, count, master_seed=seed)
-    return [CompletionRequest("m", compose_prompt(q, scheme, F.EDGE_LIST), query=q)
+    return [CompletionRequest("m", join_prompt(*compose_prompt(q, scheme, F.EDGE_LIST)), query=q)
             for q in queries for scheme in (S.ZERO_SHOT, S.ZERO_COT)]
 
 
@@ -673,9 +674,9 @@ def test_a_mock_counts_the_words_of_every_prompt():
     backend = MockBackend(mode="bernoulli", error_rate=0.5, seed=1)
     for deco in (DecorationFactors(), DecorationFactors(word_delim="\t", case="upper",
                                                         sentence_delim=" \n ", qa_delim=" \t")):
-        for query, _, _, prompt in compose_cells(queries, list(S), list(F), deco=deco):
-            resp = backend.complete(CompletionRequest("m", prompt, query=query))
-            assert resp.tokens_in == len(prompt.split())
+        for query, _, _, head, body in compose_cells(queries, list(S), list(F), deco=deco):
+            resp = backend.complete(CompletionRequest("m", body, head, query=query))
+            assert resp.tokens_in == len(join_prompt(head, body).split())
             assert resp.tokens_out == len(resp.text.split())
 
 
@@ -697,10 +698,33 @@ def test_the_mock_renders_each_querys_answers_once(monkeypatch):
     assert calls["gold_value"] == [q.task for q in queries]
     assert len(calls["render_answer"]) <= 2 * len(queries)
     fresh = [MockBackend(mode="bernoulli", error_rate=0.5, seed=3).complete(
-        CompletionRequest("mock", prompt, query=q)) for q, _, _, prompt in cells]
+        CompletionRequest("mock", join_prompt(head, body), query=q))
+        for q, _, _, head, body in cells]
     assert [r["response"] for r in records] == [resp.text for resp in fresh]
     assert [r["tokens_in"] for r in records] == [resp.tokens_in for resp in fresh]
     assert len({r["score"] for r in records}) == 2
+
+
+def test_a_shot_bearing_run_holds_each_prompt_part_once():
+    """A request carries its prompt's head and body, never the two joined,
+    so a shot-bearing grid's batch holds each bank's head once per format,
+    not once per prompt: it peaks below half the joined prompts' size."""
+    queries = build_corpus([T.SHORTEST_PATH], [D.EASY], None, 20, master_seed=4)
+    schemes = [s for s in S if s.shot_bearing]
+    bank_store = BankStore()
+    gw = Gateway(MockBackend(mode="bernoulli", error_rate=0.5))
+    # A first pass builds the banks and their heads, which every pass shares.
+    first = run_evaluation(queries, schemes, list(F), gw, bank_store=bank_store)
+    joined = sum(len(join_prompt(head, body)) for *_, head, body in
+                 compose_cells(queries, schemes, list(F), bank_store=bank_store))
+    tracemalloc.start()
+    try:
+        again = run_evaluation(queries, schemes, list(F), gw, bank_store=bank_store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first and len(first) == 20 * len(schemes) * len(F)
+    assert peak < joined / 2, (peak, joined)
 
 
 def test_cache_key_ignores_query():
@@ -824,7 +848,8 @@ def test_batch_fault_injection_all_succeed():
     qs = build_corpus([T.CYCLE], [D.EASY], None, 10, master_seed=8)
     backend = RateLimitedMock(0.4, mode="oracle")
     gw = Gateway(backend, sleep=lambda s: None)
-    reqs = [CompletionRequest("m", compose_prompt(q, S.ZERO_SHOT, F.EDGE_LIST), query=q)
+    reqs = [CompletionRequest("m", join_prompt(*compose_prompt(q, S.ZERO_SHOT, F.EDGE_LIST)),
+                              query=q)
             for q in qs]
     results = gw.run_batch(reqs, max_in_flight=4)
     assert all(r.ok for r in results)
@@ -880,7 +905,7 @@ def test_parse_prompt_uses_last_item():
     answers that query rather than an exemplar."""
     q, _ = sample_prompt(task=T.TRIANGLE)
     bank = build_exemplars(T.TRIANGLE, S.K_SHOT)
-    shot = compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST, bank=bank)
+    shot = join_prompt(*compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST, bank=bank))
     last_answer = bank.exemplars[-1].answer
     assert serialize(q.graph, F.ADJACENCY_LIST) in shot[shot.rindex(last_answer):]
     resp = MockBackend(mode="oracle").complete(CompletionRequest("m", shot, query=q))

@@ -18,11 +18,16 @@ from graphbench.pipeline import BankStore, run_evaluation
 from graphbench import prompts
 from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, ExemplarBank,
                                 IDENTITY_DECORATION, PromptScheme, QA_DELIMS, SENTENCE_DELIMS,
-                                WORD_DELIMS, build_exemplars, compose_prompt, question_text,
-                                render_answer)
+                                WORD_DELIMS, build_exemplars, compose_prompt, join_prompt,
+                                question_text, render_answer)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TaskKind, compute_ground_truth
+
+
+def prompt_text(*args, **kwargs) -> str:
+    """The prompt `compose_prompt` composes, as one text."""
+    return join_prompt(*compose_prompt(*args, **kwargs))
 
 
 def make_query(task=TaskKind.BFS_ORDER, params=None, graph=None):
@@ -55,7 +60,7 @@ def test_question_missing_param():
 
 def test_zero_shot_layout():
     q = make_query(params={"start": 4})
-    prompt = compose_prompt(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
+    prompt = prompt_text(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
     assert prompt.startswith(
         "Given a graph, your task is to determine the bfs traversal order of this "
         "graph starting at node 4. And the graph representation of: Adjacency List is \n")
@@ -64,21 +69,21 @@ def test_zero_shot_layout():
 
 def test_zero_cot_suffix():
     q = make_query()
-    prompt = compose_prompt(q, PromptScheme.ZERO_COT, F.ADJACENCY_LIST)
+    prompt = prompt_text(q, PromptScheme.ZERO_COT, F.ADJACENCY_LIST)
     assert prompt.endswith("A: \n\nLet's think step by step:")
 
 
 def test_ltm_and_zero_instruct_suffixes():
     q = make_query()
-    assert compose_prompt(q, PromptScheme.LTM, F.EDGE_LIST).endswith(
+    assert prompt_text(q, PromptScheme.LTM, F.EDGE_LIST).endswith(
         "A: \n\nLet's break down this problem:")
-    assert compose_prompt(q, PromptScheme.ZERO_INSTRUCT, F.EDGE_LIST).endswith(
+    assert prompt_text(q, PromptScheme.ZERO_INSTRUCT, F.EDGE_LIST).endswith(
         "A: \n\nLet's construct a graph with the nodes and edges first:")
 
 
 def test_zero_algorithm_opens_with_block():
     q = make_query()
-    prompt = compose_prompt(q, PromptScheme.ZERO_ALGORITHM, F.ADJACENCY_SET)
+    prompt = prompt_text(q, PromptScheme.ZERO_ALGORITHM, F.ADJACENCY_SET)
     assert prompt.startswith("To determine the BFS (Breadth-First Search) traversal "
                              "order, you need to follow these steps:")
     assert prompt.endswith("A:")
@@ -87,8 +92,8 @@ def test_zero_algorithm_opens_with_block():
 def test_shot_bearing_prepends_exemplar_block_only():
     q = make_query()
     bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT)
-    shot = compose_prompt(q, PromptScheme.K_SHOT, F.ADJACENCY_LIST, bank=bank)
-    zero = compose_prompt(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
+    shot = prompt_text(q, PromptScheme.K_SHOT, F.ADJACENCY_LIST, bank=bank)
+    zero = prompt_text(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
     assert shot.endswith(zero)
     assert shot != zero
     assert shot.count("\nA: ") >= len(bank) == prompts.EXEMPLARS_PER_BANK == 5
@@ -97,7 +102,7 @@ def test_shot_bearing_prepends_exemplar_block_only():
 def test_instruct_inserts_item_line():
     q = make_query()
     bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.INSTRUCT)
-    prompt = compose_prompt(q, PromptScheme.INSTRUCT, F.ADJACENCY_LIST, bank=bank)
+    prompt = prompt_text(q, PromptScheme.INSTRUCT, F.ADJACENCY_LIST, bank=bank)
     line = "Let's construct a graph with the nodes and edges first."
     # once per exemplar plus once for the final item
     assert prompt.count(line) == len(bank) + 1
@@ -107,7 +112,7 @@ def test_instruct_inserts_item_line():
 def test_empty_bank_raises():
     q = make_query()
     with pytest.raises(EmptyBank):
-        compose_prompt(q, PromptScheme.COT, F.ADJACENCY_LIST, bank=None)
+        prompt_text(q, PromptScheme.COT, F.ADJACENCY_LIST, bank=None)
 
 
 def test_graph_text_is_verbatim_substring():
@@ -118,7 +123,7 @@ def test_graph_text_is_verbatim_substring():
         for deco in (IDENTITY_DECORATION,
                      DecorationFactors(sentence_delim=" || ", qa_delim=" - ",
                                        word_delim="\t", case="upper")):
-            prompt = compose_prompt(q, PromptScheme.ZERO_COT, fmt, deco=deco)
+            prompt = prompt_text(q, PromptScheme.ZERO_COT, fmt, deco=deco)
             assert rendered in prompt
 
 
@@ -134,8 +139,8 @@ def test_final_item_carries_query_graph():
         for fmt in F:
             rendered = serialize(q.graph, fmt)
             for deco in decos:
-                assert rendered in compose_prompt(q, PromptScheme.ZERO_SHOT, fmt, deco=deco)
-                shot = compose_prompt(q, PromptScheme.K_SHOT, fmt, bank=bank, deco=deco)
+                assert rendered in prompt_text(q, PromptScheme.ZERO_SHOT, fmt, deco=deco)
+                shot = prompt_text(q, PromptScheme.K_SHOT, fmt, bank=bank, deco=deco)
                 last_answer = deco.a_marker(deco.text(bank.exemplars[-1].answer))
                 final_item = shot[shot.rindex(last_answer) + len(last_answer):]
                 assert rendered in final_item, (q.task, fmt, deco)
@@ -144,8 +149,8 @@ def test_final_item_carries_query_graph():
 def test_identity_decoration_is_byte_identical():
     q = make_query()
     for scheme in (PromptScheme.ZERO_SHOT, PromptScheme.ZERO_ALGORITHM, PromptScheme.LTM):
-        undecorated = compose_prompt(q, scheme, F.GMOL)
-        identity = compose_prompt(q, scheme, F.GMOL, deco=DecorationFactors())
+        undecorated = prompt_text(q, scheme, F.GMOL)
+        identity = prompt_text(q, scheme, F.GMOL, deco=DecorationFactors())
         assert undecorated == identity
 
 
@@ -163,7 +168,7 @@ def test_decoration_pool_membership():
 def test_decorated_markers():
     q = make_query()
     deco = DecorationFactors(qa_delim=" ::: ", case="lower")
-    prompt = compose_prompt(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST, deco=deco)
+    prompt = prompt_text(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST, deco=deco)
     assert "Q ::: give the bfs traversal order starting from node 0." in prompt
     assert prompt.endswith("A ::: ")
 
@@ -198,11 +203,11 @@ def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
              for deco in (IDENTITY_DECORATION, DecorationFactors(case="upper", qa_delim=" :: "))
              for scheme in (PromptScheme.INSTRUCT, PromptScheme.K_SHOT)
              for fmt in (F.EDGE_LIST, F.GMOL)]
-    fresh = [compose_prompt(q, scheme, fmt, ExemplarBank(bank.exemplars),
+    fresh = [prompt_text(q, scheme, fmt, ExemplarBank(bank.exemplars),
                             deco) for q in queries for scheme, fmt, deco in cells]
     calls = []
     monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.append(fmt) or serialize(g, fmt))
-    reused = [compose_prompt(q, scheme, fmt, bank, deco)
+    reused = [prompt_text(q, scheme, fmt, bank, deco)
               for q in queries for scheme, fmt, deco in cells]
     assert reused == fresh
     # One call per prompt for the query graph, and one per exemplar for
@@ -235,7 +240,7 @@ def prompt_digests() -> dict[str, str]:
         for deco in decos:
             for scheme in PromptScheme:
                 for fmt in F:
-                    prompt = compose_prompt(q, scheme, fmt, banks.get(q.task, scheme), deco)
+                    prompt = prompt_text(q, scheme, fmt, banks.get(q.task, scheme), deco)
                     digest.update(prompt.encode("utf-8") + b"\x00")
         digests[q.task.value] = digest.hexdigest()
     return digests

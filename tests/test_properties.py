@@ -1,5 +1,6 @@
 """Property-based checks over randomly drawn graphs."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import connected_components, read_back
 from graphbench import answer_eval
-from graphbench.gateway import _word_count
+from graphbench.corpus import build_corpus
+from graphbench.gateway import (MAX_TOKENS, TEMPERATURE, TOP_P, CompletionRequest, MockBackend,
+                                _word_count)
+from graphbench.generators import DifficultySplit
 from graphbench.graphs import Graph, bfs_levels, has_cycle, is_connected, triangle_count
 from graphbench.prompts import gold_answer, gold_value
 from graphbench.serialize import SerializationFormat as F
@@ -92,6 +96,43 @@ WORD_ALPHABET = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u2003ab"
 @example("a\xa0b")
 def test_word_count_is_the_length_of_split(text):
     assert _word_count(text) == len(text.split())
+
+
+# The formulas a request's cache key and the mock's draw were computed by
+# when a request held its prompt as one joined text.
+def joined_cache_key(model: str, prompt: str) -> str:
+    payload = "\x00".join([model, prompt, repr(TEMPERATURE), repr(TOP_P), repr(MAX_TOKENS)])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def joined_draw(seed: int, prompt: str) -> float:
+    digest = hashlib.sha256(f"{seed}\x00bernoulli\x00{prompt}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+# Any text UTF-8 can encode: every character but the lone surrogates.
+PROMPT_PART = st.text(alphabet=st.one_of(st.sampled_from(WORD_ALPHABET),
+                                        st.characters(exclude_categories=("Cs",))),
+                      max_size=40)
+MOCK_QUERY = build_corpus([T.CYCLE], [DifficultySplit.EASY], None, 1, master_seed=0)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), PROMPT_PART.filter(bool)), PROMPT_PART,
+       st.text(max_size=8), st.integers(0, 2**64))
+@example(None, "", "m", 0)
+@example(" a\n", "", "m", 1)
+@example("\xe9t\xe9 ", " \u2003b\xa0", "m\xfc", 2)
+def test_a_split_prompt_keys_draws_and_counts_as_its_joined_text(head, body, model, seed):
+    """The cache key, the mock's Bernoulli draw and `tokens_in` of a
+    request that carries a head and a body are those of their joined text."""
+    prompt = body if head is None else head + "\n\n" + body
+    req = CompletionRequest(model, body, head, query=MOCK_QUERY)
+    mock = MockBackend(mode="bernoulli", error_rate=0.5, seed=seed)
+    assert req.prompt == prompt
+    assert req.cache_key() == joined_cache_key(model, prompt)
+    assert mock._unit(req) == joined_draw(seed, prompt)
+    assert mock.complete(req).tokens_in == len(prompt.split())
 
 
 def render_matrix_by_pairs(g: Graph) -> str:

@@ -83,6 +83,26 @@ def test_collapsed_group_matches_overall_mean():
     assert math.isclose(row["mean"], sum(r["score"] for r in records) / len(records))
 
 
+def test_one_pass_folds_match_sums_over_the_records():
+    """Both pivots read a one-shot stream, and their running sums equal, to
+    the bit, `sum()` over the records' float scores in record order."""
+    rng = random.Random(4)
+    records = make_records(lambda *a: rng.random(), per_cell=7)
+    rows = aggregate(iter(records), ["model"])
+    for row in rows:
+        recs = [r for r in records if r["model"] == row["model"]]
+        combos = {}
+        for r in recs:
+            key = (r["prompt_scheme"], r["serialization"], r["graph_type"])
+            combos.setdefault(key, []).append(float(r["score"]))
+        means = [sum(v) / len(v) for v in combos.values()]
+        assert row["mean"] == sum(means) / len(means)
+        assert row["records"] == len(recs) and row["combinations"] == len(means)
+    for row in sensitivity(iter(records), "cycle", "easy"):
+        scores = [float(r["score"]) for r in records if r["graph_type"] == row["graph_type"]]
+        assert row["mean"] == sum(scores) / len(scores)
+
+
 def test_empty_group():
     with pytest.raises(EmptyGroup):
         aggregate([], ["model"])
