@@ -15,10 +15,10 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ExhaustedAttempts
-from .generators import (DifficultySplit, GraphFamily, admissible_families,
-                         derive_rng, derive_seed, generate, generate_connected, sample_n)
+from .generators import (DifficultySplit, GraphFamily, derive_rng, derive_seed, generate,
+                         generate_connected, sample_n)
 from .graphs import Graph
-from .tasks import TaskKind, compute_ground_truth, ground_truth_matches, sample_params
+from .tasks import TASKS, TaskKind
 
 
 @dataclass
@@ -130,23 +130,21 @@ def draw_item(task: TaskKind, split: DifficultySplit, family: GraphFamily, rng: 
               seen_hashes: set[frozenset]) -> tuple[Graph, dict[str, int], Any]:
     """Draw one admissible (graph, params, ground truth) item from `rng`.
 
-    A draw is unusable, and raises ExhaustedAttempts, when it is a
-    Hamiltonian graph with an isolated vertex (trivially non-Hamiltonian,
-    and the edge-only serializations cannot even express it), when its edge
-    set is already in `seen_hashes`, or when the graph has no admissible
-    parameters. A usable draw's edge set is added to `seen_hashes`.
+    A draw is unusable, and raises ExhaustedAttempts, when its edge set is
+    already in `seen_hashes` or when the task's `sample_params` finds no
+    usable parameters on the graph. A usable draw's edge set is added to
+    `seen_hashes`.
     """
-    n = sample_n(task, split, rng)
-    if task is TaskKind.DIAMETER:
+    spec = TASKS[task]
+    n = sample_n(spec, split, rng)
+    if spec.connected:
         g = generate_connected(family, n, rng)
     else:
         g = generate(family, n, rng)
-    if task is TaskKind.HAMILTONIAN and any(g.degree(u) == 0 for u in range(g.n)):
-        raise ExhaustedAttempts("Hamiltonian draw has an isolated vertex")
     if g.edges in seen_hashes:
         raise ExhaustedAttempts("edge set already drawn")
-    params = sample_params(task, g, rng)
-    gt = compute_ground_truth(task, g, params)
+    params = spec.sample_params(g, rng)
+    gt = spec.oracle(g, params)
     seen_hashes.add(g.edges)
     return g, params, gt
 
@@ -181,14 +179,16 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
 
     With per_cell=True, `count` items are built per family cell; otherwise
     `count` is the total per (task, split) and families take turns
-    round-robin. Duplicate edge sets within a cell are resampled.
+    round-robin. Duplicate edge sets within a cell are resampled. A task
+    that draws from none of `families` raises ValueError.
     """
     out: list[QuerySpec] = []
     for task in tasks:
-        allowed = sorted(admissible_families(task), key=lambda f: f.value)
+        allowed = sorted(TASKS[task].families, key=lambda f: f.value)
         chosen = [f for f in allowed if families is None or f in families]
         if not chosen:
-            continue
+            raise ValueError(f"task {task.value} draws from none of the requested graph "
+                             f"types; it draws from {', '.join(f.value for f in allowed)}")
         for split in splits:
             seen: dict[GraphFamily, set] = {f: set() for f in chosen}
             if per_cell:
@@ -214,11 +214,11 @@ def selfcheck(corpus: Sequence[QuerySpec]) -> list[str]:
         if q.id in seen_ids:
             ok = False
         seen_ids.add(q.id)
-        if q.family not in admissible_families(q.task):
+        if q.family not in TASKS[q.task].families:
             ok = False
         try:
             if ok:
-                ok = ground_truth_matches(q.task, q.graph, q.params, q.ground_truth)
+                ok = TASKS[q.task].truth_matches(q.graph, q.params, q.ground_truth)
         except Exception:
             ok = False
         if not ok:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 from . import prompts as prompt_mod
 from .errors import MalformedResponse, RateLimited, TransportError
-from .tasks import TaskKind
+from .tasks import TASKS
 
 if TYPE_CHECKING:
     import sqlite3
@@ -185,24 +185,6 @@ class HttpBackend:
         )
 
 
-def _wrong_value(task: TaskKind, n: int, gold):
-    """The gold answer value, changed so that it scores 0 on an n-node graph."""
-    if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
-        return not gold
-    if task in (TaskKind.DIAMETER, TaskKind.TRIANGLE):
-        return gold + 1
-    if task is TaskKind.BFS_ORDER:
-        # Swap the first two nodes; a lone start node is repeated instead.
-        return [*gold[1:2], gold[0], *gold[2:]] if len(gold) > 1 else gold * 2
-    if task is TaskKind.SHORTEST_PATH:
-        return gold[:1]
-    if task is TaskKind.HAMILTONIAN:
-        return False if gold else [*range(n), 0]
-    if task is TaskKind.MAX_CUT:
-        return {**gold, "size": gold["size"] + 1}
-    raise ValueError(f"unknown task {task!r}")
-
-
 class MockBackend:
     """Deterministic responder that answers the request's query in the
     canonical phrasing, from the query's stored ground truth.
@@ -210,7 +192,8 @@ class MockBackend:
     A wrong answer is the gold answer value changed (a bool negated, a
     number plus one, the first two BFS nodes swapped, a path cut to its
     start, the Hamiltonian decision flipped, the cut size plus one) and
-    rendered by the same `prompts.render_answer` as the gold one.
+    rendered by the same `render` of the query's task as the gold one
+    (see `tasks.Task.wrong`).
 
     mode="oracle" always answers correctly; mode="bernoulli" answers
     incorrectly with probability error_rate, decided by a stable hash of the
@@ -256,13 +239,13 @@ class MockBackend:
         wrong = (self.mode == "bernoulli"
                  and self._unit(req) < self.error_rate)
         memo = self._memo
+        spec = TASKS[q.task]
         if memo is None or memo[0] is not q:
-            memo = self._memo = (q, prompt_mod.gold_value(q.task, q.graph, q.params,
-                                                          q.ground_truth), {})
+            memo = self._memo = (q, spec.gold(q.graph, q.params, q.ground_truth), {})
         answers = memo[2]
         if wrong not in answers:
-            value = _wrong_value(q.task, q.graph.n, memo[1]) if wrong else memo[1]
-            text = prompt_mod.render_answer(q.task, q.params, value)
+            value = spec.wrong(q.graph.n, memo[1]) if wrong else memo[1]
+            text = spec.render(q.params, value)
             answers[wrong] = (text, len(text.split()))
         text, tokens_out = answers[wrong]
         # The blank line between head and body ends a word, so the two

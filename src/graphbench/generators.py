@@ -1,5 +1,5 @@
-"""Synthetic graph generators for the seven families, with the task/family
-admissibility matrix and per-item seed derivation.
+"""Synthetic graph generators for the seven families, the difficulty splits'
+node-count sampler and per-item seed derivation.
 
 Every generator is a pure function of its seeded stream, so corpus
 construction parallelizes without changing output.
@@ -11,10 +11,13 @@ import enum
 import hashlib
 import math
 import random
+from typing import TYPE_CHECKING
 
 from .errors import ExhaustedAttempts, InvalidN
 from .graphs import NP_NODE_CAP, Graph, is_connected
-from .tasks import NP_TASKS, TaskKind
+
+if TYPE_CHECKING:
+    from .tasks import Task
 
 
 class GraphFamily(enum.Enum):
@@ -44,34 +47,6 @@ class DifficultySplit(enum.Enum):
         }[self]
 
 
-ALL_FAMILIES = frozenset(GraphFamily)
-
-# Which families each task draws from. Connectivity skips BAG (connected by
-# construction, the answer would always be yes); diameter needs finite
-# distances so families that can disconnect are out; triangle skips families
-# that cannot form one; cycle skips the acyclic-by-definition forest; the
-# NP-hard Hamiltonian task keeps only the families that admit cycles often
-# enough to balance labels.
-_ADMISSIBLE: dict[TaskKind, frozenset[GraphFamily]] = {
-    TaskKind.CONNECTIVITY: frozenset({GraphFamily.BAF, GraphFamily.BERM, GraphFamily.BERP,
-                                      GraphFamily.ERM, GraphFamily.ERP}),
-    TaskKind.CYCLE: frozenset({GraphFamily.BAG, GraphFamily.BERM, GraphFamily.BERP,
-                               GraphFamily.ERM, GraphFamily.ERP, GraphFamily.SF}),
-    TaskKind.DIAMETER: frozenset({GraphFamily.BAG, GraphFamily.ERM, GraphFamily.ERP,
-                                  GraphFamily.SF}),
-    TaskKind.TRIANGLE: frozenset({GraphFamily.BAG, GraphFamily.ERM, GraphFamily.ERP,
-                                  GraphFamily.SF}),
-    TaskKind.BFS_ORDER: ALL_FAMILIES,
-    TaskKind.SHORTEST_PATH: ALL_FAMILIES,
-    TaskKind.HAMILTONIAN: frozenset({GraphFamily.ERM, GraphFamily.ERP, GraphFamily.BAG}),
-    TaskKind.MAX_CUT: ALL_FAMILIES,
-}
-
-
-def admissible_families(task: TaskKind) -> frozenset[GraphFamily]:
-    return _ADMISSIBLE[task]
-
-
 def derive_seed(*parts: object) -> int:
     """Stable child seed from a tuple of identifying parts."""
     text = "\x1f".join(str(p) for p in parts)
@@ -82,11 +57,11 @@ def derive_rng(*parts: object) -> random.Random:
     return random.Random(derive_seed(*parts))
 
 
-def sample_n(task: TaskKind, split: DifficultySplit, rng: random.Random) -> int:
+def sample_n(task: "Task", split: DifficultySplit, rng: random.Random) -> int:
     """Node count drawn uniformly from the split's band; NP-hard tasks stop
     at NP_NODE_CAP, where their exact oracles refuse larger graphs."""
     lo, hi = split.node_range
-    if task in NP_TASKS:
+    if task.np_hard:
         hi = min(hi, NP_NODE_CAP)
     return rng.randint(lo, hi)
 

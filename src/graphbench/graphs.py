@@ -235,6 +235,47 @@ def verify_hamiltonian_tour(g: Graph, seq: Sequence[int]) -> bool:
     return all(g.has_edge(tour[i], tour[(i + 1) % g.n]) for i in range(g.n))
 
 
+def verify_bfs_order(g: Graph, s: int, seq: Sequence[int]) -> bool:
+    """Queue-simulation check that seq is a realizable BFS order from s.
+
+    seq must start at s, be a permutation of exactly the nodes reachable
+    from s, and at each pop the popped node's unvisited neighbors must equal,
+    as a set, the next block of seq of that size (which then joins the queue
+    in seq's order).
+    """
+    g.check_node(s)
+    seq = list(seq)
+    if not seq or seq[0] != s or len(set(seq)) != len(seq):
+        return False
+    if any(not 0 <= v < g.n for v in seq):
+        return False
+    visited = {s}
+    frontier = 1
+    for u in seq:
+        fresh = {v for v in g.neighbors(u) if v not in visited}
+        block = seq[frontier:frontier + len(fresh)]
+        if set(block) != fresh:
+            return False
+        visited.update(fresh)
+        frontier += len(fresh)
+    return frontier == len(seq)
+
+
+def verify_shortest_path(g: Graph, u: int, v: int, seq: Sequence[int]) -> bool:
+    """seq is a simple u-v walk along edges whose length equals the BFS
+    distance."""
+    g.check_node(u)
+    g.check_node(v)
+    seq = list(seq)
+    if not seq or seq[0] != u or seq[-1] != v or len(set(seq)) != len(seq):
+        return False
+    if any(not 0 <= x < g.n for x in seq):
+        return False
+    if any(not g.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)):
+        return False
+    return len(seq) - 1 == shortest_distance(g, u, v)
+
+
 def max_cut(g: Graph) -> tuple[int, set[int]]:
     """Exact maximum cut over all 2^(n-1) bipartitions.
 

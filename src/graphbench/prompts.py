@@ -11,15 +11,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
 
-from . import templates
 from .corpus import MAX_QUERY_ATTEMPTS, QuerySpec, draw_item
 from .errors import EmptyBank, ExhaustedAttempts, MissingParam
-from .generators import DifficultySplit, admissible_families, derive_rng
-from .graphs import Graph, bfs_levels, shortest_path, triangles
+from .generators import DifficultySplit, derive_rng
+from .graphs import Graph
 from .serialize import SerializationFormat, serialize
-from .tasks import TaskKind
+from .tasks import TASKS, TaskKind
+
+# Trailing cue line per zero-shot scheme variant that carries one.
+SUFFIXES = {
+    "0-CoT": "Let's think step by step:",
+    "LTM": "Let's break down this problem:",
+    "0-Instruct": "Let's construct a graph with the nodes and edges first:",
+}
+
+# Instruct (the shot-bearing variant) inserts this line between the graph
+# and the question of every item instead of using a trailing cue.
+INSTRUCT_ITEM_LINE = "Let's construct a graph with the nodes and edges first."
+
+# Sentence that introduces the serialized graph; {fmt} is the display name.
+GRAPH_CONNECTOR = "And the graph representation of: {fmt} is"
 
 
 class PromptScheme(enum.Enum):
@@ -44,7 +56,7 @@ class PromptScheme(enum.Enum):
 
     @property
     def suffix(self) -> str | None:
-        return templates.SUFFIXES.get(self.value)
+        return SUFFIXES.get(self.value)
 
     @property
     def instruct_items(self) -> bool:
@@ -115,14 +127,14 @@ IDENTITY_DECORATION = DecorationFactors()
 def question_text(task: TaskKind, params: dict[str, int] | None = None) -> str:
     """The task's question sentence with node parameters substituted."""
     try:
-        return templates.QUESTIONS[task].format(**(params or {}))
+        return TASKS[task].question.format(**(params or {}))
     except KeyError as exc:
         raise MissingParam(f"{task.value} question needs parameter {exc}") from None
 
 
 def framing_text(task: TaskKind, params: dict[str, int] | None = None) -> str:
     try:
-        return templates.FRAMINGS[task].format(**(params or {}))
+        return TASKS[task].framing.format(**(params or {}))
     except KeyError as exc:
         raise MissingParam(f"{task.value} framing needs parameter {exc}") from None
 
@@ -163,119 +175,12 @@ class ExemplarBank:
         key = (task, fmt, deco, instruct_line, algorithm)
         head = self._heads.get(key)
         if head is None:
-            blocks = [deco.text(templates.ALGORITHM_BLOCKS[task])] if algorithm else []
+            blocks = [deco.text(TASKS[task].algorithm)] if algorithm else []
             blocks += [_item_text(task, fmt, serialize(ex.graph, fmt), ex.params,
                                   deco, instruct_line, ex.answer, None)
                        for ex in self.exemplars]
             head = self._heads[key] = "\n\n".join(blocks)
         return head
-
-
-def _seq(nodes: list[int]) -> str:
-    return ",".join(map(str, nodes))
-
-
-def gold_value(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> Any:
-    """The correct answer value, in the form `answer_eval.extract` returns."""
-    if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY, TaskKind.DIAMETER, TaskKind.TRIANGLE):
-        return gt
-    if task is TaskKind.BFS_ORDER:
-        return list(bfs_levels(g, params["start"]))
-    if task is TaskKind.SHORTEST_PATH:
-        return shortest_path(g, params["u"], params["v"])
-    if task is TaskKind.HAMILTONIAN:
-        return [*gt["witness"], gt["witness"][0]] if gt["exists"] else False
-    if task is TaskKind.MAX_CUT:
-        side_a = sorted(gt["partition"])
-        side_b = sorted(set(range(g.n)) - set(side_a))
-        return {"size": gt["size"], "partition": [side_a, side_b]}
-    raise ValueError(f"unknown task {task!r}")
-
-
-def render_answer(task: TaskKind, params: dict[str, int], value: Any) -> str:
-    """Terse sentence stating an answer value, leading with the scoring key
-    phrase; `answer_eval.extract` reads the value back."""
-    t = templates.GOLD_ANSWERS[task]
-    if task is TaskKind.BFS_ORDER:
-        return t["answer"].format(start=params["start"], seq=_seq(value))
-    if task is TaskKind.SHORTEST_PATH:
-        return t["answer"].format(u=params["u"], v=params["v"], seq=_seq(value))
-    if task in (TaskKind.CYCLE, TaskKind.CONNECTIVITY):
-        return t["yes" if value else "no"].format(**params)
-    if task is TaskKind.DIAMETER or task is TaskKind.TRIANGLE:
-        return t["answer"].format(value=value)
-    if task is TaskKind.HAMILTONIAN:
-        if isinstance(value, list):
-            return f"{t['yes']} {t['tour'].format(seq=_seq(value))}"
-        return t["yes" if value else "no"]
-    if task is TaskKind.MAX_CUT:
-        text = t["answer"].format(size=value["size"])
-        if value["partition"] is None:
-            return text
-        side_a, side_b = (", ".join(map(str, side)) for side in value["partition"])
-        return f"{text} {t['partition'].format(side_a=side_a, side_b=side_b)}"
-    raise ValueError(f"unknown task {task!r}")
-
-
-def gold_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> str:
-    """Terse gold-answer sentence: the correct value, rendered."""
-    return render_answer(task, params, gold_value(task, g, params, gt))
-
-
-def narrated_answer(task: TaskKind, g: Graph, params: dict[str, int], gt: Any) -> str:
-    """Stepwise worked answer for the CoT/Instruct/Algorithm exemplar styles.
-
-    The narration always closes with the terse gold sentence so that rule
-    extraction lands on the final statement.
-    """
-    final = gold_answer(task, g, params, gt)
-    if task is TaskKind.BFS_ORDER:
-        s = params["start"]
-        steps = []
-        seen = {s}
-        for u in bfs_levels(g, s):
-            fresh = [v for v in g.neighbors(u) if v not in seen]
-            seen.update(fresh)
-            if fresh:
-                steps.append(f"Dequeue node {u}. The unvisited neighbors are "
-                             f"[{', '.join(map(str, fresh))}], so enqueue them in order.")
-            else:
-                steps.append(f"Dequeue node {u}. All of its neighbors are already visited.")
-        return " ".join(steps) + f" The traversal ends. {final}"
-    if task is TaskKind.SHORTEST_PATH:
-        u, v = params["u"], params["v"]
-        path = shortest_path(g, u, v)
-        hops = " -> ".join(map(str, path))
-        return (f"We run a breadth-first search from node {u} and reach node {v} "
-                f"after {len(path) - 1} steps via {hops}. {final}")
-    if task is TaskKind.CYCLE:
-        if gt:
-            return ("Following the edges, a walk returns to an already visited node "
-                    f"without reusing an edge, which closes a loop. {final}")
-        return f"Every component here is a tree, so no walk can return to its start. {final}"
-    if task is TaskKind.CONNECTIVITY:
-        u, v = params["u"], params["v"]
-        levels = bfs_levels(g, u)
-        if gt:
-            return (f"A breadth-first search from node {u} reaches node {v} "
-                    f"after {levels[v]} steps. {final}")
-        reach = ", ".join(map(str, sorted(levels)))
-        return (f"A breadth-first search from node {u} visits only "
-                f"{{{reach}}}, which does not include node {v}. {final}")
-    if task is TaskKind.DIAMETER:
-        return (f"Running BFS from every node and taking the longest of the shortest "
-                f"paths gives {gt}. {final}")
-    if task is TaskKind.TRIANGLE:
-        listing = ", ".join(str(t) for t in triangles(g)[:6]) or "none"
-        return (f"Checking every connected triple for all three edges finds: {listing}. {final}")
-    if task is TaskKind.HAMILTONIAN:
-        if gt["exists"]:
-            return f"Backtracking extends a path node by node until it closes into a tour. {final}"
-        return f"Backtracking exhausts every extension without closing a tour. {final}"
-    if task is TaskKind.MAX_CUT:
-        return (f"Comparing bipartitions by their crossing-edge counts, the best split "
-                f"cuts {gt['size']} edges. {final}")
-    raise ValueError(f"unknown task {task!r}")
 
 
 def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
@@ -287,7 +192,8 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
     graphs; no bank repeats an edge set.
     """
     rng = derive_rng("exemplar-bank", task.value, scheme.value, EXEMPLARS_PER_BANK)
-    families = sorted(admissible_families(task), key=lambda f: f.value)
+    spec = TASKS[task]
+    families = sorted(spec.families, key=lambda f: f.value)
     narrated = scheme in (PromptScheme.COT, PromptScheme.INSTRUCT, PromptScheme.ALGORITHM)
     seen: set[frozenset] = set()
     exemplars = []
@@ -302,7 +208,7 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
         else:
             raise ExhaustedAttempts(
                 f"could not build an exemplar for {task.value}/{family.value}")
-        answer = narrated_answer(task, g, params, gt) if narrated else gold_answer(task, g, params, gt)
+        answer = spec.narrate(g, params, gt) if narrated else spec.render(params, spec.gold(g, params, gt))
         exemplars.append(Exemplar(graph=g, params=params, answer=answer))
     return ExemplarBank(exemplars)
 
@@ -311,10 +217,10 @@ def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
                params: dict[str, int], deco: DecorationFactors,
                instruct_line: bool, answer: str | None, suffix: str | None) -> str:
     head = deco.join([framing_text(task, params),
-                      templates.GRAPH_CONNECTOR.format(fmt=fmt.display_name)])
+                      GRAPH_CONNECTOR.format(fmt=fmt.display_name)])
     parts = [f"{head} \n{graph_text}\n\n"]
     if instruct_line:
-        parts.append(f"{deco.text(templates.INSTRUCT_ITEM_LINE)}\n\n")
+        parts.append(f"{deco.text(INSTRUCT_ITEM_LINE)}\n\n")
     parts.append(f"{deco.q_marker(question_text(task, params))}\n\n")
     if answer is not None:
         parts.append(deco.a_marker(deco.text(answer)))
@@ -356,7 +262,7 @@ def compose_prompt(query: QuerySpec, scheme: PromptScheme, fmt: SerializationFor
         head = bank.head(query.task, fmt, deco, scheme.instruct_items,
                          scheme.has_algorithm_block)
     elif scheme.has_algorithm_block:
-        head = deco.text(templates.ALGORITHM_BLOCKS[query.task])
+        head = deco.text(TASKS[query.task].algorithm)
     else:
         head = None
     graph_text = serialize(query.graph, fmt)

@@ -12,7 +12,6 @@ from typing import Any, Mapping, Sequence
 
 import pytest
 
-from graphbench.baselines import TRIANGLE_CAPS
 from graphbench.corpus import QuerySpec
 from graphbench.errors import EmptyFactor, MalformedResponse, RateLimited
 from graphbench.gateway import CACHE_FILE, CompletionResponse, MockBackend
@@ -22,6 +21,7 @@ from graphbench.rlopt import (Combo, EpisodeEntry, FactorSpace, RewardFn, Search
                               default_space)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.tasks import TaskKind as T
+from graphbench.tasks import Triangle
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
@@ -127,7 +127,7 @@ def monte_carlo_baseline(corpus: Sequence[QuerySpec], rng: random.Random,
         elif q.task is T.DIAMETER:
             hits += rng.randint(1, q.n) == q.ground_truth
         elif q.task is T.TRIANGLE:
-            bound = max(1, min(math.comb(q.n, 3), TRIANGLE_CAPS[q.difficulty]))
+            bound = max(1, min(math.comb(q.n, 3), Triangle.caps[q.difficulty]))
             hits += rng.randint(1, bound) == q.ground_truth
         else:
             raise ValueError(f"no guessing policy to simulate for {q.task.value}")

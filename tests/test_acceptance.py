@@ -14,7 +14,7 @@ import time
 
 from conftest import (is_bipartite, make_planted_landscape, make_tabular_q,
                       monte_carlo_baseline, random_graph)
-from graphbench import answer_eval
+from graphbench import answer_eval, graphs
 from graphbench.baselines import random_baseline
 from graphbench.cli import main as cli_main
 from graphbench.corpus import build_corpus, read_jsonl, write_jsonl
@@ -101,7 +101,7 @@ def test_criterion_3_bfs_verifier_exactness():
             sampled = {tuple(rng.sample(reachable, len(reachable))) for _ in range(1500)}
             perms = sampled | valid
         for seq in perms:
-            if answer_eval.verify_bfs_order(g, s, seq) != (tuple(seq) in valid):
+            if graphs.verify_bfs_order(g, s, seq) != (tuple(seq) in valid):
                 bad += 1
         from graphbench.graphs import bfs_levels
         levels = bfs_levels(g, s)
@@ -112,7 +112,7 @@ def test_criterion_3_bfs_verifier_exactness():
                 if j is not None:
                     mutated = list(seq)
                     mutated[i], mutated[j] = mutated[j], mutated[i]
-                    if answer_eval.verify_bfs_order(g, s, mutated):
+                    if graphs.verify_bfs_order(g, s, mutated):
                         mutants_rejected = False
                     break
     elapsed = time.monotonic() - start
@@ -134,10 +134,10 @@ def test_criterion_4_reference_cases():
 
     baf = Graph.from_edges(11, [(3, 2), (4, 1), (5, 2), (6, 5), (7, 0), (8, 2),
                                 (9, 7), (10, 3)])
-    ok &= answer_eval.verify_bfs_order(baf, 7, [7, 0, 9])
+    ok &= graphs.verify_bfs_order(baf, 7, [7, 0, 9])
 
     star = Graph.from_edges(9, [(0, k) for k in (8, 4, 3, 2, 5, 1, 6)])
-    ok &= answer_eval.verify_shortest_path(star, 5, 8, [5, 0, 8])
+    ok &= graphs.verify_shortest_path(star, 5, 8, [5, 0, 8])
     report(4, ok, "triangle=2, diameter=2, BFS [7,0,9], shortest path [5,0,8]")
 
 

@@ -5,8 +5,8 @@ import itertools
 import random
 
 from conftest import random_graph
-from graphbench.answer_eval import extract, score, verify_bfs_order, verify_shortest_path
-from graphbench.graphs import Graph
+from graphbench.answer_eval import extract, score
+from graphbench.graphs import Graph, verify_bfs_order, verify_shortest_path
 from graphbench.tasks import TaskKind as T
 
 

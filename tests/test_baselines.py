@@ -7,11 +7,12 @@ import random
 import pytest
 
 from conftest import monte_carlo_baseline
-from graphbench.baselines import TRIANGLE_CAPS, random_baseline
+from graphbench.baselines import random_baseline
 from graphbench.corpus import build_corpus
 from graphbench.errors import MixedTasks
 from graphbench.generators import DifficultySplit as D
 from graphbench.tasks import TaskKind as T
+from graphbench.tasks import Triangle
 
 
 def corpus_for(task, split=D.EASY, count=40, seed=5):
@@ -46,7 +47,7 @@ def test_triangle_analytic_uses_caps():
     qs = corpus_for(T.TRIANGLE)
     expected = 0.0
     for q in qs:
-        bound = min(math.comb(q.n, 3), TRIANGLE_CAPS[q.difficulty])
+        bound = min(math.comb(q.n, 3), Triangle.caps[q.difficulty])
         if 1 <= q.ground_truth <= bound:
             expected += 1.0 / bound
     expected /= len(qs)

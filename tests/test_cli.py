@@ -680,6 +680,19 @@ def test_generate_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tasks", ["diameter", "connectivity,diameter"])
+def test_generate_rejects_a_task_that_draws_from_none_of_the_graph_types(tmp_path, capsys,
+                                                                        tasks):
+    """A task left with no family to draw from is an error, not an empty
+    or partial corpus."""
+    out = tmp_path / "q.jsonl"
+    assert run_cli("generate", "--task", tasks, "--graph-types", "baf",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", "error: task diameter draws from none of the requested "
+                                       "graph types; it draws from bag, erm, erp, sf\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("acc_max, message", [
     ("0", "acc_max must be positive, got 0.0"),
     ("-0.5", "acc_max must be positive, got -0.5"),

@@ -397,3 +397,22 @@ def test_workers_take_no_lock_the_cache_holds():
     found = {f"{worker.name}: self.{attr}" for worker in [methods["complete"], *loops]
              for attr in self_attrs(ast.walk(worker)) & cache_locks}
     assert found == set()
+
+
+def task_member_references(tree: ast.Module) -> list[str]:
+    """`TaskKind.<MEMBER>` attributes the module names, with their lines."""
+    members = {"CONNECTIVITY", "CYCLE", "DIAMETER", "BFS_ORDER", "SHORTEST_PATH", "TRIANGLE",
+               "HAMILTONIAN", "MAX_CUT"}
+    return [f"{node.lineno}: TaskKind.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "TaskKind" and node.attr in members]
+
+
+def test_only_tasks_names_a_task():
+    """Everything a task does differently lives on its class in `tasks`, so
+    no other module branches on, or keys a table by, a task member."""
+    found = {f"{path.name}:{ref}"
+             for path in sorted(Path(graphbench.__file__).parent.glob("*.py"))
+             if path.name != "tasks.py"
+             for ref in task_member_references(ast.parse(path.read_text("utf-8")))}
+    assert found == set()

@@ -25,13 +25,13 @@ from graphbench.errors import MalformedResponse, RateLimited, TransportError
 from graphbench.gateway import (BACKOFF_BASE, CACHE_FILE, MAX_RETRIES, CompletionRequest,
                                 CompletionResponse, Gateway, HttpBackend, MockBackend)
 from graphbench.generators import DifficultySplit as D
-from graphbench import prompts as prompt_mod
 from graphbench.pipeline import BankStore, accuracy, compose_cells, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
 from graphbench.prompts import PromptScheme as S
 from graphbench.prompts import build_exemplars, compose_prompt, join_prompt
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
+from graphbench.tasks import TASKS
 from graphbench.tasks import TaskKind as T
 
 
@@ -686,17 +686,18 @@ def test_the_mock_renders_each_querys_answers_once(monkeypatch):
     queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=2)
     bank_store = BankStore()
     cells = list(compose_cells(queries, list(S), list(F), bank_store=bank_store))
-    calls = {"gold_value": [], "render_answer": []}
-    for name, log in calls.items():
-        original = getattr(prompt_mod, name)
-        monkeypatch.setattr(prompt_mod, name,
-                            lambda *a, _f=original, _log=log: _log.append(a[0]) or _f(*a))
+    calls = {"gold": [], "render": []}
+    for spec in TASKS.values():
+        for name, log in calls.items():
+            original = getattr(spec, name)
+            monkeypatch.setattr(spec, name, lambda *a, _f=original, _log=log, _task=spec.kind:
+                                _log.append(_task) or _f(*a))
     records = run_evaluation(queries, list(S), list(F),
                              Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=3)),
                              bank_store=bank_store)
     monkeypatch.undo()
-    assert calls["gold_value"] == [q.task for q in queries]
-    assert len(calls["render_answer"]) <= 2 * len(queries)
+    assert calls["gold"] == [q.task for q in queries]
+    assert len(calls["render"]) <= 2 * len(queries)
     fresh = [MockBackend(mode="bernoulli", error_rate=0.5, seed=3).complete(
         CompletionRequest("mock", join_prompt(head, body), query=q))
         for q, _, _, head, body in cells]

@@ -9,11 +9,10 @@ import pytest
 from conftest import is_bipartite
 from graphbench import generators
 from graphbench.errors import ExhaustedAttempts, InvalidN
-from graphbench.generators import (ALL_FAMILIES, MAX_CONNECTED_ATTEMPTS, DifficultySplit,
-                                   GraphFamily, admissible_families, derive_rng, derive_seed,
-                                   generate, generate_connected, sample_n)
+from graphbench.generators import (MAX_CONNECTED_ATTEMPTS, DifficultySplit, GraphFamily,
+                                   derive_rng, derive_seed, generate, generate_connected, sample_n)
 from graphbench.graphs import NP_NODE_CAP, has_cycle, is_connected, triangle_count
-from graphbench.tasks import TaskKind
+from graphbench.tasks import TASKS, TaskKind
 
 
 def test_sample_n_ranges():
@@ -21,7 +20,7 @@ def test_sample_n_ranges():
     for split, (lo, hi) in [(DifficultySplit.EASY, (5, 10)),
                             (DifficultySplit.MEDIUM, (10, 20)),
                             (DifficultySplit.HARD, (20, 30))]:
-        draws = [sample_n(TaskKind.DIAMETER, split, rng) for _ in range(500)]
+        draws = [sample_n(TASKS[TaskKind.DIAMETER], split, rng) for _ in range(500)]
         assert min(draws) >= lo and max(draws) <= hi
         assert set(draws) >= {lo, hi}
 
@@ -31,23 +30,24 @@ def test_sample_n_caps_np_tasks():
     easy band lies under the cap, so its draws equal everyone else's."""
     for task in (TaskKind.HAMILTONIAN, TaskKind.MAX_CUT):
         rng = random.Random(5)
-        draws = [sample_n(task, DifficultySplit.HARD, rng) for _ in range(500)]
+        draws = [sample_n(TASKS[task], DifficultySplit.HARD, rng) for _ in range(500)]
         assert max(draws) <= NP_NODE_CAP and min(draws) >= 20
         assert set(draws) >= {20, NP_NODE_CAP}
-        easy = [sample_n(task, DifficultySplit.EASY, random.Random(s)) for s in range(50)]
-        assert easy == [sample_n(TaskKind.CYCLE, DifficultySplit.EASY, random.Random(s))
+        easy = [sample_n(TASKS[task], DifficultySplit.EASY, random.Random(s)) for s in range(50)]
+        assert easy == [sample_n(TASKS[TaskKind.CYCLE], DifficultySplit.EASY, random.Random(s))
                         for s in range(50)]
 
 
 def test_sample_n_determinism():
-    a = [sample_n(TaskKind.CYCLE, DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
-    b = [sample_n(TaskKind.CYCLE, DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
+    cycle = TASKS[TaskKind.CYCLE]
+    a = [sample_n(cycle, DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
+    b = [sample_n(cycle, DifficultySplit.MEDIUM, random.Random(9)) for _ in range(20)]
     assert a == b
 
 
 def test_sample_n_easy_mean():
     rng = random.Random(2024)
-    draws = [sample_n(TaskKind.TRIANGLE, DifficultySplit.EASY, rng) for _ in range(10_000)]
+    draws = [sample_n(TASKS[TaskKind.TRIANGLE], DifficultySplit.EASY, rng) for _ in range(10_000)]
     mean = sum(draws) / len(draws)
     sigma = math.sqrt(35 / 12) / math.sqrt(len(draws))  # var of U{5..10}
     assert abs(mean - 7.5) <= 3 * sigma
@@ -128,16 +128,16 @@ ADMISSIBILITY = {
     TaskKind.CYCLE: {"bag", "berm", "berp", "erm", "erp", "sf"},
     TaskKind.DIAMETER: {"bag", "erm", "erp", "sf"},
     TaskKind.TRIANGLE: {"bag", "erm", "erp", "sf"},
-    TaskKind.BFS_ORDER: {f.value for f in ALL_FAMILIES},
-    TaskKind.SHORTEST_PATH: {f.value for f in ALL_FAMILIES},
+    TaskKind.BFS_ORDER: {f.value for f in GraphFamily},
+    TaskKind.SHORTEST_PATH: {f.value for f in GraphFamily},
     TaskKind.HAMILTONIAN: {"erm", "erp", "bag"},
-    TaskKind.MAX_CUT: {f.value for f in ALL_FAMILIES},
+    TaskKind.MAX_CUT: {f.value for f in GraphFamily},
 }
 
 
 @pytest.mark.parametrize("task", list(TaskKind))
 def test_admissible_families(task):
-    assert {f.value for f in admissible_families(task)} == ADMISSIBILITY[task]
+    assert {f.value for f in TASKS[task].families} == ADMISSIBILITY[task]
 
 
 def test_generate_connected_bag_first_try():

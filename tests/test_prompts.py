@@ -19,10 +19,10 @@ from graphbench import prompts
 from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, ExemplarBank,
                                 IDENTITY_DECORATION, PromptScheme, QA_DELIMS, SENTENCE_DELIMS,
                                 WORD_DELIMS, build_exemplars, compose_prompt, join_prompt,
-                                question_text, render_answer)
+                                question_text)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
-from graphbench.tasks import TaskKind, compute_ground_truth
+from graphbench.tasks import TASKS, TaskKind
 
 
 def prompt_text(*args, **kwargs) -> str:
@@ -33,7 +33,7 @@ def prompt_text(*args, **kwargs) -> str:
 def make_query(task=TaskKind.BFS_ORDER, params=None, graph=None):
     g = graph or Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     params = params if params is not None else {"start": 0}
-    gt = compute_ground_truth(task, g, params)
+    gt = TASKS[task].oracle(g, params)
     return QuerySpec(id="t-0", task=task, difficulty=DifficultySplit.EASY,
                      family=GraphFamily.ERM, graph=g, params=params,
                      ground_truth=gt, seed=0)
@@ -180,7 +180,7 @@ def test_exemplar_answers_score_one(task, scheme):
     bank = build_exemplars(task, scheme)
     assert len(bank) == 5
     for ex in bank.exemplars:
-        gt = compute_ground_truth(task, ex.graph, ex.params)
+        gt = TASKS[task].oracle(ex.graph, ex.params)
         ans = answer_eval.extract(task, ex.answer)
         assert answer_eval.score(task, ex.graph, ex.params, gt, ans) == 1, \
             (task, scheme, ex.answer)
@@ -306,6 +306,6 @@ ANSWER_VALUES = {
 def test_render_answer_round_trips_through_extract(task):
     params = {"start": 2, "u": 1, "v": 3}
     for value in ANSWER_VALUES[task]:
-        text = render_answer(task, params, value)
+        text = TASKS[task].render(params, value)
         got = answer_eval.extract(task, text)
         assert got == value and type(got) is type(value), (value, text)

@@ -12,12 +12,12 @@ from graphbench.corpus import build_corpus
 from graphbench.gateway import (MAX_TOKENS, TEMPERATURE, TOP_P, CompletionRequest, MockBackend,
                                 _word_count)
 from graphbench.generators import DifficultySplit
-from graphbench.graphs import Graph, bfs_levels, has_cycle, is_connected, triangle_count
-from graphbench.prompts import gold_answer, gold_value
+from graphbench.graphs import (Graph, bfs_levels, has_cycle, is_connected, triangle_count,
+                               verify_bfs_order)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
+from graphbench.tasks import TASKS
 from graphbench.tasks import TaskKind as T
-from graphbench.tasks import compute_ground_truth
 
 
 @st.composite
@@ -46,7 +46,7 @@ def test_cycle_matches_component_edge_count(g):
 def test_canonical_bfs_order_always_verifies(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     order = list(bfs_levels(g, s))
-    assert answer_eval.verify_bfs_order(g, s, order)
+    assert verify_bfs_order(g, s, order)
     assert set(order) == set(bfs_levels(g, s))
 
 
@@ -69,11 +69,35 @@ def test_gold_answers_always_score_one(g, task, rng):
         params = {"u": u, "v": rng.choice(reachable)}
     elif task is T.DIAMETER:
         assume(is_connected(g))
-    gt = compute_ground_truth(task, g, params)
-    value = gold_value(task, g, params, gt)
-    extracted = answer_eval.extract(task, gold_answer(task, g, params, gt))
+    spec = TASKS[task]
+    gt = spec.oracle(g, params)
+    value = spec.gold(g, params, gt)
+    extracted = answer_eval.extract(task, spec.render(params, value))
     assert extracted == value
     assert answer_eval.score(task, g, params, gt, extracted) == 1
+
+
+# Every task x split at two seeds, but hard Hamiltonian: its backtracking
+# oracle takes seconds to minutes on those draws. Add that cell when ROADMAP
+# item 1 bounds the oracle.
+CODEC_CELLS = [(task, split, seed) for task in T for split in DifficultySplit for seed in (0, 1)
+               if not (task is T.HAMILTONIAN and split is DifficultySplit.HARD)]
+
+
+@pytest.mark.parametrize("task,split,seed", CODEC_CELLS,
+                         ids=lambda v: v if isinstance(v, int) else v.value)
+def test_gold_and_wrong_values_read_back_and_score(task, split, seed):
+    """On drawn corpus items the gold value scores 1 and the wrong value
+    scores 0, and each is read back from its sentence as the same value of
+    the same type."""
+    spec = TASKS[task]
+    for q in build_corpus([task], [split], None, 12, master_seed=seed):
+        gold = spec.gold(q.graph, q.params, q.ground_truth)
+        for value, want in ((gold, 1), (spec.wrong(q.n, gold), 0)):
+            got = answer_eval.extract(task, spec.render(q.params, value))
+            assert got == value and type(got) is type(value), (q.id, value)
+            assert answer_eval.score(task, q.graph, q.params, q.ground_truth, got) == want, \
+                (q.id, value)
 
 
 @settings(max_examples=60, deadline=None)
