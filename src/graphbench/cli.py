@@ -26,8 +26,8 @@ from . import rlopt
 from .errors import BadRecord, EmptyGroup, GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
 from .generators import DifficultySplit, GraphFamily
-from .pipeline import BankStore, accuracy, compose_cells, run_evaluation
-from .prompts import DecorationFactors, PromptScheme, join_prompt
+from .pipeline import accuracy, compose_cells, run_evaluation
+from .prompts import DecorationFactors, PromptScheme, Renderer, join_prompt
 from .serialize import SerializationFormat, serialize
 from .tasks import TaskKind
 
@@ -66,7 +66,13 @@ def _parse_names(enum_cls: type[E], spec: str, flag: str) -> list[E]:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text("utf-8"))
+    try:
+        config = json.loads(Path(path).read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: expected a JSON object of settings")
+    return config
 
 
 def _make_gateway(args, config: dict) -> Gateway:
@@ -130,7 +136,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
     per_chunk = math.ceil(_CHUNK_CELLS_PER_WORKER * args.max_in_flight
                           / max(1, len(schemes) * len(formats)))
-    bank_store = BankStore()
+    renderer = Renderer()
     n = score = errors = 0
     gateway = _make_gateway(args, config)
     try:
@@ -139,7 +145,7 @@ def cmd_run(args) -> int:
                 records = run_evaluation(queries[start:start + per_chunk], schemes, formats,
                                          gateway, model=args.model,
                                          max_in_flight=args.max_in_flight,
-                                         bank_store=bank_store)
+                                         renderer=renderer)
                 n += corpus_mod.write_jsonl(records, out)
                 # Complete lines reach the file before the next chunk is sent.
                 out.flush()
@@ -307,7 +313,7 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
     schemes, formats = _live_settings(args, space)
     queries = corpus_mod.build_corpus([task], [split], None, args.samples,
                                       master_seed=args.seed)
-    bank_store = BankStore()
+    renderer = Renderer()
     names = space.names
 
     def reward(combo):
@@ -318,7 +324,7 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
         records = run_evaluation(queries, [scheme], [fmt], gateway,
                                  model=by.get("model", args.model), deco=deco,
                                  max_in_flight=args.max_in_flight,
-                                 bank_store=bank_store)
+                                 renderer=renderer)
         failed = [r["error"] for r in records if "error" in r]
         if failed:
             raise GraphBenchError(f"live reward for combo {'|'.join(combo)}: {len(failed)} of "

@@ -180,22 +180,29 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
     With per_cell=True, `count` items are built per family cell; otherwise
     `count` is the total per (task, split) and families take turns
     round-robin. Duplicate edge sets within a cell are resampled. A task
-    that draws from none of `families` raises ValueError.
+    that draws from none of `families`, or a family that no task draws
+    from, raises ValueError.
     """
-    out: list[QuerySpec] = []
+    chosen: dict[TaskKind, list[GraphFamily]] = {}
     for task in tasks:
         allowed = sorted(TASKS[task].families, key=lambda f: f.value)
-        chosen = [f for f in allowed if families is None or f in families]
-        if not chosen:
+        chosen[task] = [f for f in allowed if families is None or f in families]
+        if not chosen[task]:
             raise ValueError(f"task {task.value} draws from none of the requested graph "
                              f"types; it draws from {', '.join(f.value for f in allowed)}")
+    drawn = {f for fs in chosen.values() for f in fs}
+    unused = sorted({f.value for f in families or () if f not in drawn})
+    if unused:
+        raise ValueError(f"no requested task draws from graph type(s) {', '.join(unused)}")
+    out: list[QuerySpec] = []
+    for task in tasks:
         for split in splits:
-            seen: dict[GraphFamily, set] = {f: set() for f in chosen}
+            seen: dict[GraphFamily, set] = {f: set() for f in chosen[task]}
             if per_cell:
-                plan = [(f, i) for f in chosen for i in range(count)]
+                plan = [(f, i) for f in chosen[task] for i in range(count)]
             else:
-                k = len(chosen)
-                plan = [(chosen[j % k], j // k) for j in range(count)]
+                k = len(chosen[task])
+                plan = [(chosen[task][j % k], j // k) for j in range(count)]
             for family, index in plan:
                 out.append(build_query(task, split, family, index, master_seed,
                                        seen[family]))

@@ -25,10 +25,6 @@ class MissingParam(GraphBenchError):
     """Task question requires a node parameter that was not supplied."""
 
 
-class EmptyBank(GraphBenchError):
-    """Shot-bearing prompt scheme composed with an empty exemplar bank."""
-
-
 class MixedTasks(GraphBenchError):
     """Baseline corpus mixes more than one task."""
 

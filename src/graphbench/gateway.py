@@ -57,8 +57,8 @@ MAX_TOKENS = None
 @dataclass(frozen=True, slots=True)
 class CompletionRequest:
     """One prompt for one model, kept as the two parts it is composed of:
-    `head`, the part many prompts share (a bank's algorithm block and
-    exemplars; None when there is none), and
+    `head`, the part many prompts share (the algorithm block and exemplar
+    items of `prompts.Renderer.head`; None when there is none), and
     `body`, the query's own item. The prompt is the two joined by a blank
     line (`prompts.join_prompt`); `CompletionRequest(model, text)` is a
     prompt with no head.

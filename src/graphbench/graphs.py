@@ -55,12 +55,6 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    @cached_property
-    def texts(self) -> dict:
-        """Rendered text per serialization format; `serialize.serialize`
-        fills it, so each format is rendered once per graph."""
-        return {}
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
 

@@ -14,24 +14,8 @@ from typing import Any, Iterable, Iterator, Sequence
 from . import answer_eval
 from .corpus import QuerySpec
 from .gateway import CompletionRequest, Gateway
-from .prompts import DecorationFactors, ExemplarBank, IDENTITY_DECORATION, PromptScheme, build_exemplars, compose_prompt
+from .prompts import DecorationFactors, IDENTITY_DECORATION, PromptScheme, Renderer, compose_prompt
 from .serialize import SerializationFormat
-from .tasks import TaskKind
-
-
-class BankStore:
-    """Lazily built, memoized exemplar banks per (task, scheme)."""
-
-    def __init__(self):
-        self._banks: dict[tuple[TaskKind, PromptScheme], ExemplarBank] = {}
-
-    def get(self, task: TaskKind, scheme: PromptScheme) -> ExemplarBank | None:
-        if not scheme.shot_bearing:
-            return None
-        key = (task, scheme)
-        if key not in self._banks:
-            self._banks[key] = build_exemplars(task, scheme)
-        return self._banks[key]
 
 
 def score_response(query: QuerySpec, response_text: str) -> tuple[Any, int]:
@@ -44,35 +28,35 @@ def score_response(query: QuerySpec, response_text: str) -> tuple[Any, int]:
 def compose_cells(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
                   formats: Sequence[SerializationFormat],
                   deco: DecorationFactors = IDENTITY_DECORATION,
-                  bank_store: BankStore | None = None,
+                  renderer: Renderer | None = None,
                   ) -> Iterator[tuple[QuerySpec, PromptScheme, SerializationFormat,
                                       str | None, str]]:
     """Every (query, scheme, format) cell with its prompt's head and body
     (see `compose_prompt`), in query, then scheme, then format order. The
-    cells of one bank and format share one head string, and the schemes
-    that end a query's prompts alike share one rendering of its item."""
-    bank_store = bank_store or BankStore()
+    cells of one (task, scheme, format) share one head string, and the
+    schemes that end a query's prompts alike share one rendering of its
+    item."""
+    renderer = renderer or Renderer()
     for query in queries:
         finals: dict[tuple, str] = {}
         for scheme in schemes:
-            bank = bank_store.get(query.task, scheme)
             for fmt in formats:
-                yield query, scheme, fmt, *compose_prompt(query, scheme, fmt, bank=bank,
-                                                          deco=deco, finals=finals)
+                yield query, scheme, fmt, *compose_prompt(query, scheme, fmt, renderer,
+                                                          deco, finals)
 
 
 def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
                    formats: Sequence[SerializationFormat], gateway: Gateway,
                    model: str = "mock", max_in_flight: int = 4,
                    deco: DecorationFactors = IDENTITY_DECORATION,
-                   bank_store: BankStore | None = None) -> list[dict[str, Any]]:
+                   renderer: Renderer | None = None) -> list[dict[str, Any]]:
     """Evaluate every (query, scheme, format) cell and return result records.
 
     Each distinct (query, response text) is extracted and scored once, and
     the cells that repeat it share that answer value and score. No prompt
     is joined: a request carries its head and body, so the batch holds one
     copy of each distinct part, not one of each prompt."""
-    cells = list(compose_cells(queries, schemes, formats, deco=deco, bank_store=bank_store))
+    cells = list(compose_cells(queries, schemes, formats, deco=deco, renderer=renderer))
     results = gateway.run_batch([CompletionRequest(model, body, head, query=query)
                                  for query, _, _, head, body in cells],
                                 max_in_flight=max_in_flight)

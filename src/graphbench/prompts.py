@@ -1,5 +1,6 @@
-"""Prompt composition: the nine schemes, few-shot exemplar banks, and the
-decoration factors for the extended search space.
+"""Prompt composition: the nine schemes, few-shot exemplar banks, the
+decoration factors for the extended search space, and `Renderer`, which
+keeps every prompt part a command renders.
 
 A composed prompt is [algorithm block] + [exemplar items] + final item, where
 every item is framing + serialized graph + "Q:" question + "A:" (+ answer for
@@ -10,21 +11,14 @@ serialized graph substring is never touched by decoration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import MAX_QUERY_ATTEMPTS, QuerySpec, draw_item
-from .errors import EmptyBank, ExhaustedAttempts, MissingParam
+from .errors import ExhaustedAttempts, MissingParam
 from .generators import DifficultySplit, derive_rng
 from .graphs import Graph
 from .serialize import SerializationFormat, serialize
 from .tasks import TASKS, TaskKind
-
-# Trailing cue line per zero-shot scheme variant that carries one.
-SUFFIXES = {
-    "0-CoT": "Let's think step by step:",
-    "LTM": "Let's break down this problem:",
-    "0-Instruct": "Let's construct a graph with the nodes and edges first:",
-}
 
 # Instruct (the shot-bearing variant) inserts this line between the graph
 # and the question of every item instead of using a trailing cue.
@@ -35,32 +29,34 @@ GRAPH_CONNECTOR = "And the graph representation of: {fmt} is"
 
 
 class PromptScheme(enum.Enum):
-    ZERO_SHOT = "0-shot"
-    ZERO_COT = "0-CoT"
-    ZERO_INSTRUCT = "0-Instruct"
-    ZERO_ALGORITHM = "0-Algorithm"
-    LTM = "LTM"
-    K_SHOT = "k-shot"
-    COT = "CoT"
-    INSTRUCT = "Instruct"
-    ALGORITHM = "Algorithm"
+    """The nine prompting schemes. `value` is the CLI/JSONL token. A
+    shot-bearing scheme opens with exemplar items, whose answers are
+    narrated for a narrated scheme. A scheme with an algorithm block opens
+    with it. With instruct items, every item carries INSTRUCT_ITEM_LINE.
+    `suffix` is the cue line that ends the query's item, or None."""
 
-    @property
-    def shot_bearing(self) -> bool:
-        return self in (PromptScheme.K_SHOT, PromptScheme.COT,
-                        PromptScheme.INSTRUCT, PromptScheme.ALGORITHM)
+    # One row per scheme: token, shot-bearing, narrated, algorithm block,
+    # instruct items, suffix.
+    ZERO_SHOT =      ("0-shot",      False, False, False, False, None)
+    ZERO_COT =       ("0-CoT",       False, False, False, False, "Let's think step by step:")
+    ZERO_INSTRUCT =  ("0-Instruct",  False, False, False, False,
+                      "Let's construct a graph with the nodes and edges first:")
+    ZERO_ALGORITHM = ("0-Algorithm", False, False, True,  False, None)
+    LTM =            ("LTM",         False, False, False, False, "Let's break down this problem:")
+    K_SHOT =         ("k-shot",      True,  False, False, False, None)
+    COT =            ("CoT",         True,  True,  False, False, None)
+    INSTRUCT =       ("Instruct",    True,  True,  False, True,  None)
+    ALGORITHM =      ("Algorithm",   True,  True,  True,  False, None)
 
-    @property
-    def has_algorithm_block(self) -> bool:
-        return self in (PromptScheme.ZERO_ALGORITHM, PromptScheme.ALGORITHM)
-
-    @property
-    def suffix(self) -> str | None:
-        return SUFFIXES.get(self.value)
-
-    @property
-    def instruct_items(self) -> bool:
-        return self is PromptScheme.INSTRUCT
+    def __new__(cls, token, shot_bearing, narrated, has_algorithm_block, instruct_items, suffix):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.shot_bearing = shot_bearing
+        member.narrated = narrated
+        member.has_algorithm_block = has_algorithm_block
+        member.instruct_items = instruct_items
+        member.suffix = suffix
+        return member
 
 
 # RL-Scale decoration pools.
@@ -152,38 +148,7 @@ class Exemplar:
     answer: str
 
 
-@dataclass
-class ExemplarBank:
-    """Frozen per-(task, scheme) list of oracle-validated worked examples.
-
-    `head` renders the part of a prompt the bank fixes, everything before
-    the query's own item, once per key and keeps it."""
-
-    exemplars: list[Exemplar]
-    # The rendered head per (task, format, decoration, instruct line,
-    # algorithm block).
-    _heads: dict[tuple, str] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.exemplars)
-
-    def head(self, task: TaskKind, fmt: SerializationFormat, deco: DecorationFactors,
-             instruct_line: bool, algorithm: bool) -> str:
-        """The algorithm block (when `algorithm`) and the exemplar items,
-        joined as they open the prompt, rendered once per key."""
-        key = (task, fmt, deco, instruct_line, algorithm)
-        head = self._heads.get(key)
-        if head is None:
-            blocks = [deco.text(TASKS[task].algorithm)] if algorithm else []
-            blocks += [_item_text(task, fmt, serialize(ex.graph, fmt), ex.params,
-                                  deco, instruct_line, ex.answer, None)
-                       for ex in self.exemplars]
-            head = self._heads[key] = "\n\n".join(blocks)
-        return head
-
-
-def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
+def build_exemplars(task: TaskKind, scheme: PromptScheme) -> list[Exemplar]:
     """Build EXEMPLARS_PER_BANK oracle-validated exemplars on Easy-split
     graphs, drawn by the corpus's own `draw_item` rules.
 
@@ -194,7 +159,6 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
     rng = derive_rng("exemplar-bank", task.value, scheme.value, EXEMPLARS_PER_BANK)
     spec = TASKS[task]
     families = sorted(spec.families, key=lambda f: f.value)
-    narrated = scheme in (PromptScheme.COT, PromptScheme.INSTRUCT, PromptScheme.ALGORITHM)
     seen: set[frozenset] = set()
     exemplars = []
     for i in range(EXEMPLARS_PER_BANK):
@@ -208,9 +172,10 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> ExemplarBank:
         else:
             raise ExhaustedAttempts(
                 f"could not build an exemplar for {task.value}/{family.value}")
-        answer = spec.narrate(g, params, gt) if narrated else spec.render(params, spec.gold(g, params, gt))
+        answer = (spec.narrate(g, params, gt) if scheme.narrated
+                  else spec.render(params, spec.gold(g, params, gt)))
         exemplars.append(Exemplar(graph=g, params=params, answer=answer))
-    return ExemplarBank(exemplars)
+    return exemplars
 
 
 def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
@@ -240,32 +205,60 @@ def join_prompt(head: str | None, body: str) -> str:
     return body if head is None else f"{head}{HEAD_SEPARATOR}{body}"
 
 
+class Renderer:
+    """The one memo for the prompt parts a command renders: each graph's
+    text per format, each (task, scheme) exemplar bank and each prompt
+    head. A command makes one and every part is rendered once; equal
+    graphs share one text."""
+
+    def __init__(self):
+        self._texts: dict[tuple[Graph, SerializationFormat], str] = {}
+        self._banks: dict[tuple[TaskKind, PromptScheme], list[Exemplar]] = {}
+        self._heads: dict[tuple, str | None] = {}
+
+    def text(self, g: Graph, fmt: SerializationFormat) -> str:
+        """The graph's canonical text in the format."""
+        text = self._texts.get((g, fmt))
+        if text is None:
+            text = self._texts[g, fmt] = serialize(g, fmt)
+        return text
+
+    def head(self, task: TaskKind, scheme: PromptScheme, fmt: SerializationFormat,
+             deco: DecorationFactors) -> str | None:
+        """What opens every prompt of the key before the query's own item:
+        the algorithm block and the exemplar items, or None when the
+        scheme has neither."""
+        key = (task, scheme, fmt, deco)
+        if key not in self._heads:
+            blocks = [deco.text(TASKS[task].algorithm)] if scheme.has_algorithm_block else []
+            if scheme.shot_bearing:
+                if (task, scheme) not in self._banks:
+                    self._banks[task, scheme] = build_exemplars(task, scheme)
+                blocks += [_item_text(task, fmt, self.text(ex.graph, fmt), ex.params, deco,
+                                      scheme.instruct_items, ex.answer, None)
+                           for ex in self._banks[task, scheme]]
+            self._heads[key] = "\n\n".join(blocks) if blocks else None
+        return self._heads[key]
+
+
 def compose_prompt(query: QuerySpec, scheme: PromptScheme, fmt: SerializationFormat,
-                   bank: ExemplarBank | None = None,
+                   renderer: Renderer | None = None,
                    deco: DecorationFactors = IDENTITY_DECORATION,
                    finals: dict[tuple, str] | None = None) -> tuple[str | None, str]:
     """The full prompt for one query under (scheme, format, deco), as its
-    two parts: the head (the bank's, for a shot-bearing scheme; else the
-    algorithm block, if the scheme has one; else None) and the query's own
-    item. `join_prompt` joins them into the prompt text. The head is the
-    bank's own string, shared by every prompt of its bank and format, so
-    a caller that keeps the parts holds no copy of it per prompt.
+    two parts: the head (see `Renderer.head`) and the query's own item.
+    `join_prompt` joins them into the prompt text. The head is the
+    renderer's own string, shared by every prompt of its key, so a caller
+    that keeps the parts holds no copy of it per prompt.
 
     The query's item depends on the scheme only through its instruct line
     and its suffix, so nine schemes end in five distinct items. `finals`,
     when given, keeps the items rendered so far, keyed on the graph text,
     the format and those two; the caller passes one dict for all the calls
     of one query and one decoration (see `pipeline.compose_cells`)."""
-    if scheme.shot_bearing:
-        if bank is None or len(bank) == 0:
-            raise EmptyBank(f"scheme {scheme.value} needs exemplars for task {query.task.value}")
-        head = bank.head(query.task, fmt, deco, scheme.instruct_items,
-                         scheme.has_algorithm_block)
-    elif scheme.has_algorithm_block:
-        head = deco.text(TASKS[query.task].algorithm)
-    else:
-        head = None
-    graph_text = serialize(query.graph, fmt)
+    renderer = renderer or Renderer()
+    head = renderer.head(query.task, scheme, fmt, deco)
+    graph_text = renderer.text(query.graph, fmt)
     instruct_line, suffix = scheme.instruct_items, scheme.suffix
     key = (graph_text, fmt, instruct_line, suffix)
     final = None if finals is None else finals.get(key)

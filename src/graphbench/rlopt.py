@@ -41,9 +41,14 @@ class FactorSpace:
     dims: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self):
+        if not self.dims:
+            raise EmptyFactor("the factor space has no factors")
         for name, options in self.dims:
             if not options:
                 raise EmptyFactor(f"factor {name!r} has no actions")
+        repeated = sorted({name for name in self.names if self.names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"factor(s) {', '.join(repeated)} declared more than once")
 
     @property
     def names(self) -> tuple[str, ...]:

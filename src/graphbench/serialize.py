@@ -121,13 +121,10 @@ _RENDERERS = {
 def serialize(g: Graph, fmt: SerializationFormat) -> str:
     """Deterministic canonical text for the graph in the given format.
 
-    Each format is rendered once per graph; the text is kept in `g.texts`
-    and every later call returns it.
+    A pure function: a caller that needs a text more than once keeps it
+    (`prompts.Renderer` does, for every prompt a command composes).
     """
-    text = g.texts.get(fmt)
-    if text is None:
-        render = _RENDERERS.get(fmt)
-        if render is None:
-            raise ValueError(f"unknown format {fmt!r}")
-        text = g.texts[fmt] = render(g)
-    return text
+    render = _RENDERERS.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return render(g)

@@ -456,6 +456,43 @@ def test_rlopt_rejects_a_malformed_factors_file(tmp_path, capsys, spec, message)
     assert capsys.readouterr().err == f"error: {factors}: {message}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ([], "the factor space has no factors"),
+    ([{"name": "model", "options": ["a", "b"]}, {"name": "model", "options": ["c", "d"]}],
+     "factor(s) model declared more than once"),
+], ids=["empty", "repeated-name"])
+def test_rlopt_rejects_a_space_with_no_factor_or_a_repeated_name(tmp_path, monkeypatch,
+                                                                 capsys, spec, message):
+    """Neither space can be searched as declared: an empty one has no combo,
+    and a repeated name would apply only one of its factors."""
+    backend = Recording()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    factors = tmp_path / "factors.json"
+    factors.write_text(json.dumps(spec))
+    assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "1",
+                   "--episodes", "1") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert backend.calls == 0
+
+
+@pytest.mark.parametrize("command", ["run", "rlopt"])
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "expected a JSON object of settings"),
+    ("{cache_dir: 1}", "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+], ids=["not-an-object", "not-json"])
+def test_a_config_that_is_not_a_json_object_is_an_error_naming_the_file(
+        tmp_path, capsys, command, text, message):
+    q, config = tmp_path / "q.jsonl", tmp_path / "config.json"
+    assert run_cli("generate", "--task", "cycle", "--count", "1", "--out", str(q)) == 0
+    config.write_text(text)
+    argv = {"run": ["run", "--queries", str(q), "--out", str(tmp_path / "r.jsonl")],
+            "rlopt": ["rlopt", "--samples", "1", "--episodes", "1"]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--config", str(config)) == 1
+    assert capsys.readouterr() == ("", f"error: {config}: {message}\n")
+
+
 class Recording:
     """A backend that records each request and answers none of them."""
 
@@ -690,6 +727,23 @@ def test_generate_rejects_a_task_that_draws_from_none_of_the_graph_types(tmp_pat
                    "--out", str(out)) == 1
     assert capsys.readouterr() == ("", "error: task diameter draws from none of the requested "
                                        "graph types; it draws from bag, erm, erp, sf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, graph_types, unused", [
+    ("cycle", "baf,erm", "baf"),
+    ("connectivity,hamiltonian", "sf,bag,erm", "sf"),
+    ("diameter", "berp,bag,berm", "berm, berp"),
+])
+def test_generate_rejects_a_graph_type_that_no_task_draws_from(tmp_path, capsys, task,
+                                                               graph_types, unused):
+    """A requested family left out of the corpus is an error, not a silent
+    corpus of the other families."""
+    out = tmp_path / "q.jsonl"
+    assert run_cli("generate", "--task", task, "--graph-types", graph_types,
+                   "--count", "4", "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: no requested task draws from graph type(s) "
+                                       f"{unused}\n")
     assert not out.exists()
 
 

@@ -371,6 +371,19 @@ def test_only_draw_item_draws_items():
                      "generate": {"corpus.draw_item", "generators.generate_connected"}}
 
 
+def test_only_the_renderer_serializes_graphs_and_builds_banks():
+    """Every graph text and exemplar bank a prompt uses comes from one
+    memo, `prompts.Renderer`, so each is rendered once per command; the
+    selfcheck goldens serialize their own reference graph."""
+    names = {"serialize", "build_exemplars"}
+    found = {name: set() for name in names}
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        for name, scopes in callers(ast.parse(path.read_text("utf-8")), names).items():
+            found[name] |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert found == {"serialize": {"prompts.Renderer.text", "cli._check_serializer_goldens"},
+                     "build_exemplars": {"prompts.Renderer.head"}}
+
+
 def test_workers_take_no_lock_the_cache_holds():
     """No lock that guards the cache connection (one that `_cache_read`,
     `_cache_write` or `close` enters with `with self.<lock>:`) appears in

@@ -25,10 +25,10 @@ from graphbench.errors import MalformedResponse, RateLimited, TransportError
 from graphbench.gateway import (BACKOFF_BASE, CACHE_FILE, MAX_RETRIES, CompletionRequest,
                                 CompletionResponse, Gateway, HttpBackend, MockBackend)
 from graphbench.generators import DifficultySplit as D
-from graphbench.pipeline import BankStore, accuracy, compose_cells, run_evaluation, score_response
+from graphbench.pipeline import accuracy, compose_cells, run_evaluation, score_response
 from graphbench.prompts import DecorationFactors
 from graphbench.prompts import PromptScheme as S
-from graphbench.prompts import build_exemplars, compose_prompt, join_prompt
+from graphbench.prompts import Renderer, build_exemplars, compose_prompt, join_prompt
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TASKS
@@ -684,8 +684,8 @@ def test_the_mock_renders_each_querys_answers_once(monkeypatch):
     """A 9 x 7 run asks for each query's gold value once and renders each
     of its two answers at most once, and answers as a fresh mock would."""
     queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=2)
-    bank_store = BankStore()
-    cells = list(compose_cells(queries, list(S), list(F), bank_store=bank_store))
+    renderer = Renderer()
+    cells = list(compose_cells(queries, list(S), list(F), renderer=renderer))
     calls = {"gold": [], "render": []}
     for spec in TASKS.values():
         for name, log in calls.items():
@@ -694,7 +694,7 @@ def test_the_mock_renders_each_querys_answers_once(monkeypatch):
                                 _log.append(_task) or _f(*a))
     records = run_evaluation(queries, list(S), list(F),
                              Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=3)),
-                             bank_store=bank_store)
+                             renderer=renderer)
     monkeypatch.undo()
     assert calls["gold"] == [q.task for q in queries]
     assert len(calls["render"]) <= 2 * len(queries)
@@ -712,15 +712,15 @@ def test_a_shot_bearing_run_holds_each_prompt_part_once():
     not once per prompt: it peaks below half the joined prompts' size."""
     queries = build_corpus([T.SHORTEST_PATH], [D.EASY], None, 20, master_seed=4)
     schemes = [s for s in S if s.shot_bearing]
-    bank_store = BankStore()
+    renderer = Renderer()
     gw = Gateway(MockBackend(mode="bernoulli", error_rate=0.5))
     # A first pass builds the banks and their heads, which every pass shares.
-    first = run_evaluation(queries, schemes, list(F), gw, bank_store=bank_store)
+    first = run_evaluation(queries, schemes, list(F), gw, renderer=renderer)
     joined = sum(len(join_prompt(head, body)) for *_, head, body in
-                 compose_cells(queries, schemes, list(F), bank_store=bank_store))
+                 compose_cells(queries, schemes, list(F), renderer=renderer))
     tracemalloc.start()
     try:
-        again = run_evaluation(queries, schemes, list(F), gw, bank_store=bank_store)
+        again = run_evaluation(queries, schemes, list(F), gw, renderer=renderer)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -906,8 +906,8 @@ def test_parse_prompt_uses_last_item():
     answers that query rather than an exemplar."""
     q, _ = sample_prompt(task=T.TRIANGLE)
     bank = build_exemplars(T.TRIANGLE, S.K_SHOT)
-    shot = join_prompt(*compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST, bank=bank))
-    last_answer = bank.exemplars[-1].answer
+    shot = join_prompt(*compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST))
+    last_answer = bank[-1].answer
     assert serialize(q.graph, F.ADJACENCY_LIST) in shot[shot.rindex(last_answer):]
     resp = MockBackend(mode="oracle").complete(CompletionRequest("m", shot, query=q))
     answer, s = score_response(q, resp.text)

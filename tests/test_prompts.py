@@ -10,16 +10,15 @@ import pytest
 from graphbench import answer_eval
 from graphbench import serialize as serialize_mod
 from graphbench.corpus import QuerySpec, build_corpus
-from graphbench.errors import EmptyBank, MissingParam
+from graphbench.errors import MissingParam
 from graphbench.gateway import Gateway, MockBackend
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
-from graphbench.pipeline import BankStore, run_evaluation
+from graphbench.pipeline import run_evaluation
 from graphbench import prompts
-from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, ExemplarBank,
-                                IDENTITY_DECORATION, PromptScheme, QA_DELIMS, SENTENCE_DELIMS,
-                                WORD_DELIMS, build_exemplars, compose_prompt, join_prompt,
-                                question_text)
+from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, IDENTITY_DECORATION,
+                                PromptScheme, QA_DELIMS, Renderer, SENTENCE_DELIMS, WORD_DELIMS,
+                                build_exemplars, compose_prompt, join_prompt, question_text)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TASKS, TaskKind
@@ -58,6 +57,27 @@ def test_question_missing_param():
         question_text(TaskKind.SHORTEST_PATH, {"u": 1})
 
 
+def test_each_scheme_is_one_row():
+    """Token, shot-bearing, narrated, algorithm block, instruct items and
+    suffix, per scheme."""
+    rows = {s: (s.value, s.shot_bearing, s.narrated, s.has_algorithm_block, s.instruct_items,
+                s.suffix) for s in PromptScheme}
+    assert rows == {
+        PromptScheme.ZERO_SHOT: ("0-shot", False, False, False, False, None),
+        PromptScheme.ZERO_COT: ("0-CoT", False, False, False, False,
+                                "Let's think step by step:"),
+        PromptScheme.ZERO_INSTRUCT: ("0-Instruct", False, False, False, False,
+                                     "Let's construct a graph with the nodes and edges first:"),
+        PromptScheme.ZERO_ALGORITHM: ("0-Algorithm", False, False, True, False, None),
+        PromptScheme.LTM: ("LTM", False, False, False, False, "Let's break down this problem:"),
+        PromptScheme.K_SHOT: ("k-shot", True, False, False, False, None),
+        PromptScheme.COT: ("CoT", True, True, False, False, None),
+        PromptScheme.INSTRUCT: ("Instruct", True, True, False, True, None),
+        PromptScheme.ALGORITHM: ("Algorithm", True, True, True, False, None),
+    }
+    assert [PromptScheme(row[0]) for row in rows.values()] == list(PromptScheme)
+
+
 def test_zero_shot_layout():
     q = make_query(params={"start": 4})
     prompt = prompt_text(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
@@ -92,7 +112,7 @@ def test_zero_algorithm_opens_with_block():
 def test_shot_bearing_prepends_exemplar_block_only():
     q = make_query()
     bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT)
-    shot = prompt_text(q, PromptScheme.K_SHOT, F.ADJACENCY_LIST, bank=bank)
+    shot = prompt_text(q, PromptScheme.K_SHOT, F.ADJACENCY_LIST)
     zero = prompt_text(q, PromptScheme.ZERO_SHOT, F.ADJACENCY_LIST)
     assert shot.endswith(zero)
     assert shot != zero
@@ -102,17 +122,11 @@ def test_shot_bearing_prepends_exemplar_block_only():
 def test_instruct_inserts_item_line():
     q = make_query()
     bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.INSTRUCT)
-    prompt = prompt_text(q, PromptScheme.INSTRUCT, F.ADJACENCY_LIST, bank=bank)
+    prompt = prompt_text(q, PromptScheme.INSTRUCT, F.ADJACENCY_LIST)
     line = "Let's construct a graph with the nodes and edges first."
     # once per exemplar plus once for the final item
     assert prompt.count(line) == len(bank) + 1
     assert prompt.endswith("A:")
-
-
-def test_empty_bank_raises():
-    q = make_query()
-    with pytest.raises(EmptyBank):
-        prompt_text(q, PromptScheme.COT, F.ADJACENCY_LIST, bank=None)
 
 
 def test_graph_text_is_verbatim_substring():
@@ -135,13 +149,14 @@ def test_final_item_carries_query_graph():
              DecorationFactors(sentence_delim=" \n", qa_delim=" \n\t", word_delim="  ",
                                case="title"))
     for q in build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=4):
+        renderer = Renderer()
         bank = build_exemplars(q.task, PromptScheme.K_SHOT)
         for fmt in F:
             rendered = serialize(q.graph, fmt)
             for deco in decos:
                 assert rendered in prompt_text(q, PromptScheme.ZERO_SHOT, fmt, deco=deco)
-                shot = prompt_text(q, PromptScheme.K_SHOT, fmt, bank=bank, deco=deco)
-                last_answer = deco.a_marker(deco.text(bank.exemplars[-1].answer))
+                shot = prompt_text(q, PromptScheme.K_SHOT, fmt, renderer=renderer, deco=deco)
+                last_answer = deco.a_marker(deco.text(bank[-1].answer))
                 final_item = shot[shot.rindex(last_answer) + len(last_answer):]
                 assert rendered in final_item, (q.task, fmt, deco)
 
@@ -179,7 +194,7 @@ def test_decorated_markers():
 def test_exemplar_answers_score_one(task, scheme):
     bank = build_exemplars(task, scheme)
     assert len(bank) == 5
-    for ex in bank.exemplars:
+    for ex in bank:
         gt = TASKS[task].oracle(ex.graph, ex.params)
         ans = answer_eval.extract(task, ex.answer)
         assert answer_eval.score(task, ex.graph, ex.params, gt, ans) == 1, \
@@ -189,30 +204,35 @@ def test_exemplar_answers_score_one(task, scheme):
 def test_exemplar_bank_determinism():
     a = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT)
     b = build_exemplars(TaskKind.TRIANGLE, PromptScheme.K_SHOT)
-    assert [(e.graph, e.params, e.answer) for e in a.exemplars] == \
-        [(e.graph, e.params, e.answer) for e in b.exemplars]
+    assert [(e.graph, e.params, e.answer) for e in a] == \
+        [(e.graph, e.params, e.answer) for e in b]
 
 
 def test_bank_renders_each_exemplar_once_per_format_and_decoration(monkeypatch):
-    """Prompts from a reused bank equal those from a fresh one, whatever the
-    order of formats, decorations and schemes, and each exemplar graph is
-    serialized once per format."""
+    """Prompts from a reused renderer equal those from a fresh one per
+    prompt, whatever the order of formats, decorations and schemes, and
+    each distinct graph, query or exemplar, is serialized once per format."""
     queries = build_corpus([TaskKind.CYCLE], [DifficultySplit.EASY], None, 4, master_seed=2)
-    bank = build_exemplars(TaskKind.CYCLE, PromptScheme.INSTRUCT)
+    schemes = (PromptScheme.INSTRUCT, PromptScheme.K_SHOT)
+    formats = (F.EDGE_LIST, F.GMOL)
     cells = [(scheme, fmt, deco)
              for deco in (IDENTITY_DECORATION, DecorationFactors(case="upper", qa_delim=" :: "))
-             for scheme in (PromptScheme.INSTRUCT, PromptScheme.K_SHOT)
-             for fmt in (F.EDGE_LIST, F.GMOL)]
-    fresh = [prompt_text(q, scheme, fmt, ExemplarBank(bank.exemplars),
-                            deco) for q in queries for scheme, fmt, deco in cells]
+             for scheme in schemes for fmt in formats]
+    fresh = [prompt_text(q, scheme, fmt, Renderer(), deco)
+             for q in queries for scheme, fmt, deco in cells]
     calls = []
-    monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.append(fmt) or serialize(g, fmt))
-    reused = [prompt_text(q, scheme, fmt, bank, deco)
+    monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.append((g, fmt))
+                        or serialize(g, fmt))
+    renderer = Renderer()
+    reused = [prompt_text(q, scheme, fmt, renderer, deco)
               for q in queries for scheme, fmt, deco in cells]
     assert reused == fresh
-    # One call per prompt for the query graph, and one per exemplar for
-    # each of the 8 (scheme, format, decoration) keys.
-    assert len(calls) == len(fresh) + len(cells) * len(bank)
+    graphs = {q.graph for q in queries} | {ex.graph for scheme in schemes
+                                           for ex in build_exemplars(TaskKind.CYCLE, scheme)}
+    # One call per distinct graph and format: 4 query graphs and two banks
+    # of 5 exemplars, in 2 formats.
+    assert Counter(calls) == Counter((g, fmt) for g in graphs for fmt in formats)
+    assert len(calls) == 28
 
 
 # Per task, sha256 over the prompts test_prompts_match_the_pinned_digest
@@ -233,14 +253,14 @@ def prompt_digests() -> dict[str, str]:
     queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=0)
     decos = (IDENTITY_DECORATION, DecorationFactors(sentence_delim=" <sep> ", qa_delim=" :: ",
                                                     word_delim="\t", case="upper"))
-    banks = BankStore()
+    renderer = Renderer()
     digests = {}
     for q in queries:
         digest = hashlib.sha256()
         for deco in decos:
             for scheme in PromptScheme:
                 for fmt in F:
-                    prompt = prompt_text(q, scheme, fmt, banks.get(q.task, scheme), deco)
+                    prompt = prompt_text(q, scheme, fmt, renderer, deco)
                     digest.update(prompt.encode("utf-8") + b"\x00")
         digests[q.task.value] = digest.hexdigest()
     return digests
@@ -258,7 +278,7 @@ def test_every_bank_follows_the_corpus_draw_rules():
     different graph than the one its answer is about."""
     for task in TaskKind:
         for scheme in (s for s in PromptScheme if s.shot_bearing):
-            graphs = [ex.graph for ex in build_exemplars(task, scheme).exemplars]
+            graphs = [ex.graph for ex in build_exemplars(task, scheme)]
             assert len({g.edges for g in graphs}) == len(graphs), (task, scheme)
             if task is TaskKind.HAMILTONIAN:
                 assert all(g.degree(u) > 0 for g in graphs for u in range(g.n)), scheme
@@ -283,7 +303,7 @@ def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
 
 def test_kshot_bfs_answer_phrase():
     bank = build_exemplars(TaskKind.BFS_ORDER, PromptScheme.K_SHOT)
-    for ex in bank.exemplars:
+    for ex in bank:
         assert ex.answer.startswith(
             f"The BFS traversal order starting from node {ex.params['start']} is ")
 

@@ -36,6 +36,15 @@ def test_empty_factor_rejected():
         FactorSpace((("a", ()),))
 
 
+def test_a_space_with_no_factor_or_a_repeated_name_is_rejected():
+    # A repeated name would let the later factor's option overwrite the
+    # earlier one's wherever a combo is read by name.
+    with pytest.raises(EmptyFactor):
+        FactorSpace(())
+    with pytest.raises(ValueError, match="factor[(]s[)] model declared more than once"):
+        FactorSpace((("model", ("a", "b")), ("case", ("upper",)), ("model", ("c", "d"))))
+
+
 @pytest.mark.parametrize("s0,named", [(("nope", "bogus"), "nope"),
                                       (("nope", "easy"), "nope"),
                                       (("diameter", "bogus"), "bogus")],
