@@ -23,7 +23,7 @@ from . import baselines as baselines_mod
 from . import corpus as corpus_mod
 from . import reporting
 from . import rlopt
-from .errors import BadRecord, EmptyGroup, GraphBenchError
+from .errors import BadRecord, EmptyFactor, EmptyGroup, GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
 from .generators import DifficultySplit, GraphFamily
 from .pipeline import accuracy, compose_cells, run_evaluation
@@ -39,9 +39,9 @@ _KINDS = {TaskKind: "task", DifficultySplit: "difficulty", GraphFamily: "graph t
           PromptScheme: "prompt scheme", SerializationFormat: "format"}
 
 
-def _parse_list(enum_cls: type[E], spec: str) -> list[E]:
+def _parse_list(enum_cls: type[E], spec: str, flag: str) -> list[E]:
     """Members named by a comma-separated flag value, matched on their
-    values without regard to case."""
+    values without regard to case. A member named twice is an error."""
     by_value = {m.value.lower(): m for m in enum_cls}
     out = []
     for tok in spec.split(","):
@@ -51,25 +51,35 @@ def _parse_list(enum_cls: type[E], spec: str) -> list[E]:
         if tok.lower() not in by_value:
             raise ValueError(f"unknown {_KINDS[enum_cls]} {tok!r}; expected one of "
                              f"{', '.join(m.value for m in enum_cls)}")
-        out.append(by_value[tok.lower()])
+        member = by_value[tok.lower()]
+        if member in out:
+            raise ValueError(f"{flag} names {_KINDS[enum_cls]} {member.value!r} twice, "
+                             f"in {spec!r}")
+        out.append(member)
     return out
 
 
 def _parse_names(enum_cls: type[E], spec: str, flag: str) -> list[E]:
     """`_parse_list`, for a flag that must name at least one member."""
-    members = _parse_list(enum_cls, spec)
+    members = _parse_list(enum_cls, spec, flag)
     if not members:
         raise ValueError(f"{flag} names no {_KINDS[enum_cls]}, got {spec!r}")
     return members
 
 
+def _load_json(path: str):
+    """The JSON value in the file; text that is not JSON raises a
+    ValueError that names the file."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        config = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    config = _load_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: expected a JSON object of settings")
     return config
@@ -103,13 +113,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    """Write the prompt of every (query, scheme, format) cell. Each query is
+    composed as a batch of its own, so the renderer holds one query's graph
+    texts, and each prompt is written as it is composed, so only one joined
+    prompt is held at a time."""
     queries = corpus_mod.load_queries(args.queries)
     schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
     formats = _parse_names(SerializationFormat, args.formats, "--formats")
-    # Written as they are composed, so only one joined prompt is held at a time.
-    rows = ({"query_id": q.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
+    renderer = Renderer()
+    rows = ({"query_id": query.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
              "prompt_text": join_prompt(head, body)}
-            for q, scheme, fmt, head, body in compose_cells(queries, schemes, formats))
+            for query in queries
+            for _, scheme, fmt, head, body in compose_cells([query], schemes, formats,
+                                                            renderer=renderer))
     n = corpus_mod.write_jsonl(rows, args.out)
     print(f"wrote {n} prompts to {args.out}")
     return 0
@@ -182,7 +198,7 @@ def _emit_csv(rows: list[dict], csv_out: str | None) -> int:
 
 
 def _parse_one(enum_cls: type[E], spec: str, flag: str) -> E:
-    members = _parse_list(enum_cls, spec)
+    members = _parse_list(enum_cls, spec, flag)
     if len(members) != 1:
         raise ValueError(f"{flag} takes one {_KINDS[enum_cls]}, got {spec!r}")
     return members[0]
@@ -194,7 +210,7 @@ def cmd_rlopt(args) -> int:
     if args.acc_max is not None:
         rlopt.check_acc_max(args.acc_max)
     if args.factors_file:
-        spec = json.loads(Path(args.factors_file).read_text("utf-8"))
+        spec = _load_json(args.factors_file)
         if not isinstance(spec, list):
             raise ValueError(f"{args.factors_file}: expected a JSON list of factors")
         for d in spec:
@@ -203,7 +219,10 @@ def cmd_rlopt(args) -> int:
                     and all(isinstance(o, str) for o in d["options"])):
                 raise ValueError(f"{args.factors_file}: factor {json.dumps(d)} needs a "
                                  f"string \"name\" and a list of strings \"options\"")
-        space = rlopt.FactorSpace(tuple((d["name"], tuple(d["options"])) for d in spec))
+        try:
+            space = rlopt.FactorSpace(tuple((d["name"], tuple(d["options"])) for d in spec))
+        except (EmptyFactor, ValueError) as exc:
+            raise ValueError(f"{args.factors_file}: {exc}") from None
     else:
         space = rlopt.default_space()
     if args.order:
@@ -228,7 +247,7 @@ def cmd_rlopt(args) -> int:
     gateway = reward_fn = None
     if args.reward.startswith("table:"):
         table_path = args.reward.split(":", 1)[1]
-        raw = json.loads(Path(table_path).read_text("utf-8"))
+        raw = _load_json(table_path)
         if not isinstance(raw, dict):
             raise ValueError(f"{table_path}: expected a JSON object of rewards")
         table = {}

@@ -35,8 +35,13 @@ def compose_cells(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
     (see `compose_prompt`), in query, then scheme, then format order. The
     cells of one (task, scheme, format) share one head string, and the
     schemes that end a query's prompts alike share one rendering of its
-    item."""
+    item.
+
+    The queries are one batch: the renderer drops the text of every graph
+    outside them (`Renderer.keep`), so a caller that composes its corpus
+    a chunk at a time holds one chunk's graph texts."""
     renderer = renderer or Renderer()
+    renderer.keep(query.graph for query in queries)
     for query in queries:
         finals: dict[tuple, str] = {}
         for scheme in schemes:

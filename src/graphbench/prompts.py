@@ -1,6 +1,6 @@
 """Prompt composition: the nine schemes, few-shot exemplar banks, the
 decoration factors for the extended search space, and `Renderer`, which
-keeps every prompt part a command renders.
+keeps the prompt parts a command renders.
 
 A composed prompt is [algorithm block] + [exemplar items] + final item, where
 every item is framing + serialized graph + "Q:" question + "A:" (+ answer for
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from .corpus import MAX_QUERY_ATTEMPTS, QuerySpec, draw_item
 from .errors import ExhaustedAttempts, MissingParam
@@ -208,13 +209,23 @@ def join_prompt(head: str | None, body: str) -> str:
 class Renderer:
     """The one memo for the prompt parts a command renders: each graph's
     text per format, each (task, scheme) exemplar bank and each prompt
-    head. A command makes one and every part is rendered once; equal
-    graphs share one text."""
+    head. A command makes one. Banks and heads are kept for the whole
+    command, since the task x scheme x format x decoration grid bounds
+    them. Graph texts are kept only for the batch being composed (see
+    `keep`), so they follow the batch, not the corpus; within a batch
+    every text is rendered once and equal graphs share it."""
 
     def __init__(self):
         self._texts: dict[tuple[Graph, SerializationFormat], str] = {}
         self._banks: dict[tuple[TaskKind, PromptScheme], list[Exemplar]] = {}
         self._heads: dict[tuple, str | None] = {}
+
+    def keep(self, graphs: Iterable[Graph]) -> None:
+        """Open a batch over these graphs: drop the text of every other
+        graph, an exemplar's included. Costs one pass over the previous
+        batch's texts."""
+        graphs = set(graphs)
+        self._texts = {key: text for key, text in self._texts.items() if key[0] in graphs}
 
     def text(self, g: Graph, fmt: SerializationFormat) -> str:
         """The graph's canonical text in the format."""

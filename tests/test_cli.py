@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import graphbench
-from graphbench import cli
+from graphbench import cli, pipeline, prompts
 from graphbench.cli import _live_reward_fn, build_parser, main
-from graphbench.corpus import read_jsonl, write_jsonl
+from graphbench.corpus import build_corpus, read_jsonl, write_jsonl
 from graphbench.errors import TransportError
 from graphbench.gateway import CACHE_DIR_ENV, CACHE_FILE, Gateway, MockBackend
 from graphbench.generators import DifficultySplit, GraphFamily
-from graphbench.prompts import CASE_FUNCTIONS, PromptScheme
+from graphbench.prompts import CASE_FUNCTIONS, PromptScheme, Renderer
 from conftest import cache_entries, combos, make_planted_landscape
 from graphbench.rlopt import FactorSpace, default_space
 from graphbench.serialize import SerializationFormat
@@ -471,7 +471,20 @@ def test_rlopt_rejects_a_space_with_no_factor_or_a_repeated_name(tmp_path, monke
     factors.write_text(json.dumps(spec))
     assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "1",
                    "--episodes", "1") == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {factors}: {message}\n"
+    assert backend.calls == 0
+
+
+@pytest.mark.parametrize("flag", ["--factors-file", "--reward"])
+def test_rlopt_names_a_file_that_is_not_json(tmp_path, monkeypatch, capsys, flag):
+    backend = Recording()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    path = tmp_path / "settings.json"
+    path.write_text("not json")
+    value = str(path) if flag == "--factors-file" else f"table:{path}"
+    assert run_cli("rlopt", flag, value, "--samples", "1", "--episodes", "1") == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: Expecting value: line 1 column 1 (char 0)\n")
     assert backend.calls == 0
 
 
@@ -660,6 +673,85 @@ def test_report_memory_does_not_grow_with_the_records(tmp_path):
     assert peaks[1] / peaks[0] <= 1.2, peaks
 
 
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_graph_texts_follow_the_batch_not_the_corpus(tmp_path, monkeypatch, command):
+    """`run` composes its corpus a chunk at a time and `render` a query at a
+    time, and the renderer drops the texts of the graphs outside the batch.
+    So four times the queries hold no more graph texts at once, and peak at
+    about the same traced memory beyond the loaded corpus."""
+    q = tmp_path / "q.jsonl"
+    run_cli("generate", "--task", POLY_TASKS, "--difficulty", "medium", "--count", "8",
+            "--seed", "2", "--out", str(q))
+    # One query of each task in turn, so the first chunk of either corpus
+    # builds every task's heads, and the largest graphs first, so the large
+    # corpus adds queries, not a larger batch.
+    by_task = {}
+    for line in sorted(q.read_text().splitlines(keepends=True), key=len, reverse=True):
+        by_task.setdefault(json.loads(line)["task"], []).append(line)
+    lines = [line for row in zip(*by_task.values()) for line in row]
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    small.write_text("".join(lines[:12]))
+    large.write_text("".join(lines))
+    assert len(lines) == 48
+    # Both corpora are loaded, with the adjacency each graph caches, before
+    # tracing starts.
+    loaded = {str(path): cli.corpus_mod.load_queries(path) for path in (small, large)}
+    for query in loaded[str(large)] + loaded[str(small)]:
+        query.graph.adjacency
+    monkeypatch.setattr(cli.corpus_mod, "load_queries", loaded.__getitem__)
+    held = []
+
+    class Holding(Renderer):
+        def text(self, g, fmt):
+            text = super().text(g, fmt)
+            held[-1] = max(held[-1], len(self._texts))
+            return text
+
+    monkeypatch.setattr(cli, "Renderer", Holding)
+    monkeypatch.setattr(pipeline, "Renderer", Holding)
+    argv = (command, *EVERY_CELL, "--out", str(tmp_path / "out.jsonl"),
+            *(["--max-in-flight", "1"] if command == "run" else []), "--queries")
+    # A first pass imports what every pass shares.
+    held.append(0)
+    assert run_cli(*argv, str(small)) == 0
+    held, peaks = [], []
+    for queries in (small, large):
+        held.append(0)
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, str(queries)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert held[0] == held[1], held
+    assert peaks[1] / peaks[0] <= 1.2, peaks
+
+
+def test_a_live_search_renders_each_graph_text_once(monkeypatch, capsys):
+    """Every batch of a live search composes the same --samples queries,
+    so their texts survive from one combination to the next: each (sample
+    graph, format) is serialized once, and each bank graph once per format
+    when its head is built."""
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    calls, serialize = [], prompts.serialize
+    monkeypatch.setattr(prompts, "serialize",
+                        lambda g, fmt: calls.append((g, fmt)) or serialize(g, fmt))
+    assert run_cli("rlopt", "--reward", "live", "--backend", "mock-bernoulli",
+                   "--task", "shortest_path", "--difficulty", "medium", "--samples", "5",
+                   "--episodes", "300", "--seed", "0") == 0
+    capsys.readouterr()
+    samples = {q.graph for q in build_corpus([TaskKind.SHORTEST_PATH],
+                                             [DifficultySplit.MEDIUM], None, 5, master_seed=0)}
+    banks = {ex.graph for scheme in PromptScheme if scheme.shot_bearing
+             for ex in prompts.build_exemplars(TaskKind.SHORTEST_PATH, scheme)}
+    formats = {fmt for _, fmt in calls}
+    assert len(formats) > 1 and len(calls) == len(set(calls))
+    assert {(g, fmt) for g, fmt in calls if g in samples} == {(g, fmt) for g in samples
+                                                              for fmt in formats}
+    assert {g for g, _ in calls} - samples <= banks
+    assert {g for g, _ in calls} & banks
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--task", "nope", "error: unknown task 'nope'; expected one of "),
     ("--difficulty", "bogus", "error: unknown difficulty 'bogus'; expected one of "),
@@ -843,6 +935,12 @@ def test_comma_list_flags(tmp_path, capsys, command, flag, enum_cls, kind, valid
     assert run_cli(*argv[command], flag, f"{valid},nope") == 1
     expected = ", ".join(m.value for m in enum_cls)
     assert capsys.readouterr().err == f"error: unknown {kind} 'nope'; expected one of {expected}\n"
+    # So is a value named twice, which would write each item or cell twice.
+    twice = f"{valid},{valid.swapcase()}"
+    member = next(m.value for m in enum_cls if m.value.lower() == valid.lower())
+    assert run_cli(*argv[command], flag, twice) == 1
+    assert capsys.readouterr().err == f"error: {flag} names {kind} {member!r} twice, in {twice!r}\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 # A corpus line that `load_queries` cannot read, and the end of its error.

@@ -384,6 +384,19 @@ def test_only_the_renderer_serializes_graphs_and_builds_banks():
                      "build_exemplars": {"prompts.Renderer.head"}}
 
 
+def test_a_renderer_is_made_only_where_a_command_or_a_caller_starts():
+    """Each `prompts.Renderer` has one owner whose lifetime is a command
+    (`run`, `render` and a live `rlopt` reward), or a caller that passes
+    none to `compose_cells` or `compose_prompt`, so no memo outlives the
+    command that filled it."""
+    found = set()
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        scopes = callers(ast.parse(path.read_text("utf-8")), {"Renderer"})["Renderer"]
+        found |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert found == {"cli.cmd_run", "cli.cmd_render", "cli._live_reward_fn",
+                     "pipeline.compose_cells", "prompts.compose_prompt"}
+
+
 def test_workers_take_no_lock_the_cache_holds():
     """No lock that guards the cache connection (one that `_cache_read`,
     `_cache_write` or `close` enters with `with self.<lock>:`) appears in
