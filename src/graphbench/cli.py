@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
@@ -113,11 +114,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    """Write the prompt of every (query, scheme, format) cell. Each query is
-    composed as a batch of its own, so the renderer holds one query's graph
-    texts, and each prompt is written as it is composed, so only one joined
-    prompt is held at a time."""
-    queries = corpus_mod.load_queries(args.queries)
+    """Write the prompt of every (query, scheme, format) cell. The corpus is
+    loaded whole before `--out` is opened, so a bad record writes nothing.
+    Each query is composed as a batch of its own, so the renderer holds one
+    query's graph texts, and each prompt is written as it is composed, so
+    only one joined prompt is held at a time."""
+    queries = list(corpus_mod.load_queries(args.queries))
     schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
     formats = _parse_names(SerializationFormat, args.formats, "--formats")
     renderer = Renderer()
@@ -131,9 +133,9 @@ def cmd_render(args) -> int:
     return 0
 
 
-# `run` evaluates and writes its records one chunk at a time: the fewest
-# whole queries that reach this many cells per --max-in-flight slot. Memory
-# then follows the chunk, not the corpus. For an HTTP backend, scaling with
+# `run` evaluates its corpus one chunk at a time: the fewest whole queries
+# that reach this many cells per --max-in-flight slot. Memory then follows
+# the chunk, not the corpus. For an HTTP backend, scaling with
 # --max-in-flight keeps each worker's share of a chunk fixed, and 256
 # requests each make a chunk's own costs (starting its workers, looking up
 # its cache entries, the tail where workers idle while the last requests
@@ -144,31 +146,50 @@ _CHUNK_CELLS_PER_WORKER = 256
 
 
 def cmd_run(args) -> int:
+    """Evaluate every (query, scheme, format) cell of the corpus and write
+    one result record per cell, in `render`'s order.
+
+    The corpus is read twice. The first read checks every record and
+    counts them before `--out` is opened or anything is sent, so a bad
+    record costs nothing. The second builds the queries one chunk at a
+    time, so `run` holds one chunk of queries and requests and one query's
+    records, never the whole corpus. A second read that yields a different
+    number of records (a pipe, or a file rewritten in between) is an
+    error. Each query's records are written as soon as its last one is
+    scored, and the file is flushed once per chunk, so an interrupted run
+    leaves whole queries in `--out`."""
     config = _load_config(args.config)
-    queries = corpus_mod.load_queries(args.queries)
+    total = sum(1 for _ in corpus_mod.load_queries(args.queries))
     schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
     formats = _parse_names(SerializationFormat, args.formats, "--formats")
     if args.max_in_flight < 1:
         raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
-    per_chunk = math.ceil(_CHUNK_CELLS_PER_WORKER * args.max_in_flight
-                          / max(1, len(schemes) * len(formats)))
+    per_query = len(schemes) * len(formats)
+    per_chunk = math.ceil(_CHUNK_CELLS_PER_WORKER * args.max_in_flight / per_query)
     renderer = Renderer()
-    n = score = errors = 0
+    read = n = score = errors = 0
     gateway = _make_gateway(args, config)
     try:
         with open(args.out, "w", encoding="utf-8") as out:
-            for start in range(0, len(queries), per_chunk):
-                records = run_evaluation(queries[start:start + per_chunk], schemes, formats,
-                                         gateway, model=args.model,
-                                         max_in_flight=args.max_in_flight,
-                                         renderer=renderer)
-                n += corpus_mod.write_jsonl(records, out)
+            queries = iter(corpus_mod.load_queries(args.queries))
+            while chunk := list(itertools.islice(queries, per_chunk)):
+                read += len(chunk)
+                records = run_evaluation(chunk, schemes, formats, gateway, model=args.model,
+                                         max_in_flight=args.max_in_flight, renderer=renderer)
+                # A query's records are written once its last one is scored,
+                # without waiting for the next query's first.
+                while query_records := list(itertools.islice(records, per_query)):
+                    n += corpus_mod.write_jsonl(query_records, out)
+                    score += sum(rec["score"] for rec in query_records)
+                    errors += sum("error" in rec for rec in query_records)
                 # Complete lines reach the file before the next chunk is sent.
                 out.flush()
-                score += sum(rec["score"] for rec in records)
-                errors += sum("error" in rec for rec in records)
     finally:
         gateway.close()
+    if read != total:
+        raise ValueError(f"{args.queries}: the corpus held {total} records when checked but "
+                         f"{read} when evaluated; `run` reads it twice, so it must be a file "
+                         f"that does not change while `run` reads it")
     print(f"wrote {n} results to {args.out} (accuracy {score / n if n else 0.0:.4f}, "
           f"errors {errors}, network calls {gateway.network_calls}, "
           f"cache hits {gateway.cache_hits})")
@@ -302,9 +323,12 @@ _LIVE_DIMS = ("prompt_scheme", "serialization", "model", *_DECORATION_DIMS)
 def _live_settings(args, space: rlopt.FactorSpace) -> tuple[dict, dict]:
     """The prompt scheme and the format each option of the space names.
     A factor name the evaluation has no setting for, an option it cannot
-    apply, or fewer than one graph per combo raises ValueError."""
+    apply, fewer than one graph per combo or fewer than one request in
+    flight raises ValueError."""
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.max_in_flight < 1:
+        raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
     unknown = [name for name in space.names if name not in _LIVE_DIMS]
     if unknown:
         raise ValueError(f"live reward cannot apply factor(s) {', '.join(unknown)}; "
@@ -340,10 +364,10 @@ def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
         scheme = schemes.get(by.get("prompt_scheme"), PromptScheme.ZERO_SHOT)
         fmt = formats.get(by.get("serialization"), SerializationFormat.ADJACENCY_LIST)
         deco = DecorationFactors(**{d: by[d] for d in _DECORATION_DIMS if d in by})
-        records = run_evaluation(queries, [scheme], [fmt], gateway,
-                                 model=by.get("model", args.model), deco=deco,
-                                 max_in_flight=args.max_in_flight,
-                                 renderer=renderer)
+        records = list(run_evaluation(queries, [scheme], [fmt], gateway,
+                                      model=by.get("model", args.model), deco=deco,
+                                      max_in_flight=args.max_in_flight,
+                                      renderer=renderer))
         failed = [r["error"] for r in records if "error" in r]
         if failed:
             raise GraphBenchError(f"live reward for combo {'|'.join(combo)}: {len(failed)} of "

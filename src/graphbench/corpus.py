@@ -104,22 +104,23 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 yield rec
 
 
-def load_queries(path: str | Path) -> list[QuerySpec]:
-    """The corpus at `path`, one query per JSONL record. A record that is
-    not a JSON object, lacks a field or holds a value of the wrong kind
+def load_queries(path: str | Path) -> Iterator[QuerySpec]:
+    """The corpus at `path`, one query per JSONL record, read lazily: the
+    file is opened at the first `next` and each query is built as it is
+    reached, so a caller that needs a list calls `list()`. A record that
+    is not a JSON object, lacks a field or holds a value of the wrong kind
     raises ValueError naming the file and the record, numbered from 1 as
-    `read_jsonl` yields them."""
-    queries = []
+    `read_jsonl` yields them, when the iteration reaches it."""
     for i, rec in enumerate(read_jsonl(path), 1):
         try:
             if not isinstance(rec, dict):
                 raise ValueError(f"expected a JSON object, got {json.dumps(rec)[:80]}")
-            queries.append(QuerySpec.from_record(rec))
+            query = QuerySpec.from_record(rec)
         except KeyError as exc:
             raise ValueError(f"{path}: record {i}: missing field {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: record {i}: {exc}") from None
-    return queries
+        yield query
 
 
 # Draws per item before build_query or build_exemplars gives up on it.
@@ -209,7 +210,7 @@ def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],
     return out
 
 
-def selfcheck(corpus: Sequence[QuerySpec]) -> list[str]:
+def selfcheck(corpus: Iterable[QuerySpec]) -> list[str]:
     """Revalidate every stored ground truth against a fresh oracle run.
 
     Returns the list of failing query ids (empty when the corpus is clean).

@@ -54,21 +54,31 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
                    formats: Sequence[SerializationFormat], gateway: Gateway,
                    model: str = "mock", max_in_flight: int = 4,
                    deco: DecorationFactors = IDENTITY_DECORATION,
-                   renderer: Renderer | None = None) -> list[dict[str, Any]]:
-    """Evaluate every (query, scheme, format) cell and return result records.
+                   renderer: Renderer | None = None) -> Iterator[dict[str, Any]]:
+    """Evaluate every (query, scheme, format) cell and return its result
+    records, in `compose_cells` order.
 
-    Each distinct (query, response text) is extracted and scored once, and
-    the cells that repeat it share that answer value and score. No prompt
-    is joined: a request carries its head and body, so the batch holds one
-    copy of each distinct part, not one of each prompt."""
+    The call composes the cells and runs the gateway batch; the records
+    it returns are an iterator that extracts and scores each answer as it
+    is reached, so a caller that writes them as they come holds one record
+    at a time, and one that needs a list calls `list()`. Each distinct
+    response text to a query is extracted and scored once, and the
+    query's cells that repeat it share that answer value and score. No
+    prompt is joined: a request carries its head and body, so the batch
+    holds one copy of each distinct part, not one of each prompt."""
     cells = list(compose_cells(queries, schemes, formats, deco=deco, renderer=renderer))
     results = gateway.run_batch([CompletionRequest(model, body, head, query=query)
                                  for query, _, _, head, body in cells],
                                 max_in_flight=max_in_flight)
-    scored: dict[tuple[int, str], tuple[Any, int]] = {}
-    records = []
+    return _records(cells, results, schemes, formats, model)
+
+
+def _records(cells, results, schemes, formats, model: str) -> Iterator[dict[str, Any]]:
+    """The result record of each cell and its gateway result, scored as
+    it is reached."""
     # Field values that are fixed per scheme, per format or per query,
-    # read once each: the enum members by identity, the query when it changes.
+    # read once each: the enum members by identity, the query when it
+    # changes. So are the query's scored responses, by text.
     names = {id(member): member.value for member in (*schemes, *formats)}
     last = None
     for (query, scheme, fmt, _, _), item in zip(cells, results):
@@ -76,6 +86,7 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
             last = query
             task, difficulty, graph_type = (query.task.value, query.difficulty.value,
                                             query.family.value)
+            scored: dict[str, tuple[Any, int]] = {}
         rec: dict[str, Any] = {
             "query_id": query.id,
             "model": model,
@@ -86,12 +97,12 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
             "graph_type": graph_type,
         }
         if item.ok:
-            key = (id(query), item.response.text)
-            if key not in scored:
-                scored[key] = score_response(query, item.response.text)
-            extracted, s = scored[key]
+            text = item.response.text
+            if text not in scored:
+                scored[text] = score_response(query, text)
+            extracted, s = scored[text]
             rec.update({
-                "response": item.response.text,
+                "response": text,
                 "extracted": extracted,
                 "score": s,
                 "tokens_in": item.response.tokens_in,
@@ -102,8 +113,7 @@ def run_evaluation(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme]
             rec.update({"response": None, "extracted": None, "score": 0,
                         "tokens_in": None, "tokens_out": None,
                         "latency_ms": None, "error": item.error})
-        records.append(rec)
-    return records
+        yield rec
 
 
 def accuracy(records: Iterable[dict[str, Any]]) -> float:

@@ -137,6 +137,8 @@ class DQNConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate!r}")
+        if not 0 <= self.epsilon_min <= 1:
+            raise ValueError(f"epsilon_min must be in [0, 1], got {self.epsilon_min!r}")
 
 
 class QFunction(Protocol):

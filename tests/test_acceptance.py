@@ -211,15 +211,15 @@ def test_criterion_8_mock_pipeline():
     formats = list(F)
 
     bern = Gateway(MockBackend(mode="bernoulli", error_rate=0.2, seed=1))
-    records = run_evaluation(queries, schemes, formats, bern, max_in_flight=8)
+    records = list(run_evaluation(queries, schemes, formats, bern, max_in_flight=8))
     n = len(records)
     acc = accuracy(records)
     sigma = math.sqrt(0.8 * 0.2 / n)
     ok = n >= 5000 and abs(acc - 0.8) <= 3 * sigma
 
     oracle = Gateway(MockBackend(mode="oracle"))
-    oracle_records = run_evaluation(queries[:2 * len(list(T))], schemes, formats,
-                                    oracle, max_in_flight=8)
+    oracle_records = list(run_evaluation(queries[:2 * len(list(T))], schemes, formats,
+                                         oracle, max_in_flight=8))
     pivots_ok = True
     for dim in ("model", "prompt_scheme", "serialization", "graph_type", "task"):
         for row in aggregate(oracle_records, [dim]):

@@ -317,6 +317,75 @@ def test_an_interrupted_run_keeps_whole_queries_and_a_rerun_sends_the_rest(
         f"network calls {len(full_lines) - cached}, cache hits {cached})\n")
 
 
+def test_an_interrupt_while_scoring_keeps_the_queries_already_scored(
+        tmp_path, monkeypatch, capsys):
+    """`run` writes each query's records as soon as its last one is scored,
+    so an interrupt while a chunk's second query is scored leaves the
+    earlier chunks and that chunk's first query in `--out`: whole queries,
+    line for line what a full run writes. The chunk's answers are already
+    cached, so a rerun sends nothing and completes the file."""
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    q, full, cut, cache = (tmp_path / "q.jsonl", tmp_path / "full.jsonl",
+                           tmp_path / "cut.jsonl", tmp_path / "cache")
+    ids = make_corpus(q, 2)
+    per_chunk = -(-cli._CHUNK_CELLS_PER_WORKER // 63)
+    assert 2 * per_chunk + 1 < len(ids)
+    argv = ("run", "--queries", str(q), *EVERY_CELL, "--backend", "mock-bernoulli",
+            "--max-in-flight", "1", "--cache-dir", str(cache))
+    assert run_cli(*argv[:-2], "--out", str(full)) == 0
+    full_lines = full.read_text().splitlines()
+    stop_at = ids[2 * per_chunk + 1]  # the second query of the third chunk
+    score_response = pipeline.score_response
+
+    def interrupted(query, text):
+        if query.id == stop_at:
+            raise KeyboardInterrupt
+        return score_response(query, text)
+
+    monkeypatch.setattr(pipeline, "score_response", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv, "--out", str(cut))
+    lines = cut.read_text().splitlines()
+    assert len(lines) % 63 == 0
+    assert len(lines) == (2 * per_chunk + 1) * 63
+    assert lines == full_lines[:len(lines)]
+
+    monkeypatch.undo()
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(cut)) == 0
+    assert cut.read_bytes() == full.read_bytes()
+    assert capsys.readouterr().out.endswith(
+        f"network calls 0, cache hits {cache_entries(cache)})\n")
+
+
+@pytest.mark.parametrize("kept", [0, 1, 3], ids=["none", "fewer", "more"])
+def test_a_corpus_that_changes_between_the_two_reads_is_an_error(tmp_path, monkeypatch,
+                                                                  capsys, kept):
+    """`run` checks and counts its corpus, then reads it again to evaluate
+    it. A file rewritten in between with another number of records, or a
+    pipe, which yields none the second time, exits 1 with an `error:` line
+    naming the file."""
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--count", "2", "--out", str(q))
+    lines = q.read_text().splitlines(keepends=True)
+    load, reads = cli.corpus_mod.load_queries, []
+
+    def rewritten_after_the_check(path):
+        reads.append(path)
+        if len(reads) == 2:
+            q.write_text("".join((lines * 2)[:kept]))
+        return load(path)
+
+    monkeypatch.setattr(cli.corpus_mod, "load_queries", rewritten_after_the_check)
+    capsys.readouterr()
+    assert run_cli("run", "--queries", str(q), "--out", str(r)) == 1
+    assert capsys.readouterr() == ("", f"error: {q}: the corpus held 2 records when checked "
+                                       f"but {kept} when evaluated; `run` reads it twice, so it "
+                                       f"must be a file that does not change while `run` reads "
+                                       f"it\n")
+
+
 def test_run_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     """`run` holds the prompts and records of one chunk at a time, so a
     corpus four times larger peaks at about the same traced memory."""
@@ -337,6 +406,42 @@ def test_run_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] / peaks[0] <= 1.5, peaks
+
+
+def test_run_memory_does_not_grow_with_the_corpus_it_reads(tmp_path, monkeypatch):
+    """`run` reads its corpus a chunk at a time and writes each query's
+    records as they are scored, so a corpus twenty chunks long, read
+    inside the traced region, peaks at about the traced memory of its
+    first chunk alone."""
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    q = tmp_path / "q.jsonl"
+    run_cli("generate", "--task", POLY_TASKS, "--difficulty", "medium", "--count", "30",
+            "--seed", "2", "--out", str(q))
+    # One query of each task in turn, so the first chunk builds every
+    # task's heads, and the largest graphs first, so no later chunk is
+    # larger than the first.
+    by_task = {}
+    for line in sorted(q.read_text().splitlines(keepends=True), key=len, reverse=True):
+        by_task.setdefault(json.loads(line)["task"], []).append(line)
+    lines = [line for row in zip(*by_task.values()) for line in row]
+    per_chunk = -(-2 * cli._CHUNK_CELLS_PER_WORKER // 63)
+    assert len(lines) == 20 * per_chunk == 180
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    small.write_text("".join(lines[:per_chunk]))
+    large.write_text("".join(lines))
+    argv = ("run", *EVERY_CELL, "--backend", "mock-bernoulli", "--max-in-flight", "2",
+            "--out", str(tmp_path / "r.jsonl"), "--queries")
+    # A first run builds what every run shares (exemplar tables, imports).
+    assert run_cli(*argv, str(small)) == 0
+    peaks = []
+    for corpus in (small, large):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, str(corpus)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 1.1, peaks
 
 
 def test_baseline_output(tmp_path, capsys):
@@ -528,8 +633,12 @@ class Recording:
     ("--learning-rate", "-0.1", "error: learning rate must be finite and positive, got -0.1"),
     ("--samples", "0", "error: --samples must be >= 1, got 0"),
     ("--samples", "-1", "error: --samples must be >= 1, got -1"),
+    ("--epsilon-min", "nan", "error: epsilon_min must be in [0, 1], got nan"),
+    ("--epsilon-min", "-0.1", "error: epsilon_min must be in [0, 1], got -0.1"),
+    ("--epsilon-min", "2", "error: epsilon_min must be in [0, 1], got 2.0"),
 ], ids=["no-episodes", "negative-episodes", "nan-rate", "inf-rate", "zero-rate",
-        "negative-rate", "no-samples", "negative-samples"])
+        "negative-rate", "no-samples", "negative-samples", "nan-epsilon-min",
+        "negative-epsilon-min", "epsilon-min-above-one"])
 def test_rlopt_rejects_a_setting_a_search_cannot_run_with(monkeypatch, capsys, flag, value,
                                                           message):
     """No episodes, a learning rate that is not finite and positive, or no
@@ -540,6 +649,25 @@ def test_rlopt_rejects_a_setting_a_search_cannot_run_with(monkeypatch, capsys, f
                    "--episodes", "3", flag, value) == 1
     assert capsys.readouterr().err == message + "\n"
     assert backend.calls == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rlopt_rejects_max_in_flight_below_one_before_touching_the_csv(tmp_path, monkeypatch,
+                                                                       capsys, value):
+    """A live search checks --max-in-flight with its other settings: an
+    existing episodes CSV is left as it was, no corpus is built and
+    nothing is sent."""
+    episodes = tmp_path / "old.csv"
+    episodes.write_text("kept\n")
+    backend, built = Recording(), []
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    monkeypatch.setattr(cli.corpus_mod, "build_corpus",
+                        lambda *a, **k: built.append(a) or build_corpus(*a, **k))
+    assert run_cli("rlopt", "--backend", "mock-bernoulli", "--samples", "2", "--episodes", "3",
+                   "--max-in-flight", value, "--episodes-csv", str(episodes)) == 1
+    assert capsys.readouterr().err == f"error: --max-in-flight must be >= 1, got {value}\n"
+    assert episodes.read_text() == "kept\n"
+    assert built == [] and backend.calls == 0
 
 
 # sha256 of `rlopt --reward live --backend mock-bernoulli` stdout for
@@ -695,7 +823,7 @@ def test_graph_texts_follow_the_batch_not_the_corpus(tmp_path, monkeypatch, comm
     assert len(lines) == 48
     # Both corpora are loaded, with the adjacency each graph caches, before
     # tracing starts.
-    loaded = {str(path): cli.corpus_mod.load_queries(path) for path in (small, large)}
+    loaded = {str(path): list(cli.corpus_mod.load_queries(path)) for path in (small, large)}
     for query in loaded[str(large)] + loaded[str(small)]:
         query.graph.adjacency
     monkeypatch.setattr(cli.corpus_mod, "load_queries", loaded.__getitem__)

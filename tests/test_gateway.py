@@ -617,8 +617,8 @@ def test_run_evaluation_scores_each_distinct_response_once(monkeypatch):
         return extract(task, text)
 
     monkeypatch.setattr(answer_eval, "extract", counting_extract)
-    records = run_evaluation(queries, [S.ZERO_SHOT, S.ZERO_COT], list(F),
-                             Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=4)))
+    records = list(run_evaluation(queries, [S.ZERO_SHOT, S.ZERO_COT], list(F),
+                                  Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=4))))
     monkeypatch.undo()
     by_id = {q.id: q for q in queries}
     pairs = {(r["query_id"], r["response"]) for r in records}
@@ -692,9 +692,9 @@ def test_the_mock_renders_each_querys_answers_once(monkeypatch):
             original = getattr(spec, name)
             monkeypatch.setattr(spec, name, lambda *a, _f=original, _log=log, _task=spec.kind:
                                 _log.append(_task) or _f(*a))
-    records = run_evaluation(queries, list(S), list(F),
-                             Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=3)),
-                             renderer=renderer)
+    records = list(run_evaluation(queries, list(S), list(F),
+                                  Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=3)),
+                                  renderer=renderer))
     monkeypatch.undo()
     assert calls["gold"] == [q.task for q in queries]
     assert len(calls["render"]) <= 2 * len(queries)
@@ -715,12 +715,12 @@ def test_a_shot_bearing_run_holds_each_prompt_part_once():
     renderer = Renderer()
     gw = Gateway(MockBackend(mode="bernoulli", error_rate=0.5))
     # A first pass builds the banks and their heads, which every pass shares.
-    first = run_evaluation(queries, schemes, list(F), gw, renderer=renderer)
+    first = list(run_evaluation(queries, schemes, list(F), gw, renderer=renderer))
     joined = sum(len(join_prompt(head, body)) for *_, head, body in
                  compose_cells(queries, schemes, list(F), renderer=renderer))
     tracemalloc.start()
     try:
-        again = run_evaluation(queries, schemes, list(F), gw, renderer=renderer)
+        again = list(run_evaluation(queries, schemes, list(F), gw, renderer=renderer))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -927,8 +927,8 @@ def test_mock_without_query_is_an_item_error():
                          ids=["word_delim_tab", "qa_delim_double_colon"])
 def test_mock_oracle_answers_decorated_prompts(deco):
     queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=0)
-    records = run_evaluation(queries, [S.ZERO_SHOT, S.K_SHOT], list(F),
-                             Gateway(MockBackend(mode="oracle")), deco=deco)
+    records = list(run_evaluation(queries, [S.ZERO_SHOT, S.K_SHOT], list(F),
+                                  Gateway(MockBackend(mode="oracle")), deco=deco))
     assert len(records) == len(queries) * 2 * len(F)
     assert [r["error"] for r in records if "error" in r] == []
     assert accuracy(records) == 1.0

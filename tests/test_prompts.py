@@ -293,8 +293,8 @@ def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
         monkeypatch.setitem(serialize_mod._RENDERERS, fmt,
                             lambda g, fmt=fmt, render=render: calls.update([(id(g), fmt)])
                             or render(g))
-    records = run_evaluation(queries, list(PromptScheme), list(F),
-                             Gateway(MockBackend(mode="oracle")))
+    records = list(run_evaluation(queries, list(PromptScheme), list(F),
+                                  Gateway(MockBackend(mode="oracle"))))
     assert len(records) == len(queries) * len(PromptScheme) * len(F) == 504
     assert all(r["score"] == 1 for r in records)
     assert [calls[id(q.graph), fmt] for q in queries for fmt in F] == [1] * (8 * 7)
