@@ -10,15 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
-import enum
 import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import TypeVar
 
 from . import baselines as baselines_mod
 from . import corpus as corpus_mod
@@ -27,46 +24,10 @@ from . import rlopt
 from .errors import BadRecord, EmptyFactor, EmptyGroup, GraphBenchError
 from .gateway import CACHE_DIR_ENV, Gateway, HttpBackend, MockBackend
 from .generators import DifficultySplit, GraphFamily
-from .pipeline import accuracy, compose_cells, run_evaluation
-from .prompts import DecorationFactors, PromptScheme, Renderer, join_prompt
+from .pipeline import compose_cells, live_reward_fn, parse_names, parse_one, run_evaluation
+from .prompts import PromptScheme, Renderer, join_prompt
 from .serialize import SerializationFormat, serialize
 from .tasks import TaskKind
-
-E = TypeVar("E", bound=enum.Enum)
-
-
-# What an unknown token of each comma-list flag is called in its error.
-_KINDS = {TaskKind: "task", DifficultySplit: "difficulty", GraphFamily: "graph type",
-          PromptScheme: "prompt scheme", SerializationFormat: "format"}
-
-
-def _parse_list(enum_cls: type[E], spec: str, flag: str) -> list[E]:
-    """Members named by a comma-separated flag value, matched on their
-    values without regard to case. A member named twice is an error."""
-    by_value = {m.value.lower(): m for m in enum_cls}
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() not in by_value:
-            raise ValueError(f"unknown {_KINDS[enum_cls]} {tok!r}; expected one of "
-                             f"{', '.join(m.value for m in enum_cls)}")
-        member = by_value[tok.lower()]
-        if member in out:
-            raise ValueError(f"{flag} names {_KINDS[enum_cls]} {member.value!r} twice, "
-                             f"in {spec!r}")
-        out.append(member)
-    return out
-
-
-def _parse_names(enum_cls: type[E], spec: str, flag: str) -> list[E]:
-    """`_parse_list`, for a flag that must name at least one member."""
-    members = _parse_list(enum_cls, spec, flag)
-    if not members:
-        raise ValueError(f"{flag} names no {_KINDS[enum_cls]}, got {spec!r}")
-    return members
-
 
 def _load_json(path: str):
     """The JSON value in the file; text that is not JSON raises a
@@ -100,9 +61,9 @@ def _make_gateway(args, config: dict) -> Gateway:
 
 
 def cmd_generate(args) -> int:
-    tasks = _parse_names(TaskKind, args.task, "--task")
-    splits = _parse_names(DifficultySplit, args.difficulty, "--difficulty")
-    families = (_parse_names(GraphFamily, args.graph_types, "--graph-types")
+    tasks = parse_names(TaskKind, args.task, "--task")
+    splits = parse_names(DifficultySplit, args.difficulty, "--difficulty")
+    families = (parse_names(GraphFamily, args.graph_types, "--graph-types")
                 if args.graph_types is not None else None)
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
@@ -120,8 +81,8 @@ def cmd_render(args) -> int:
     query's graph texts, and each prompt is written as it is composed, so
     only one joined prompt is held at a time."""
     queries = list(corpus_mod.load_queries(args.queries))
-    schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
-    formats = _parse_names(SerializationFormat, args.formats, "--formats")
+    schemes = parse_names(PromptScheme, args.schemes, "--schemes")
+    formats = parse_names(SerializationFormat, args.formats, "--formats")
     renderer = Renderer()
     rows = ({"query_id": query.id, "prompt_scheme": scheme.value, "serialization": fmt.value,
              "prompt_text": join_prompt(head, body)}
@@ -160,8 +121,8 @@ def cmd_run(args) -> int:
     leaves whole queries in `--out`."""
     config = _load_config(args.config)
     total = sum(1 for _ in corpus_mod.load_queries(args.queries))
-    schemes = _parse_names(PromptScheme, args.schemes, "--schemes")
-    formats = _parse_names(SerializationFormat, args.formats, "--formats")
+    schemes = parse_names(PromptScheme, args.schemes, "--schemes")
+    formats = parse_names(SerializationFormat, args.formats, "--formats")
     if args.max_in_flight < 1:
         raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
     per_query = len(schemes) * len(formats)
@@ -197,9 +158,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    queries = corpus_mod.load_queries(args.queries)
     cells: dict[tuple, list] = {}
-    for q in queries:
+    for q in corpus_mod.load_queries(args.queries):
         cells.setdefault((q.task, q.difficulty), []).append(q)
     rows = []
     for (task, split) in sorted(cells, key=lambda k: (k[0].value, k[1].value)):
@@ -218,16 +178,9 @@ def _emit_csv(rows: list[dict], csv_out: str | None) -> int:
     return 0
 
 
-def _parse_one(enum_cls: type[E], spec: str, flag: str) -> E:
-    members = _parse_list(enum_cls, spec, flag)
-    if len(members) != 1:
-        raise ValueError(f"{flag} takes one {_KINDS[enum_cls]}, got {spec!r}")
-    return members[0]
-
-
 def cmd_rlopt(args) -> int:
-    task = _parse_one(TaskKind, args.task, "--task")
-    split = _parse_one(DifficultySplit, args.difficulty, "--difficulty")
+    task = parse_one(TaskKind, args.task, "--task")
+    split = parse_one(DifficultySplit, args.difficulty, "--difficulty")
     if args.acc_max is not None:
         rlopt.check_acc_max(args.acc_max)
     if args.factors_file:
@@ -247,10 +200,13 @@ def cmd_rlopt(args) -> int:
     else:
         space = rlopt.default_space()
     if args.order:
+        # An alias stands for a default factor's name unless it is itself
+        # a declared name.
         aliases = {"prompt": "prompt_scheme", "scheme": "prompt_scheme",
                    "format": "serialization"}
-        wanted = [aliases.get(tok.strip(), tok.strip()) for tok in args.order.split(",")]
         by_name = dict(space.dims)
+        wanted = [tok if tok in by_name else aliases.get(tok, tok)
+                  for tok in (tok.strip() for tok in args.order.split(","))]
         unknown = [n for n in wanted if n not in by_name]
         if unknown:
             raise ValueError(f"--order names unknown factor(s) {', '.join(unknown)}; "
@@ -265,7 +221,7 @@ def cmd_rlopt(args) -> int:
                           learning_rate=args.learning_rate,
                           epsilon_min=args.epsilon_min,
                           optimizer=args.optimizer, input_skip=args.input_skip)
-    gateway = reward_fn = None
+    gateway = None
     if args.reward.startswith("table:"):
         table_path = args.reward.split(":", 1)[1]
         raw = _load_json(table_path)
@@ -284,7 +240,14 @@ def cmd_rlopt(args) -> int:
         reward_fn = rlopt.table_reward_fn(table)
     elif args.reward == "live":
         gateway = _make_gateway(args, _load_config(args.config))
-        _live_settings(args, space)
+        if args.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {args.samples}")
+        if args.max_in_flight < 1:
+            raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
+        # Checks the factors now; builds its corpus at the first reward.
+        reward_fn = live_reward_fn(space, gateway, task=task, split=split,
+                                   samples=args.samples, seed=args.seed, model=args.model,
+                                   max_in_flight=args.max_in_flight)
     else:
         raise ValueError(f"unknown reward spec {args.reward!r}")
 
@@ -297,16 +260,9 @@ def cmd_rlopt(args) -> int:
         episodes = (stack.enter_context(open(args.episodes_csv, "w", newline="",
                                              encoding="utf-8"))
                     if args.episodes_csv else None)
-        if reward_fn is None:
-            reward_fn = _live_reward_fn(args, task, split, space, gateway)
         result = rlopt.run_dqn((task.value, split.value), space, reward_fn, cfg)
-        if args.acc_max is not None:
-            cost, rate = rlopt.cost_rate(result, space, args.acc_max)
-        else:
-            cost, rate = result.explored / space.k_total, None
-        payload = result.to_dict()
-        payload.update({"cost": cost, "rate": rate})
-        print(json.dumps(payload, indent=2))
+        cost, rate = rlopt.cost_rate(result, space, args.acc_max)
+        print(json.dumps({**result.to_dict(), "cost": cost, "rate": rate}, indent=2))
         if episodes is not None:
             writer = csv.writer(episodes)
             writer.writerow(["episode", *space.names, "reward", "epsilon"])
@@ -314,67 +270,6 @@ def cmd_rlopt(args) -> int:
                 writer.writerow([entry.episode, *entry.combo, f"{entry.reward:.6f}",
                                  f"{entry.epsilon:.4f}"])
     return 0
-
-
-_DECORATION_DIMS = tuple(f.name for f in dataclasses.fields(DecorationFactors))
-_LIVE_DIMS = ("prompt_scheme", "serialization", "model", *_DECORATION_DIMS)
-
-
-def _live_settings(args, space: rlopt.FactorSpace) -> tuple[dict, dict]:
-    """The prompt scheme and the format each option of the space names.
-    A factor name the evaluation has no setting for, an option it cannot
-    apply, fewer than one graph per combo or fewer than one request in
-    flight raises ValueError."""
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.max_in_flight < 1:
-        raise ValueError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
-    unknown = [name for name in space.names if name not in _LIVE_DIMS]
-    if unknown:
-        raise ValueError(f"live reward cannot apply factor(s) {', '.join(unknown)}; "
-                         f"known factors: {', '.join(_LIVE_DIMS)}")
-    options = dict(space.dims)
-    schemes = {o: _parse_one(PromptScheme, o, "prompt_scheme option")
-               for o in options.get("prompt_scheme", ())}
-    formats = {o: _parse_one(SerializationFormat, o, "serialization option")
-               for o in options.get("serialization", ())}
-    for d in _DECORATION_DIMS:
-        for o in options.get(d, ()):
-            DecorationFactors(**{d: o})
-    return schemes, formats
-
-
-def _live_reward_fn(args, task: TaskKind, split: DifficultySplit,
-                    space: rlopt.FactorSpace, gateway: Gateway):
-    """Reward = accuracy over N generated graphs for the combo's settings.
-
-    Every factor is applied to the evaluation; the settings are checked by
-    `_live_settings` before anything is built or sent. A batch with a
-    failed request raises GraphBenchError rather than score the failure as
-    a wrong answer.
-    """
-    schemes, formats = _live_settings(args, space)
-    queries = corpus_mod.build_corpus([task], [split], None, args.samples,
-                                      master_seed=args.seed)
-    renderer = Renderer()
-    names = space.names
-
-    def reward(combo):
-        by = dict(zip(names, combo))
-        scheme = schemes.get(by.get("prompt_scheme"), PromptScheme.ZERO_SHOT)
-        fmt = formats.get(by.get("serialization"), SerializationFormat.ADJACENCY_LIST)
-        deco = DecorationFactors(**{d: by[d] for d in _DECORATION_DIMS if d in by})
-        records = list(run_evaluation(queries, [scheme], [fmt], gateway,
-                                      model=by.get("model", args.model), deco=deco,
-                                      max_in_flight=args.max_in_flight,
-                                      renderer=renderer))
-        failed = [r["error"] for r in records if "error" in r]
-        if failed:
-            raise GraphBenchError(f"live reward for combo {'|'.join(combo)}: {len(failed)} of "
-                                  f"{len(records)} requests failed (first: {failed[0]})")
-        return accuracy(records)
-
-    return reward
 
 
 # The record field each `report --pivot` value groups by.
@@ -414,14 +309,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    failures = []
-    for path in args.corpus:
-        queries = corpus_mod.load_queries(path)
-        bad = corpus_mod.selfcheck(queries)
-        for qid in bad:
-            failures.append(f"{path}: {qid}")
-    golden_bad = _check_serializer_goldens()
-    failures.extend(golden_bad)
+    failures = [f"{path}: {qid}" for path in args.corpus
+                for qid in corpus_mod.selfcheck(corpus_mod.load_queries(path))]
+    failures += _check_serializer_goldens()
     if failures:
         for f in failures:
             print(f"FAIL {f}")
@@ -443,11 +333,8 @@ def _check_serializer_goldens() -> list[str]:
             "[[0 1 0 0 0 0]\n [1 0 1 0 0 0] \n [0 1 0 0 0 0] \n"
             " [0 0 0 0 1 0] \n [0 0 0 1 0 1] \n [0 0 0 0 1 0]]",
     }
-    bad = []
-    for fmt, want in expected.items():
-        if serialize(g, fmt) != want:
-            bad.append(f"serializer golden: {fmt.value}")
-    return bad
+    return [f"serializer golden: {fmt.value}" for fmt, want in expected.items()
+            if serialize(g, fmt) != want]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,6 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--cache-dir", default=None)
     backend.add_argument("--config", default=None)
 
+    # The flags `render` and `run` share: the corpus, the cells of each
+    # query, and the output file.
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument("--queries", required=True)
+    cells.add_argument("--schemes", default="0-shot")
+    cells.add_argument("--formats", default="adjacency_list")
+    cells.add_argument("--out", required=True)
+
     p = sub.add_parser("generate", help="build a query corpus")
     p.add_argument("--task", required=True, help="comma-separated task names")
     p.add_argument("--difficulty", default="easy", help="comma-separated splits")
@@ -481,18 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("render", help="compose prompts for a corpus")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--schemes", default="0-shot")
-    p.add_argument("--formats", default="adjacency_list")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("render", parents=[cells], help="compose prompts for a corpus")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("run", parents=[backend], help="evaluate a corpus against a backend")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--schemes", default="0-shot")
-    p.add_argument("--formats", default="adjacency_list")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("run", parents=[backend, cells],
+                       help="evaluate a corpus against a backend")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("baseline", help="random baselines per (task, split)")

@@ -46,6 +46,10 @@ class FactorSpace:
         for name, options in self.dims:
             if not options:
                 raise EmptyFactor(f"factor {name!r} has no actions")
+            repeated = sorted({o for o in options if options.count(o) > 1})
+            if repeated:
+                raise ValueError(f"factor {name!r} lists option(s) {', '.join(repeated)} "
+                                 f"more than once")
         repeated = sorted({name for name in self.names if self.names.count(name) > 1})
         if repeated:
             raise ValueError(f"factor(s) {', '.join(repeated)} declared more than once")
@@ -60,10 +64,7 @@ class FactorSpace:
 
     @property
     def k_total(self) -> int:
-        total = 1
-        for s in self.sizes:
-            total *= s
-        return total
+        return math.prod(self.sizes)
 
     def options(self, t: int) -> tuple[str, ...]:
         return self.dims[t][1]
@@ -410,10 +411,14 @@ def check_acc_max(acc_max: float) -> None:
         raise ZeroDenominator(f"acc_max must be positive, got {acc_max!r}")
 
 
-def cost_rate(result: SearchResult, space: FactorSpace, acc_max: float) -> tuple[float, float]:
-    """Cost = explored/K; Rate = best found accuracy / best possible."""
-    check_acc_max(acc_max)
-    return result.explored / space.k_total, result.best_reward / acc_max
+def cost_rate(result: SearchResult, space: FactorSpace,
+              acc_max: float | None = None) -> tuple[float, float | None]:
+    """Cost = explored/K; Rate = best found accuracy / best possible, or
+    None when the best possible is not given."""
+    if acc_max is not None:
+        check_acc_max(acc_max)
+    return (result.explored / space.k_total,
+            None if acc_max is None else result.best_reward / acc_max)
 
 
 def table_reward_fn(table: Mapping[Combo, float]) -> RewardFn:

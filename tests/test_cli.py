@@ -13,7 +13,7 @@ import pytest
 
 import graphbench
 from graphbench import cli, pipeline, prompts
-from graphbench.cli import _live_reward_fn, build_parser, main
+from graphbench.cli import main
 from graphbench.corpus import build_corpus, read_jsonl, write_jsonl
 from graphbench.errors import TransportError
 from graphbench.gateway import CACHE_DIR_ENV, CACHE_FILE, Gateway, MockBackend
@@ -476,15 +476,38 @@ def test_rlopt_table_mode(tmp_path, capsys):
     assert len(lines) == 41
 
 
+def live_reward(space, gateway, samples=5):
+    """`pipeline.live_reward_fn` with `rlopt`'s default settings."""
+    return pipeline.live_reward_fn(space, gateway, task=TaskKind.CYCLE,
+                                   split=DifficultySplit.EASY, samples=samples, seed=0,
+                                   model="mock", max_in_flight=4)
+
+
 def test_live_reward_applies_decoration_factors(tmp_path):
     # Each case option changes every prompt, so no combo may be served from
     # another combo's cache entries.
-    args = build_parser().parse_args(["rlopt", "--task", "cycle", "--samples", "5"])
     space = FactorSpace((("case", CASE_FUNCTIONS),))
     gateway = Gateway(MockBackend(mode="oracle"), cache_dir=tmp_path)
-    reward = _live_reward_fn(args, TaskKind.CYCLE, DifficultySplit.EASY, space, gateway)
+    reward = live_reward(space, gateway)
     assert [reward(combo) for combo in combos(space)] == [1.0] * 4
     assert (gateway.network_calls, gateway.cache_hits) == (20, 0)
+
+
+def test_live_reward_builds_and_sends_nothing_until_the_first_reward(monkeypatch):
+    """Making the reward checks the space and nothing more, so a caller can
+    check its other settings in between; the corpus is built once, at the
+    first reward, and shared by every later one."""
+    built, backend = [], CountingMock()
+    build_corpus = cli.corpus_mod.build_corpus
+    monkeypatch.setattr(cli.corpus_mod, "build_corpus",
+                        lambda *a, **k: built.append(a) or build_corpus(*a, **k))
+    reward = live_reward(default_space(), Gateway(backend), samples=3)
+    assert (built, backend.sent) == ([], [])
+    reward(("0-shot", "edge_list", "mistral"))
+    assert (len(built), len(backend.sent)) == (1, 3)
+    reward(("k-shot", "gmol", "phi-4"))
+    assert (len(built), len(backend.sent)) == (1, 6)
+    assert [req.query.id for req in backend.sent[:3]] == [req.query.id for req in backend.sent[3:]]
 
 
 def test_live_reward_refuses_failed_requests(monkeypatch, capsys):
@@ -516,7 +539,12 @@ def test_live_reward_rejects_unknown_factor(tmp_path, capsys):
      "serialization option takes one format, got 'adjacency_list,edge_list'"),
     ("serialization", ["yaml", "edge_list", "adjacency_list", "gmol"], "unknown format 'yaml'"),
     ("case", ["shout", "upper"], "case function 'shout' not in pool"),
-], ids=["empty-scheme", "two-formats", "unknown-format", "unknown-case"])
+    ("prompt_scheme", ["0-shot", "0-SHOT", "k-shot"],
+     "prompt_scheme options '0-shot' and '0-SHOT' name the same setting"),
+    ("serialization", ["gmol", "edge_list", " GMOL"],
+     "serialization options 'gmol' and ' GMOL' name the same setting"),
+], ids=["empty-scheme", "two-formats", "unknown-format", "unknown-case", "one-scheme-twice",
+        "one-format-twice"])
 def test_live_reward_rejects_an_unusable_option_before_any_request(
         tmp_path, monkeypatch, capsys, name, options, message):
     # An option the evaluation cannot apply must stop the search before it
@@ -565,7 +593,10 @@ def test_rlopt_rejects_a_malformed_factors_file(tmp_path, capsys, spec, message)
     ([], "the factor space has no factors"),
     ([{"name": "model", "options": ["a", "b"]}, {"name": "model", "options": ["c", "d"]}],
      "factor(s) model declared more than once"),
-], ids=["empty", "repeated-name"])
+    ([{"name": "prompt_scheme", "options": ["0-shot", "0-shot", "k-shot"]},
+      {"name": "model", "options": ["m"]}],
+     "factor 'prompt_scheme' lists option(s) 0-shot more than once"),
+], ids=["empty", "repeated-name", "repeated-option"])
 def test_rlopt_rejects_a_space_with_no_factor_or_a_repeated_name(tmp_path, monkeypatch,
                                                                  capsys, spec, message):
     """Neither space can be searched as declared: an empty one has no combo,
@@ -698,6 +729,23 @@ def test_rlopt_order_rejects_unknown_factor(capsys):
     assert run_cli("rlopt", "--order", "prompt_scheme,nope", "--samples", "1",
                    "--episodes", "1") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_rlopt_order_takes_a_declared_name_before_an_alias(tmp_path, capsys):
+    # `format` is an alias of `serialization` only where no factor is
+    # declared under that name.
+    factors, table, episodes = (tmp_path / "factors.json", tmp_path / "table.json",
+                                tmp_path / "episodes.csv")
+    factors.write_text(json.dumps([{"name": "format", "options": ["a", "b"]},
+                                   {"name": "model", "options": ["m"]}]))
+    table.write_text(json.dumps({"m|a": 0.25, "m|b": 0.75}))
+    assert run_cli("rlopt", "--factors-file", str(factors), "--reward", f"table:{table}",
+                   "--order", "model,format", "--episodes", "20",
+                   "--episodes-csv", str(episodes)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["best_combo"] == ["m", "b"]
+    assert episodes.read_text().splitlines()[0] == "episode,model,format,reward,epsilon"
 
 
 def test_rlopt_order_must_name_every_factor(capsys):

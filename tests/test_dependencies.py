@@ -393,8 +393,32 @@ def test_a_renderer_is_made_only_where_a_command_or_a_caller_starts():
     for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
         scopes = callers(ast.parse(path.read_text("utf-8")), {"Renderer"})["Renderer"]
         found |= {f"{path.stem}.{scope}" for scope in scopes}
-    assert found == {"cli.cmd_run", "cli.cmd_render", "cli._live_reward_fn",
+    assert found == {"cli.cmd_run", "cli.cmd_render", "pipeline.live_reward_fn",
                      "pipeline.compose_cells", "prompts.compose_prompt"}
+
+
+def test_only_the_live_reward_makes_a_decoration():
+    """A decoration is made from factor options in one place, the live
+    reward, which checks each option and builds each combination's; the
+    identity, `prompts.IDENTITY_DECORATION`, is made when `prompts` loads.
+    A call outside every def is named by the module-level name it is
+    assigned to, or `<module>`."""
+    found = set()
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        scopes = callers(tree, {"DecorationFactors"})["DecorationFactors"]
+        found |= {f"{path.stem}.{scope}" for scope in scopes if scope}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            calls = [node for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "DecorationFactors"]
+            if calls:
+                named = (isinstance(stmt, ast.Assign) and calls == [stmt.value]
+                         and isinstance(stmt.targets[0], ast.Name))
+                found.add(f"{path.stem}.{stmt.targets[0].id if named else '<module>'}")
+    assert found == {"prompts.IDENTITY_DECORATION", "pipeline.live_reward_fn",
+                     "pipeline.live_reward_fn.reward"}
 
 
 def test_workers_take_no_lock_the_cache_holds():

@@ -38,11 +38,16 @@ def test_empty_factor_rejected():
 
 def test_a_space_with_no_factor_or_a_repeated_name_is_rejected():
     # A repeated name would let the later factor's option overwrite the
-    # earlier one's wherever a combo is read by name.
+    # earlier one's wherever a combo is read by name. A repeated option is
+    # a combination counted twice in K, so Cost could not reach 1 even
+    # after every distinct combination was evaluated.
     with pytest.raises(EmptyFactor):
         FactorSpace(())
     with pytest.raises(ValueError, match="factor[(]s[)] model declared more than once"):
         FactorSpace((("model", ("a", "b")), ("case", ("upper",)), ("model", ("c", "d"))))
+    with pytest.raises(ValueError, match="factor 'prompt_scheme' lists option[(]s[)] 0-shot "
+                                         "more than once"):
+        FactorSpace((("prompt_scheme", ("0-shot", "0-shot", "k-shot")), ("model", ("m",))))
 
 
 @pytest.mark.parametrize("s0,named", [(("nope", "bogus"), "nope"),
@@ -88,6 +93,7 @@ def test_cost_rate_arithmetic():
     cost, rate = cost_rate(result, space, 0.5)
     assert cost == pytest.approx(79 / 315)
     assert rate == 1.0
+    assert cost_rate(result, space) == (cost, None)
     with pytest.raises(ZeroDenominator):
         cost_rate(result, space, 0.0)
     for acc_max in (math.nan, math.inf, -math.inf):
