@@ -223,6 +223,15 @@ def cmd_rlopt(args) -> int:
                           optimizer=args.optimizer, input_skip=args.input_skip)
     gateway = None
     if args.reward.startswith("table:"):
+        # A table key joins a combination's options with `|`, so an option
+        # that holds one could never be looked up. Live options may: the
+        # sentence-delimiter pool holds " || ".
+        for name, options in space.dims:
+            piped = [o for o in options if "|" in o]
+            if piped:
+                raise ValueError(f"{args.factors_file}: factor {name!r} option {piped[0]!r} "
+                                 f"contains '|', which separates the options in a reward "
+                                 f"table's keys")
         table_path = args.reward.split(":", 1)[1]
         raw = _load_json(table_path)
         if not isinstance(raw, dict):

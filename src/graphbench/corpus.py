@@ -54,7 +54,10 @@ class QuerySpec:
 
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "QuerySpec":
-        return cls(
+        """The query a JSONL record holds. Its params must be exactly the
+        task's parameters, each a node of its graph; a ValueError says
+        which is not."""
+        query = cls(
             id=rec["id"],
             task=TaskKind(rec["task"]),
             difficulty=DifficultySplit(rec["difficulty"]),
@@ -64,6 +67,19 @@ class QuerySpec:
             ground_truth=rec["ground_truth"],
             seed=rec["seed"],
         )
+        want = TASKS[query.task].param_names
+        if set(query.params) != want:
+            raise ValueError(f"{query.task.value} takes params {_names(want)}, "
+                             f"got {_names(query.params)}")
+        for name, node in query.params.items():
+            if not 0 <= node < query.n:
+                raise ValueError(f"param {name} = {node} is not a node of the "
+                                 f"{query.n}-node graph")
+        return query
+
+
+def _names(names: Iterable[str]) -> str:
+    return ", ".join(sorted(names)) or "none"
 
 
 def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path | TextIO) -> int:

@@ -1,6 +1,9 @@
 """Synthetic graph generators for the seven families, the difficulty splits'
 node-count sampler and per-item seed derivation.
 
+Each family is one row of `GraphFamily` (token, generator, smallest n) and
+each split one row of `DifficultySplit` (token, node-count band).
+
 Every generator is a pure function of its seeded stream, so corpus
 construction parallelizes without changing output.
 """
@@ -20,31 +23,20 @@ if TYPE_CHECKING:
     from .tasks import Task
 
 
-class GraphFamily(enum.Enum):
-    """The seven generator families; values appear in CLI flags and JSONL."""
-
-    ERM = "erm"
-    ERP = "erp"
-    BERM = "berm"
-    BERP = "berp"
-    BAG = "bag"
-    BAF = "baf"
-    SF = "sf"
-
-
 class DifficultySplit(enum.Enum):
-    EASY = "easy"
-    MEDIUM = "medium"
-    HARD = "hard"
+    """The three splits. `value` is the CLI/JSONL token and `node_range`
+    the split's inclusive node-count band."""
 
-    @property
-    def node_range(self) -> tuple[int, int]:
-        """Inclusive node-count band for the split."""
-        return {
-            DifficultySplit.EASY: (5, 10),
-            DifficultySplit.MEDIUM: (10, 20),
-            DifficultySplit.HARD: (20, 30),
-        }[self]
+    # One row per split: token, smallest n, largest n.
+    EASY =   ("easy",   5, 10)
+    MEDIUM = ("medium", 10, 20)
+    HARD =   ("hard",   20, 30)
+
+    def __new__(cls, token, lo, hi):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.node_range = (lo, hi)
+        return member
 
 
 def derive_seed(*parts: object) -> int:
@@ -180,15 +172,26 @@ def _gen_sf(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-_GENERATORS = {
-    GraphFamily.ERM: (_gen_erm, 2),
-    GraphFamily.ERP: (_gen_erp, 2),
-    GraphFamily.BERM: (_gen_berm, 4),
-    GraphFamily.BERP: (_gen_berp, 4),
-    GraphFamily.BAG: (_gen_bag, 3),
-    GraphFamily.BAF: (_gen_baf, 3),
-    GraphFamily.SF: (_gen_sf, 2),
-}
+class GraphFamily(enum.Enum):
+    """The seven generator families. `value` is the CLI/JSONL token, `gen`
+    the construction `generate` calls and `min_n` the smallest node count
+    it accepts."""
+
+    # One row per family: token, generator, smallest n.
+    ERM =  ("erm",  _gen_erm,  2)
+    ERP =  ("erp",  _gen_erp,  2)
+    BERM = ("berm", _gen_berm, 4)
+    BERP = ("berp", _gen_berp, 4)
+    BAG =  ("bag",  _gen_bag,  3)
+    BAF =  ("baf",  _gen_baf,  3)
+    SF =   ("sf",   _gen_sf,   2)
+
+    def __new__(cls, token, gen, min_n):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.gen = gen
+        member.min_n = min_n
+        return member
 
 
 # Draws generate_connected makes before it gives up.
@@ -197,10 +200,9 @@ MAX_CONNECTED_ATTEMPTS = 200
 
 def generate(family: GraphFamily, n: int, rng: random.Random) -> Graph:
     """Generate one graph of exactly n nodes from the family's construction."""
-    gen, min_n = _GENERATORS[family]
-    if n < min_n:
-        raise InvalidN(f"{family.value} needs n >= {min_n}, got {n}")
-    return gen(n, rng)
+    if n < family.min_n:
+        raise InvalidN(f"{family.value} needs n >= {family.min_n}, got {n}")
+    return family.gen(n, rng)
 
 
 def generate_connected(family: GraphFamily, n: int, rng: random.Random) -> Graph:

@@ -1,8 +1,10 @@
 """Graph -> text conversion for the seven serialization formats.
 
-Rendering is canonical and deterministic: nodes ascending, adjacency lists
-ascending, edges lexicographic with u < v. The text is written for the model
-to read; nothing in the package reads a graph back from it.
+Each format is one row of `SerializationFormat`: its token, its prompt
+wording and its renderer, so no format lacks a renderer. Rendering is
+canonical and deterministic: nodes ascending, adjacency lists ascending,
+edges lexicographic with u < v. The text is written for the model to read;
+nothing in the package reads a graph back from it.
 """
 
 from __future__ import annotations
@@ -10,33 +12,6 @@ from __future__ import annotations
 import enum
 
 from .graphs import Graph
-
-
-class SerializationFormat(enum.Enum):
-    """Values are the CLI/JSONL tokens; display_name is the prompt wording."""
-
-    ADJACENCY_MATRIX = "adjacency_matrix"
-    ADJACENCY_LIST = "adjacency_list"
-    ADJACENCY_SET = "adjacency_set"
-    EDGE_LIST = "edge_list"
-    EDGE_SET = "edge_set"
-    GMOL = "gmol"
-    GMAL = "gmal"
-
-    @property
-    def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
-
-
-_DISPLAY_NAMES = {
-    SerializationFormat.ADJACENCY_MATRIX: "Adjacency Matrix",
-    SerializationFormat.ADJACENCY_LIST: "Adjacency List",
-    SerializationFormat.ADJACENCY_SET: "Adjacency Set",
-    SerializationFormat.EDGE_LIST: "Edge List",
-    SerializationFormat.EDGE_SET: "Edge Set",
-    SerializationFormat.GMOL: "Graph Modelling Language",
-    SerializationFormat.GMAL: "GraphML",
-}
 
 
 def _render_matrix(g: Graph) -> str:
@@ -107,15 +82,25 @@ def _render_gmal(g: Graph) -> str:
     return "".join(out)
 
 
-_RENDERERS = {
-    SerializationFormat.ADJACENCY_MATRIX: _render_matrix,
-    SerializationFormat.ADJACENCY_LIST: _render_adjacency_list,
-    SerializationFormat.ADJACENCY_SET: _render_adjacency_set,
-    SerializationFormat.EDGE_LIST: _render_edge_list,
-    SerializationFormat.EDGE_SET: _render_edge_set,
-    SerializationFormat.GMOL: _render_gmol,
-    SerializationFormat.GMAL: _render_gmal,
-}
+class SerializationFormat(enum.Enum):
+    """The seven formats. `value` is the CLI/JSONL token, `display_name` the
+    prompt wording and `render` the function that writes a graph's text."""
+
+    # One row per format: token, display name, renderer.
+    ADJACENCY_MATRIX = ("adjacency_matrix", "Adjacency Matrix",         _render_matrix)
+    ADJACENCY_LIST =   ("adjacency_list",   "Adjacency List",           _render_adjacency_list)
+    ADJACENCY_SET =    ("adjacency_set",    "Adjacency Set",            _render_adjacency_set)
+    EDGE_LIST =        ("edge_list",        "Edge List",                _render_edge_list)
+    EDGE_SET =         ("edge_set",         "Edge Set",                 _render_edge_set)
+    GMOL =             ("gmol",             "Graph Modelling Language", _render_gmol)
+    GMAL =             ("gmal",             "GraphML",                  _render_gmal)
+
+    def __new__(cls, token, display_name, render):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.display_name = display_name
+        member.render = render
+        return member
 
 
 def serialize(g: Graph, fmt: SerializationFormat) -> str:
@@ -124,7 +109,4 @@ def serialize(g: Graph, fmt: SerializationFormat) -> str:
     A pure function: a caller that needs a text more than once keeps it
     (`prompts.Renderer` does, for every prompt a command composes).
     """
-    render = _RENDERERS.get(fmt)
-    if render is None:
-        raise ValueError(f"unknown format {fmt!r}")
-    return render(g)
+    return fmt.render(g)

@@ -199,6 +199,12 @@ class Task:
     framing: str
     algorithm: str
 
+    @property
+    def param_names(self) -> set[str]:
+        """The names of the task's node parameters: its question's
+        placeholders."""
+        return set(re.findall(r"\{(\w+)\}", self.question))
+
     def sample_params(self, g: Graph, rng: random.Random) -> dict[str, int]:
         """The task's node parameters, drawn from `rng`; raises
         ExhaustedAttempts for a graph the task cannot use."""

@@ -611,6 +611,23 @@ def test_rlopt_rejects_a_space_with_no_factor_or_a_repeated_name(tmp_path, monke
     assert backend.calls == 0
 
 
+def test_rlopt_rejects_an_option_that_contains_the_combination_separator(tmp_path, capsys):
+    """`|` separates the options of a combination in a reward table's keys,
+    so with a table reward an option holding it could never be looked up:
+    the search is refused before the episodes CSV is opened."""
+    factors, table = tmp_path / "factors.json", tmp_path / "table.json"
+    factors.write_text(json.dumps([{"name": "a", "options": ["x|y", "z"]}]))
+    table.write_text(json.dumps({"x|y": 1.0, "z": 0.0}))
+    episodes = tmp_path / "old.csv"
+    episodes.write_text("kept\n")
+    assert run_cli("rlopt", "--factors-file", str(factors), "--reward", f"table:{table}",
+                   "--episodes", "3", "--episodes-csv", str(episodes)) == 1
+    assert capsys.readouterr() == ("", f"error: {factors}: factor 'a' option 'x|y' contains "
+                                       f"'|', which separates the options in a reward table's "
+                                       f"keys\n")
+    assert episodes.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("flag", ["--factors-file", "--reward"])
 def test_rlopt_names_a_file_that_is_not_json(tmp_path, monkeypatch, capsys, flag):
     backend = Recording()
@@ -1128,6 +1145,10 @@ MALFORMED_RECORDS = {
     "not-an-object": ("[1, 2]", "expected a JSON object, got [1, 2]"),
     "bad-value": (json.dumps({**_GOOD_RECORD, "params": {"u": "q", "v": 2}}),
                   "invalid literal for int() with base 10: 'q'"),
+    "missing-param": (json.dumps({**_GOOD_RECORD, "params": {"u": 0}}),
+                      "connectivity takes params u, v, got u"),
+    "param-not-a-node": (json.dumps({**_GOOD_RECORD, "params": {"u": 0, "v": 3}}),
+                         "param v = 3 is not a node of the 3-node graph"),
 }
 
 

@@ -466,3 +466,36 @@ def test_only_tasks_names_a_task():
              if path.name != "tasks.py"
              for ref in task_member_references(ast.parse(path.read_text("utf-8")))}
     assert found == set()
+
+
+def enum_side_tables(tree: ast.Module, enums: set[str]) -> list[str]:
+    """Dict displays in the module's top-level statements whose keys are
+    all `<Enum>.<MEMBER>` of one enum in `enums`, with their lines."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Dict) or not node.keys:
+                continue
+            owners = {key.value.id if isinstance(key, ast.Attribute)
+                      and isinstance(key.value, ast.Name) else None for key in node.keys}
+            if len(owners) == 1 and owners <= enums:
+                out.append(f"{node.lineno}: {owners.pop()}")
+    return out
+
+
+def test_no_module_table_is_keyed_by_the_members_of_one_enum():
+    """What each member of a closed set carries (a format's wording and
+    renderer, a family's generator, a split's node band) is declared in
+    the member's own row of its enum, as `PromptScheme` does, not again
+    in a module-level dict keyed by the members."""
+    modules = sorted(Path(graphbench.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in modules}
+    enums = {node.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             and any(ast.unparse(base) in ("enum.Enum", "Enum") for base in node.bases)}
+    assert {"SerializationFormat", "GraphFamily", "DifficultySplit"} <= enums
+    found = {f"{name}:{ref}" for name, tree in trees.items()
+             for ref in enum_side_tables(tree, enums)}
+    assert found == set()

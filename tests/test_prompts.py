@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 from graphbench import answer_eval
-from graphbench import serialize as serialize_mod
 from graphbench.corpus import QuerySpec, build_corpus
 from graphbench.errors import MissingParam
 from graphbench.gateway import Gateway, MockBackend
@@ -285,14 +284,12 @@ def test_every_bank_follows_the_corpus_draw_rules():
 
 
 def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
-    """Whatever the number of schemes, every graph (query or exemplar) goes
-    through each format's renderer once."""
+    """Whatever the number of schemes, every graph (query or exemplar) is
+    serialized once per format."""
     queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 1, master_seed=5)
     calls = Counter()
-    for fmt, render in list(serialize_mod._RENDERERS.items()):
-        monkeypatch.setitem(serialize_mod._RENDERERS, fmt,
-                            lambda g, fmt=fmt, render=render: calls.update([(id(g), fmt)])
-                            or render(g))
+    monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.update([(id(g), fmt)])
+                        or serialize(g, fmt))
     records = list(run_evaluation(queries, list(PromptScheme), list(F),
                                   Gateway(MockBackend(mode="oracle"))))
     assert len(records) == len(queries) * len(PromptScheme) * len(F) == 504
