@@ -52,10 +52,8 @@ def _make_gateway(args, config: dict) -> Gateway:
         backend = HttpBackend(endpoint=config.get("endpoint"), api_key=config.get("api_key"))
     elif args.backend == "mock-oracle":
         backend = MockBackend(mode="oracle")
-    elif args.backend == "mock-bernoulli":
-        backend = MockBackend(mode="bernoulli", error_rate=args.error_rate, seed=args.seed)
     else:
-        raise ValueError(f"unknown backend {args.backend!r}")
+        backend = MockBackend(mode="bernoulli", error_rate=args.error_rate, seed=args.seed)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or config.get("cache_dir")
     return Gateway(backend, cache_dir=cache_dir)
 
@@ -281,14 +279,11 @@ def cmd_rlopt(args) -> int:
     return 0
 
 
-# The record field each `report --pivot` value groups by.
-_PIVOTS = {"model": "model", "scheme": "prompt_scheme",
-           "format": "serialization", "graph-type": "graph_type"}
-
-
 def cmd_report(args) -> int:
     if args.pivot == "sensitivity" and not (args.task and args.split):
         raise ValueError("--pivot sensitivity needs --task and --split")
+    task = args.task and parse_one(TaskKind, args.task, "--task").value
+    split = args.split and parse_one(DifficultySplit, args.split, "--split").value
     # The number of the record read last: the one being folded in when the
     # fold finds it bad, since `reporting` reads the stream one at a time.
     at = 0
@@ -299,16 +294,16 @@ def cmd_report(args) -> int:
             if not isinstance(rec, dict) or "score" not in rec:
                 raise ValueError(f"{args.results}: record {at} has no 'score'; "
                                  f"report reads the result records `run` writes")
-            if ((args.task and rec.get("task") != args.task)
-                    or (args.split and rec.get("difficulty") != args.split)):
+            if ((task and rec.get("task") != task)
+                    or (split and rec.get("difficulty") != split)):
                 continue
             yield rec
 
     try:
         if args.pivot == "sensitivity":
-            rows = reporting.sensitivity(records(), args.task, args.split)
+            rows = reporting.sensitivity(records(), task, split)
         else:
-            rows = reporting.aggregate(records(), [_PIVOTS[args.pivot]])
+            rows = reporting.aggregate(records(), [reporting.FACTOR_DIMS[args.pivot]])
     except BadRecord as exc:
         raise ValueError(f"{args.results}: record {at}: {exc}") from None
     except EmptyGroup:
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate result records")
     p.add_argument("--results", required=True)
-    p.add_argument("--pivot", default="model", choices=[*_PIVOTS, "sensitivity"])
+    p.add_argument("--pivot", default="model", choices=[*reporting.FACTOR_DIMS, "sensitivity"])
     p.add_argument("--task", default=None)
     p.add_argument("--split", default=None)
     p.add_argument("--csv-out", default=None)

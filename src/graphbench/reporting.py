@@ -2,11 +2,12 @@
 accuracy, a confidence interval and its mean output tokens, and
 prompt/format sensitivity metrics.
 
-Records are plain dicts (one JSONL row each), read once as a stream: each
-is checked and folded into running sums as it arrives, so a report holds
-its pivot, not its records. The confidence-interval unit is the factor
-combination, not the raw query: per-group accuracies are first computed per
-combination of the remaining factors, then averaged.
+Records are plain dicts (one JSONL row each), read once as a stream by one
+fold, `_fold`: each is checked and folded into running sums as it arrives,
+so a report holds its pivot, not its records, and every report rejects the
+same records. The confidence-interval unit is the factor combination, not
+the raw query: per-group accuracies are first computed per combination of
+the remaining factors, then averaged.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import BadRecord, EmptyGroup, InsufficientCoverage
 
-# The adjustable factor dimensions a record can carry.
-FACTOR_DIMS = ("model", "prompt_scheme", "serialization", "graph_type")
+# The factor dimensions a record can carry: each `report --pivot` value and
+# the record field it groups by.
+FACTOR_DIMS = {"model": "model", "scheme": "prompt_scheme",
+               "format": "serialization", "graph-type": "graph_type"}
 
 
 def _show(value: Any) -> str:
@@ -52,6 +55,41 @@ def _keys(rec: Mapping[str, Any], dims: Sequence[str], required: bool) -> tuple:
     return values
 
 
+def _fold(records: Iterable[Mapping[str, Any]], group_by: Sequence[str],
+          cell_by: Sequence[str], required: bool) -> dict[tuple, list]:
+    """The records folded into running sums per group (its values of
+    `group_by`): [records, score sum, tokens_out sum, tokens_out count,
+    {cell (its values of `cell_by`): [score sum, records]}].
+
+    The records are read once, in order, so memory follows the number of
+    cells, not of records. Every sum starts at 0 and adds left to right, in
+    record order. A record whose score is not a number, whose `tokens_out`
+    is neither a number nor null, or whose value of a group or cell field is
+    not a string (nor, unless `required`, null or missing) raises BadRecord.
+    """
+    cut = len(group_by)
+    dims = [*group_by, *cell_by]
+    groups: dict[tuple, list] = {}
+    for rec in records:
+        score = float(_number(rec, "score", required=True))
+        tokens = _number(rec, "tokens_out", required=False)
+        values = _keys(rec, dims, required)
+        group = groups.get(values[:cut])
+        if group is None:
+            group = groups[values[:cut]] = [0, 0, 0, 0, {}]
+        group[0] += 1
+        group[1] += score
+        if tokens is not None:
+            group[2] += tokens
+            group[3] += 1
+        cell = group[4].get(values[cut:])
+        if cell is None:
+            cell = group[4][values[cut:]] = [0, 0]
+        cell[0] += score
+        cell[1] += 1
+    return groups
+
+
 def aggregate(records: Iterable[Mapping[str, Any]],
               group_by: Sequence[str]) -> list[dict[str, Any]]:
     """Mean accuracy with a 95% CI margin, and mean output tokens, per group.
@@ -64,44 +102,18 @@ def aggregate(records: Iterable[Mapping[str, Any]],
     plain mean of `tokens_out` over the group's records that report it, or
     None when none does.
 
-    The records are read once, in order, and each is folded into running
-    sums and counts per group and per combination, so memory follows the
-    number of combinations, not of records. The sums start at 0 and add in
-    record order, as `sum()` would over the same values. A record whose
-    score is not a number, whose `tokens_out` is neither a number nor null,
-    or whose value of a grouping or factor field is neither a string nor
-    null raises BadRecord.
+    The records are read once through `_fold`, which also says which
+    records raise BadRecord; a grouping or factor field may be null.
     """
     group_by = list(group_by)
-    dims = [*group_by, *(d for d in FACTOR_DIMS if d not in group_by)]
-    cut = len(group_by)
-    # Per group: [records, tokens_out sum, tokens_out count,
-    #             {combination: [score sum, records]}].
-    groups: dict[tuple, list] = {}
-    for rec in records:
-        score = float(_number(rec, "score", required=True))
-        tokens = _number(rec, "tokens_out", required=False)
-        values = _keys(rec, dims, required=False)
-        key = values[:cut]
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = [0, 0, 0, {}]
-        group[0] += 1
-        if tokens is not None:
-            group[1] += tokens
-            group[2] += 1
-        combo = values[cut:]
-        totals = group[3].get(combo)
-        if totals is None:
-            totals = group[3][combo] = [0, 0]
-        totals[0] += score
-        totals[1] += 1
+    groups = _fold(records, group_by,
+                   [d for d in FACTOR_DIMS.values() if d not in group_by], required=False)
     if not groups:
         raise EmptyGroup("no records to aggregate")
 
     rows = []
     for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-        n, tokens_sum, tokens_n, combos = groups[key]
+        n, _, tokens_sum, tokens_n, combos = groups[key]
         values = [total / count for total, count in combos.values()]
         mean = sum(values) / len(values)
         margin = 0.0
@@ -121,8 +133,14 @@ def _std(values: Iterable[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
 
 
-# The factors a sensitivity record must name.
-_SENSITIVITY_DIMS = ("prompt_scheme", "serialization", "graph_type")
+def _spread(cell: Mapping[tuple, float], axis: int) -> float:
+    """For each value along `axis` of the (scheme, format) cells, the
+    standard deviation of accuracy across the other axis, averaged over
+    the values that hold more than one cell (0.0 when none does)."""
+    lines = [[acc for k, acc in cell.items() if k[axis] == v]
+             for v in sorted({k[axis] for k in cell})]
+    stds = [_std(line) for line in lines if len(line) > 1]
+    return sum(stds) / len(stds) if stds else 0.0
 
 
 def sensitivity(records: Iterable[Mapping[str, Any]], task: str,
@@ -135,57 +153,27 @@ def sensitivity(records: Iterable[Mapping[str, Any]], task: str,
     quantity. Quadrants come from median splits of each axis across the
     graph types present.
 
-    The records are read once, in order, and each of the task and
-    difficulty is folded into running sums and counts per graph type and
-    per (scheme, format) cell, so memory follows the number of cells, not
-    of records; the sums add in record order, as `sum()` would. Such a
-    record whose score is not a number, or that lacks a scheme, format or
-    graph type or holds one that is not a string, raises BadRecord.
+    The records of the task and difficulty are read once through `_fold`,
+    which also says which records raise BadRecord; each must name a
+    scheme, a format and a graph type.
     """
-    schemes: set[str] = set()
-    formats: set[str] = set()
-    # Per graph type: [score sum, records, {(scheme, format): [score sum, records]}].
-    families: dict[str, list] = {}
-    for rec in records:
-        if rec.get("task") != task or rec.get("difficulty") != difficulty:
-            continue
-        score = float(_number(rec, "score", required=True))
-        scheme, fmt, family = _keys(rec, _SENSITIVITY_DIMS, required=True)
-        schemes.add(scheme)
-        formats.add(fmt)
-        fam = families.get(family)
-        if fam is None:
-            fam = families[family] = [0, 0, {}]
-        fam[0] += score
-        fam[1] += 1
-        totals = fam[2].get((scheme, fmt))
-        if totals is None:
-            totals = fam[2][(scheme, fmt)] = [0, 0]
-        totals[0] += score
-        totals[1] += 1
+    families = _fold((r for r in records
+                      if r.get("task") == task and r.get("difficulty") == difficulty),
+                     ["graph_type"], ["prompt_scheme", "serialization"], required=True)
     if not families:
         raise EmptyGroup(f"no records for {task}/{difficulty}")
+    cells = {k for fam in families.values() for k in fam[4]}
+    schemes, formats = {s for s, _ in cells}, {f for _, f in cells}
     if len(schemes) < 2 or len(formats) < 2:
         raise InsufficientCoverage(
             f"need >=2 schemes and >=2 formats, have {len(schemes)}/{len(formats)}")
 
     rows = []
-    for family in sorted(families):
-        total, n, cells = families[family]
-        cell = {k: s / count for k, (s, count) in cells.items()}
-        by_fmt = []
-        for f in sorted({k[1] for k in cell}):
-            col = [cell[k] for k in cell if k[1] == f]
-            if len(col) > 1:
-                by_fmt.append(_std(col))
-        by_scheme = []
-        for s in sorted({k[0] for k in cell}):
-            row_vals = [cell[k] for k in cell if k[0] == s]
-            if len(row_vals) > 1:
-                by_scheme.append(_std(row_vals))
-        s_p = sum(by_fmt) / len(by_fmt) if by_fmt else 0.0
-        s_f = sum(by_scheme) / len(by_scheme) if by_scheme else 0.0
-        rows.append({"graph_type": family, "s_p": s_p, "s_f": s_f, "mean": total / n})
+    for key in sorted(families):
+        n, total, _, _, sums = families[key]
+        cell = {k: s / count for k, (s, count) in sums.items()}
+        rows.append({"graph_type": key[0], "s_p": _spread(cell, 1),
+                     "s_f": _spread(cell, 0), "mean": total / n})
 
     med_p = statistics.median([r["s_p"] for r in rows])
     med_f = statistics.median([r["s_f"] for r in rows])

@@ -817,7 +817,9 @@ MISSING = object()
     ("scheme", "score", "x", 'score "x" is not a number'),
     ("scheme", "prompt_scheme", ["0-shot"], 'prompt_scheme ["0-shot"] is not a string'),
     ("model", "tokens_out", "7", 'tokens_out "7" is not a number'),
-], ids=["no-scheme", "null-score", "string-score", "list-scheme", "string-tokens"])
+    ("sensitivity", "tokens_out", "7", 'tokens_out "7" is not a number'),
+], ids=["no-scheme", "null-score", "string-score", "list-scheme", "string-tokens",
+        "sensitivity-string-tokens"])
 def test_report_names_the_file_and_record_it_cannot_fold_in(tmp_path, capsys, pivot, field,
                                                             value, message):
     """A results record whose field `report` reads is missing or of the
@@ -840,6 +842,32 @@ def test_report_names_the_file_and_record_it_cannot_fold_in(tmp_path, capsys, pi
         argv += ["--task", "cycle", "--split", "easy"]
     assert run_cli(*argv) == 1
     assert capsys.readouterr() == ("", f"error: {r}: record 3: {message}\n")
+
+
+def test_report_task_and_split_follow_the_token_rule(tmp_path, capsys):
+    """`report --task`/`--split` match values in any case, as every other
+    enum flag does, and an unknown value exits 1 listing the valid ones."""
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle,diameter", "--difficulty", "easy,medium",
+            "--count", "3", "--seed", "0", "--out", str(q))
+    run_cli("run", "--queries", str(q), "--schemes", "0-shot,0-CoT",
+            "--formats", "adjacency_list,edge_list", "--out", str(r))
+    cycle_easy = [rec for rec in read_jsonl(r)
+                  if (rec["task"], rec["difficulty"]) == ("cycle", "easy")]
+    capsys.readouterr()
+    assert run_cli("report", "--results", str(r), "--pivot", "scheme",
+                   "--task", "cycle", "--split", "easy") == 0
+    expected = capsys.readouterr().out
+    assert run_cli("report", "--results", str(r), "--pivot", "scheme",
+                   "--task", "Cycle", "--split", "EASY") == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    rows = list(csv.DictReader(out.splitlines()))
+    assert sum(int(row["records"]) for row in rows) == len(cycle_easy) == 3 * 4
+    assert run_cli("report", "--results", str(r), "--task", "cycl") == 1
+    assert capsys.readouterr() == (
+        "", "error: unknown task 'cycl'; expected one of "
+            f"{', '.join(t.value for t in TaskKind)}\n")
 
 
 def test_report_memory_does_not_grow_with_the_records(tmp_path):

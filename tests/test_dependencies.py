@@ -371,6 +371,17 @@ def test_only_draw_item_draws_items():
                      "generate": {"corpus.draw_item", "generators.generate_connected"}}
 
 
+def test_only_the_fold_reads_record_fields():
+    """Every report reads its records through one fold, `reporting._fold`,
+    so every pivot rejects the same records."""
+    names = {"_number", "_keys"}
+    found = {name: set() for name in names}
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        for name, scopes in callers(ast.parse(path.read_text("utf-8")), names).items():
+            found[name] |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert found == {name: {"reporting._fold"} for name in names}
+
+
 def test_only_the_renderer_serializes_graphs_and_builds_banks():
     """Every graph text and exemplar bank a prompt uses comes from one
     memo, `prompts.Renderer`, so each is rendered once per command; the

@@ -1,8 +1,10 @@
 """Aggregation with token cost, sensitivity metrics, and CSV output."""
 
 import csv
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -83,9 +85,16 @@ def test_collapsed_group_matches_overall_mean():
     assert math.isclose(row["mean"], sum(r["score"] for r in records) / len(records))
 
 
+def left_to_right_sum(values):
+    """The values added from 0, left to right, as the fold adds them (a
+    plain `sum()` of floats compensates its rounding since Python 3.12)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def test_one_pass_folds_match_sums_over_the_records():
     """Both pivots read a one-shot stream, and their running sums equal, to
-    the bit, `sum()` over the records' float scores in record order."""
+    the bit, the records' float scores added left to right, in record
+    order."""
     rng = random.Random(4)
     records = make_records(lambda *a: rng.random(), per_cell=7)
     rows = aggregate(iter(records), ["model"])
@@ -95,12 +104,12 @@ def test_one_pass_folds_match_sums_over_the_records():
         for r in recs:
             key = (r["prompt_scheme"], r["serialization"], r["graph_type"])
             combos.setdefault(key, []).append(float(r["score"]))
-        means = [sum(v) / len(v) for v in combos.values()]
+        means = [left_to_right_sum(v) / len(v) for v in combos.values()]
         assert row["mean"] == sum(means) / len(means)
         assert row["records"] == len(recs) and row["combinations"] == len(means)
     for row in sensitivity(iter(records), "cycle", "easy"):
         scores = [float(r["score"]) for r in records if r["graph_type"] == row["graph_type"]]
-        assert row["mean"] == sum(scores) / len(scores)
+        assert row["mean"] == left_to_right_sum(scores) / len(scores)
 
 
 def test_empty_group():
