@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import baselines as baselines_mod
 from . import corpus as corpus_mod
@@ -72,13 +73,40 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_twice(path: str, command: str, use: str) -> Iterator[corpus_mod.QuerySpec]:
+    """The corpus's queries, for a command that must not start on a corpus
+    with a bad record. This call reads the file once, checking and
+    counting every record, so a bad one raises before the command opens
+    its output or sends anything. The iterator it returns reads the file
+    again one query at a time; a second read that ends with a different
+    number of records (a pipe, or a file rewritten in between) raises
+    ValueError, naming the command and what it did with the records."""
+    total = sum(1 for _ in corpus_mod.load_queries(path))
+
+    def again() -> Iterator[corpus_mod.QuerySpec]:
+        read = 0
+        for read, query in enumerate(corpus_mod.load_queries(path), 1):
+            yield query
+        if read != total:
+            raise ValueError(f"{path}: the corpus held {total} records when checked but "
+                             f"{read} when {use}; `{command}` reads it twice, so it must be "
+                             f"a file that does not change while `{command}` reads it")
+
+    return again()
+
+
 def cmd_render(args) -> int:
-    """Write the prompt of every (query, scheme, format) cell. The corpus is
-    loaded whole before `--out` is opened, so a bad record writes nothing.
-    Each query is composed as a batch of its own, so the renderer holds one
-    query's graph texts, and each prompt is written as it is composed, so
-    only one joined prompt is held at a time."""
-    queries = list(corpus_mod.load_queries(args.queries))
+    """Write the prompt of every (query, scheme, format) cell.
+
+    The corpus is read twice (see `_read_twice`): a bad record writes
+    nothing, and `render` holds one query at a time, never the whole
+    corpus. Each query is composed as a batch of its own, so the renderer
+    holds one query's graph texts and its task's banks and heads; a task
+    that comes back after another has its banks and heads built again,
+    which a task-major corpus, as `generate` writes, never does. Each
+    prompt is written as it is composed, so only one joined prompt is held
+    at a time."""
+    queries = _read_twice(args.queries, "render", "composed")
     schemes = parse_names(PromptScheme, args.schemes, "--schemes")
     formats = parse_names(SerializationFormat, args.formats, "--formats")
     renderer = Renderer()
@@ -108,17 +136,17 @@ def cmd_run(args) -> int:
     """Evaluate every (query, scheme, format) cell of the corpus and write
     one result record per cell, in `render`'s order.
 
-    The corpus is read twice. The first read checks every record and
-    counts them before `--out` is opened or anything is sent, so a bad
-    record costs nothing. The second builds the queries one chunk at a
-    time, so `run` holds one chunk of queries and requests and one query's
-    records, never the whole corpus. A second read that yields a different
-    number of records (a pipe, or a file rewritten in between) is an
-    error. Each query's records are written as soon as its last one is
-    scored, and the file is flushed once per chunk, so an interrupted run
-    leaves whole queries in `--out`."""
+    The corpus is read twice (see `_read_twice`): a bad record costs
+    nothing, and the second read builds the queries one chunk at a time,
+    so `run` holds one chunk of queries and requests, that chunk's graph
+    texts and its tasks' banks and heads, and one query's records, never
+    the whole corpus. A task that comes back after a chunk without it has
+    its banks and heads built again, which a task-major corpus, as
+    `generate` writes, never does. Each query's records are written as
+    soon as its last one is scored, and the file is flushed once per
+    chunk, so an interrupted run leaves whole queries in `--out`."""
     config = _load_config(args.config)
-    total = sum(1 for _ in corpus_mod.load_queries(args.queries))
+    queries = _read_twice(args.queries, "run", "evaluated")
     schemes = parse_names(PromptScheme, args.schemes, "--schemes")
     formats = parse_names(SerializationFormat, args.formats, "--formats")
     if args.max_in_flight < 1:
@@ -126,13 +154,11 @@ def cmd_run(args) -> int:
     per_query = len(schemes) * len(formats)
     per_chunk = math.ceil(_CHUNK_CELLS_PER_WORKER * args.max_in_flight / per_query)
     renderer = Renderer()
-    read = n = score = errors = 0
+    n = score = errors = 0
     gateway = _make_gateway(args, config)
     try:
         with open(args.out, "w", encoding="utf-8") as out:
-            queries = iter(corpus_mod.load_queries(args.queries))
             while chunk := list(itertools.islice(queries, per_chunk)):
-                read += len(chunk)
                 records = run_evaluation(chunk, schemes, formats, gateway, model=args.model,
                                          max_in_flight=args.max_in_flight, renderer=renderer)
                 # A query's records are written once its last one is scored,
@@ -145,10 +171,6 @@ def cmd_run(args) -> int:
                 out.flush()
     finally:
         gateway.close()
-    if read != total:
-        raise ValueError(f"{args.queries}: the corpus held {total} records when checked but "
-                         f"{read} when evaluated; `run` reads it twice, so it must be a file "
-                         f"that does not change while `run` reads it")
     print(f"wrote {n} results to {args.out} (accuracy {score / n if n else 0.0:.4f}, "
           f"errors {errors}, network calls {gateway.network_calls}, "
           f"cache hits {gateway.cache_hits})")

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DisconnectedGraph, TooLarge
 
 # Largest graph the exact NP-hard solvers accept; NP-task corpora never
@@ -285,6 +283,8 @@ def max_cut(g: Graph) -> tuple[int, set[int]]:
         raise TooLarge(f"n={g.n} exceeds node cap {NP_NODE_CAP}")
     if g.n == 0:
         return 0, set()
+    import numpy as np
+
     sizes = np.zeros(1, dtype=np.int16)
     for v in range(1, g.n):
         earlier = [u for u in g.neighbors(v) if u < v]

@@ -92,10 +92,13 @@ def compose_cells(queries: Sequence[QuerySpec], schemes: Sequence[PromptScheme],
     item.
 
     The queries are one batch: the renderer drops the text of every graph
-    outside them (`Renderer.keep`), so a caller that composes its corpus
-    a chunk at a time holds one chunk's graph texts."""
+    outside them, and the banks and heads of every task outside them
+    (`Renderer.keep`). So a caller that composes its corpus a chunk at a
+    time holds one chunk's graph texts, banks and heads. A task-major
+    corpus, as `generate` writes, builds each bank once; a task that comes
+    back after a chunk without it has its banks and heads built again."""
     renderer = renderer or Renderer()
-    renderer.keep(query.graph for query in queries)
+    renderer.keep(queries)
     for query in queries:
         finals: dict[tuple, str] = {}
         for scheme in schemes:

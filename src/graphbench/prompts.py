@@ -1,6 +1,6 @@
 """Prompt composition: the nine schemes, few-shot exemplar banks, the
 decoration factors for the extended search space, and `Renderer`, which
-keeps the prompt parts a command renders.
+keeps the prompt parts of the batch a command composes.
 
 A composed prompt is [algorithm block] + [exemplar items] + final item, where
 every item is framing + serialized graph + "Q:" question + "A:" (+ answer for
@@ -209,23 +209,31 @@ def join_prompt(head: str | None, body: str) -> str:
 class Renderer:
     """The one memo for the prompt parts a command renders: each graph's
     text per format, each (task, scheme) exemplar bank and each prompt
-    head. A command makes one. Banks and heads are kept for the whole
-    command, since the task x scheme x format x decoration grid bounds
-    them. Graph texts are kept only for the batch being composed (see
-    `keep`), so they follow the batch, not the corpus; within a batch
-    every text is rendered once and equal graphs share it."""
+    head. A command makes one. Everything it keeps follows the batch being
+    composed (see `keep`), not the corpus or the command: graph texts are
+    kept for the batch's graphs, and banks and heads for the batch's
+    tasks. Within a batch every text, bank and head is rendered once, and
+    equal graphs share a text. A task that comes back after a batch
+    without it has its banks rebuilt from their fixed seed streams and
+    its heads rendered again, so the prompts are the same."""
 
     def __init__(self):
         self._texts: dict[tuple[Graph, SerializationFormat], str] = {}
         self._banks: dict[tuple[TaskKind, PromptScheme], list[Exemplar]] = {}
         self._heads: dict[tuple, str | None] = {}
 
-    def keep(self, graphs: Iterable[Graph]) -> None:
-        """Open a batch over these graphs: drop the text of every other
-        graph, an exemplar's included. Costs one pass over the previous
-        batch's texts."""
-        graphs = set(graphs)
+    def keep(self, queries: Iterable[QuerySpec]) -> None:
+        """Open a batch over these queries: drop the text of every other
+        graph, an exemplar's included, and the banks and heads of every
+        task none of them has. Costs one pass over what the previous
+        batch left."""
+        graphs, tasks = set(), set()
+        for query in queries:
+            graphs.add(query.graph)
+            tasks.add(query.task)
         self._texts = {key: text for key, text in self._texts.items() if key[0] in graphs}
+        self._banks = {key: bank for key, bank in self._banks.items() if key[0] in tasks}
+        self._heads = {key: head for key, head in self._heads.items() if key[0] in tasks}
 
     def text(self, g: Graph, fmt: SerializationFormat) -> str:
         """The graph's canonical text in the format."""

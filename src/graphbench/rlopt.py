@@ -18,15 +18,16 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .errors import EmptyFactor, GraphBenchError, ZeroDenominator
 from .generators import DifficultySplit
 from .prompts import PromptScheme
 from .serialize import SerializationFormat
 from .tasks import TaskKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Combo = tuple[str, ...]
 RewardFn = Callable[[Combo], float]
@@ -184,6 +185,8 @@ class MLPQ:
 
     def __init__(self, encoder: _Encoder, t: int, hidden: tuple[int, int],
                  rng: np.random.Generator, optimizer: str = "adam", skip: bool = False):
+        import numpy as np
+
         self._encoder = encoder
         self.optimizer = optimizer
         in_dim = encoder.input_dim(t)
@@ -209,6 +212,8 @@ class MLPQ:
 
     def _forward(self, x: np.ndarray) -> list[np.ndarray]:
         """Activations for one encoded row (1-D) or a batch of rows (2-D)."""
+        import numpy as np
+
         acts = [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -224,6 +229,8 @@ class MLPQ:
         return self._forward(self._encoder.encode(prefix, options))[-1][:, 0].tolist()
 
     def update(self, prefix: Combo, target: float, lr: float) -> None:
+        import numpy as np
+
         x = self._encoder.encode(prefix[:-1], prefix[-1:])[0]
         acts = self._forward(x)
         pred = float(acts[-1][0])
@@ -304,6 +311,8 @@ class _Encoder:
         key = (prefix, tuple(options))
         rows = self._memo.get(key)
         if rows is None:
+            import numpy as np
+
             t = len(prefix)
             rows = np.zeros((len(options), self._offsets[t + 1]))
             cols = self._s0_cols + [self._offsets[d] + self._index[d][a]
@@ -345,6 +354,8 @@ def run_dqn(s0: tuple[str, str], space: FactorSpace, reward_fn: RewardFn,
     t_count = len(space.dims)
     rng = random.Random(cfg.seed)
     if q_functions is None:
+        import numpy as np
+
         encoder = _Encoder(s0, space)
         np_rng = np.random.default_rng(cfg.seed)
         q_functions = [MLPQ(encoder, t, HIDDEN, np_rng, optimizer=cfg.optimizer,

@@ -359,13 +359,16 @@ def test_an_interrupt_while_scoring_keeps_the_queries_already_scored(
         f"network calls 0, cache hits {cache_entries(cache)})\n")
 
 
-@pytest.mark.parametrize("kept", [0, 1, 3], ids=["none", "fewer", "more"])
+@pytest.mark.parametrize("command, use, kept", [
+    ("run", "evaluated", 0), ("run", "evaluated", 1), ("run", "evaluated", 3),
+    ("render", "composed", 0), ("render", "composed", 1), ("render", "composed", 3),
+], ids=["none", "fewer", "more", "render-none", "render-fewer", "render-more"])
 def test_a_corpus_that_changes_between_the_two_reads_is_an_error(tmp_path, monkeypatch,
-                                                                  capsys, kept):
-    """`run` checks and counts its corpus, then reads it again to evaluate
-    it. A file rewritten in between with another number of records, or a
-    pipe, which yields none the second time, exits 1 with an `error:` line
-    naming the file."""
+                                                                  capsys, command, use, kept):
+    """`run` and `render` check and count their corpus, then read it again
+    to evaluate or compose it. A file rewritten in between with another
+    number of records, or a pipe, which yields none the second time, exits
+    1 with an `error:` line naming the file."""
     q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
     run_cli("generate", "--task", "cycle", "--count", "2", "--out", str(q))
     lines = q.read_text().splitlines(keepends=True)
@@ -379,11 +382,11 @@ def test_a_corpus_that_changes_between_the_two_reads_is_an_error(tmp_path, monke
 
     monkeypatch.setattr(cli.corpus_mod, "load_queries", rewritten_after_the_check)
     capsys.readouterr()
-    assert run_cli("run", "--queries", str(q), "--out", str(r)) == 1
+    assert run_cli(command, "--queries", str(q), "--out", str(r)) == 1
     assert capsys.readouterr() == ("", f"error: {q}: the corpus held 2 records when checked "
-                                       f"but {kept} when evaluated; `run` reads it twice, so it "
-                                       f"must be a file that does not change while `run` reads "
-                                       f"it\n")
+                                       f"but {kept} when {use}; `{command}` reads it twice, so "
+                                       f"it must be a file that does not change while "
+                                       f"`{command}` reads it\n")
 
 
 def test_run_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
@@ -432,6 +435,33 @@ def test_run_memory_does_not_grow_with_the_corpus_it_reads(tmp_path, monkeypatch
     argv = ("run", *EVERY_CELL, "--backend", "mock-bernoulli", "--max-in-flight", "2",
             "--out", str(tmp_path / "r.jsonl"), "--queries")
     # A first run builds what every run shares (exemplar tables, imports).
+    assert run_cli(*argv, str(small)) == 0
+    peaks = []
+    for corpus in (small, large):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, str(corpus)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 1.1, peaks
+
+
+def test_render_memory_does_not_grow_with_the_corpus_it_reads(tmp_path):
+    """`render` reads its corpus one query at a time and writes each prompt
+    as it is composed, so a corpus twenty times longer, read inside the
+    traced region, peaks at about the traced memory of its first queries
+    alone."""
+    q = tmp_path / "q.jsonl"
+    run_cli("generate", "--task", "shortest_path", "--difficulty", "medium", "--count", "60",
+            "--seed", "2", "--out", str(q))
+    # The largest graphs first, so no later query is larger than the first.
+    lines = sorted(q.read_text().splitlines(keepends=True), key=len, reverse=True)
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    small.write_text("".join(lines[:3]))
+    large.write_text("".join(lines))
+    argv = ("render", *EVERY_CELL, "--out", str(tmp_path / "p.jsonl"), "--queries")
+    # A first render imports what every render shares.
     assert run_cli(*argv, str(small)) == 0
     peaks = []
     for corpus in (small, large):

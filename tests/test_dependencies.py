@@ -67,12 +67,15 @@ def importers(tree: ast.Module, package: str) -> set[str]:
 
 # Where each module that only some commands need may be imported: the HTTP
 # stack when an `HttpBackend` is made or sends, SQLite when a cache is first
-# opened, and the worker pool when a batch has misses for a backend that
-# waits on I/O.
+# opened, the worker pool when a batch has misses for a backend that
+# waits on I/O, and numpy where an array is computed: the max-cut oracle
+# and the search's Q-networks.
 LAZY_IMPORTS = {
     "requests": {"gateway:HttpBackend.__init__", "gateway:HttpBackend.complete"},
     "sqlite3": {"gateway:Gateway._cache"},
     "concurrent": {"gateway:Gateway.run_batch"},
+    "numpy": {"graphs:max_cut", "rlopt:MLPQ.__init__", "rlopt:MLPQ._forward",
+              "rlopt:MLPQ.update", "rlopt:_Encoder.encode", "rlopt:run_dqn"},
 }
 
 
@@ -90,21 +93,27 @@ def test_a_lazy_module_is_imported_only_where_it_is_used(package):
 # and `r.jsonl`, that corpus's results.
 COMMANDS = {
     "generate": (["generate", "--task", "cycle", "--count", "2", "--out", "{d}/g.jsonl"], []),
+    "generate-max-cut": (["generate", "--task", "max_cut", "--count", "2",
+                          "--out", "{d}/g.jsonl"], ["numpy"]),
+    "render": (["render", "--queries", "{d}/q.jsonl", "--schemes", "k-shot,Algorithm",
+                "--out", "{d}/p.jsonl"], []),
     "run": (["run", "--queries", "{d}/q.jsonl", "--backend", "mock-bernoulli",
              "--out", "{d}/out.jsonl"], []),
     "run-cached": (["run", "--queries", "{d}/q.jsonl", "--backend", "mock-bernoulli",
                     "--cache-dir", "{d}/cache", "--out", "{d}/out.jsonl"], ["sqlite3"]),
     "rlopt": (["rlopt", "--reward", "live", "--backend", "mock-bernoulli", "--task", "cycle",
-               "--samples", "2", "--episodes", "5"], []),
+               "--samples", "2", "--episodes", "5"], ["numpy"]),
     "report": (["report", "--results", "{d}/r.jsonl"], []),
     "baseline": (["baseline", "--queries", "{d}/q.jsonl"], []),
+    "selfcheck": (["selfcheck", "{d}/q.jsonl"], []),
 }
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_command_loads_only_the_modules_it_uses(tmp_path, command):
     """Offline commands never load the HTTP stack, the worker pool, or,
-    without a cache, SQLite."""
+    without a cache, SQLite; and only the commands that compute an array
+    (a max-cut oracle, a search) load numpy."""
     q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
     assert cli.main(["generate", "--task", "cycle", "--count", "2", "--out", str(q)]) == 0
     assert cli.main(["run", "--queries", str(q), "--out", str(r)]) == 0
@@ -113,8 +122,8 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path, command):
 import json, sys
 from graphbench import cli
 assert cli.main(json.loads(sys.argv[1])) == 0
-print(json.dumps([name for name in ("sqlite3", "concurrent.futures", "requests", "urllib3")
-                  if name in sys.modules]))
+print(json.dumps([name for name in ("sqlite3", "concurrent.futures", "requests", "urllib3",
+                                    "numpy") if name in sys.modules]))
 """
     src = str(Path(graphbench.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

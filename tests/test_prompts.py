@@ -13,7 +13,7 @@ from graphbench.errors import MissingParam
 from graphbench.gateway import Gateway, MockBackend
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
-from graphbench.pipeline import run_evaluation
+from graphbench.pipeline import compose_cells, run_evaluation
 from graphbench import prompts
 from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, IDENTITY_DECORATION,
                                 PromptScheme, QA_DELIMS, Renderer, SENTENCE_DELIMS, WORD_DELIMS,
@@ -296,6 +296,59 @@ def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
     assert all(r["score"] == 1 for r in records)
     assert [calls[id(q.graph), fmt] for q in queries for fmt in F] == [1] * (8 * 7)
     assert set(calls.values()) == {1}
+
+
+def counted_banks(monkeypatch) -> Counter:
+    """Count every exemplar bank the renderer builds, by (task, scheme)."""
+    built, build = Counter(), prompts.build_exemplars
+
+    def counted(task, scheme):
+        built[task, scheme] += 1
+        return build(task, scheme)
+
+    monkeypatch.setattr(prompts, "build_exemplars", counted)
+    return built
+
+
+def test_a_batch_keeps_only_its_own_tasks_banks_and_heads(monkeypatch):
+    """Composing a batch of task A, then one of task B, leaves the renderer
+    holding nothing of A: composing A again builds its banks again (a
+    head of A still held would need no bank), and its prompts are the
+    same."""
+    a = build_corpus([TaskKind.CYCLE], [DifficultySplit.EASY], None, 2, master_seed=3)
+    b = build_corpus([TaskKind.TRIANGLE], [DifficultySplit.EASY], None, 2, master_seed=3)
+    shot = [s for s in PromptScheme if s.shot_bearing]
+    built = counted_banks(monkeypatch)
+    renderer = Renderer()
+    first = list(compose_cells(a, list(PromptScheme), list(F), renderer=renderer))
+    list(compose_cells(b, list(PromptScheme), list(F), renderer=renderer))
+    assert built == Counter((task, s) for task in (TaskKind.CYCLE, TaskKind.TRIANGLE)
+                            for s in shot)
+    again = list(compose_cells(a, list(PromptScheme), list(F), renderer=renderer))
+    assert again == first
+    assert built == Counter({(TaskKind.CYCLE, s): 2 for s in shot}
+                            | {(TaskKind.TRIANGLE, s): 1 for s in shot})
+
+
+def test_a_task_major_run_in_chunks_builds_each_bank_once(monkeypatch):
+    """A 9 x 7 run over a task-major corpus, as `generate` writes, composed
+    a few queries at a time, builds each (task, scheme) bank once, though
+    its chunks keep no bank of a task they lack: after the run, the first
+    task's banks are built again."""
+    queries = build_corpus(list(TaskKind), [DifficultySplit.EASY], None, 2, master_seed=1)
+    tasks = [q.task for q in queries]
+    assert tasks == sorted(tasks, key=tasks.index)
+    built = counted_banks(monkeypatch)
+    renderer = Renderer()
+    gateway = Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=2))
+    for start in range(0, len(queries), 3):
+        records = list(run_evaluation(queries[start:start + 3], list(PromptScheme), list(F),
+                                      gateway, renderer=renderer))
+        assert len(records) == len(queries[start:start + 3]) * 63
+    shot = [s for s in PromptScheme if s.shot_bearing]
+    assert built == Counter((task, s) for task in TaskKind for s in shot)
+    list(compose_cells(queries[:1], list(PromptScheme), list(F), renderer=renderer))
+    assert built[queries[0].task, PromptScheme.K_SHOT] == 2
 
 
 def test_kshot_bfs_answer_phrase():
