@@ -73,14 +73,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_twice(path: str, command: str, use: str) -> Iterator[corpus_mod.QuerySpec]:
+def _read_twice(path: str, out: str, command: str, use: str) -> Iterator[corpus_mod.QuerySpec]:
     """The corpus's queries, for a command that must not start on a corpus
     with a bad record. This call reads the file once, checking and
     counting every record, so a bad one raises before the command opens
-    its output or sends anything. The iterator it returns reads the file
-    again one query at a time; a second read that ends with a different
-    number of records (a pipe, or a file rewritten in between) raises
-    ValueError, naming the command and what it did with the records."""
+    its output `out` or sends anything. The iterator it returns reads the
+    file again one query at a time; a second read that ends with a
+    different number of records (a pipe, or a file rewritten in between)
+    raises ValueError, naming the command and what it did with the
+    records. An `out` that is the corpus file raises ValueError first, as
+    opening it would empty the corpus before the second read."""
+    if os.path.exists(out) and os.path.samefile(path, out):
+        raise ValueError(f"--out {out} is the corpus --queries {path} names; `{command}` "
+                         f"would empty it before reading it")
     total = sum(1 for _ in corpus_mod.load_queries(path))
 
     def again() -> Iterator[corpus_mod.QuerySpec]:
@@ -106,7 +111,7 @@ def cmd_render(args) -> int:
     which a task-major corpus, as `generate` writes, never does. Each
     prompt is written as it is composed, so only one joined prompt is held
     at a time."""
-    queries = _read_twice(args.queries, "render", "composed")
+    queries = _read_twice(args.queries, args.out, "render", "composed")
     schemes = parse_names(PromptScheme, args.schemes, "--schemes")
     formats = parse_names(SerializationFormat, args.formats, "--formats")
     renderer = Renderer()
@@ -146,7 +151,7 @@ def cmd_run(args) -> int:
     soon as its last one is scored, and the file is flushed once per
     chunk, so an interrupted run leaves whole queries in `--out`."""
     config = _load_config(args.config)
-    queries = _read_twice(args.queries, "run", "evaluated")
+    queries = _read_twice(args.queries, args.out, "run", "evaluated")
     schemes = parse_names(PromptScheme, args.schemes, "--schemes")
     formats = parse_names(SerializationFormat, args.formats, "--formats")
     if args.max_in_flight < 1:

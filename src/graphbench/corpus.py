@@ -1,5 +1,6 @@
-"""Query corpus assembly, the one item draw that corpora and exemplar banks
-share, JSONL persistence, and the ground-truth selfcheck.
+"""Query corpus assembly, exemplar-bank draws, the one item draw and
+attempt loop that both use, JSONL persistence, and the ground-truth
+selfcheck.
 
 Every query derives its own RNG stream from (master seed, task, split,
 family, index), so rebuilding any slice of a corpus reproduces it exactly.
@@ -7,6 +8,7 @@ family, index), so rebuilding any slice of a corpus reproduces it exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -139,54 +141,73 @@ def load_queries(path: str | Path) -> Iterator[QuerySpec]:
         yield query
 
 
-# Draws per item before build_query or build_exemplars gives up on it.
+# Draws per item before draw_item gives up on it.
 MAX_QUERY_ATTEMPTS = 50
 
 
-def draw_item(task: TaskKind, split: DifficultySplit, family: GraphFamily, rng: random.Random,
-              seen_hashes: set[frozenset]) -> tuple[Graph, dict[str, int], Any]:
-    """Draw one admissible (graph, params, ground truth) item from `rng`.
+def draw_item(task: TaskKind, split: DifficultySplit, family: GraphFamily,
+              rngs: Iterable[random.Random], seen_hashes: set[frozenset],
+              item: str) -> tuple[int, Graph, dict[str, int], Any]:
+    """Draw one admissible (graph, params, ground truth) item, one attempt
+    per RNG taken from `rngs`, and return the number of the attempt that
+    drew it (from 0) with the item.
 
-    A draw is unusable, and raises ExhaustedAttempts, when its edge set is
-    already in `seen_hashes` or when the task's `sample_params` finds no
-    usable parameters on the graph. A usable draw's edge set is added to
-    `seen_hashes`.
+    An attempt is unusable when its edge set is already in `seen_hashes`,
+    or when it raises ExhaustedAttempts: a connected draw that stays
+    disconnected, or a graph on which the task's `sample_params` finds no
+    usable parameters. A usable draw's edge set is added to `seen_hashes`.
+    After MAX_QUERY_ATTEMPTS unusable attempts it raises ExhaustedAttempts
+    naming the cell and `item`, what the draw was for.
     """
     spec = TASKS[task]
-    n = sample_n(spec, split, rng)
-    if spec.connected:
-        g = generate_connected(family, n, rng)
-    else:
-        g = generate(family, n, rng)
-    if g.edges in seen_hashes:
-        raise ExhaustedAttempts("edge set already drawn")
-    params = spec.sample_params(g, rng)
-    gt = spec.oracle(g, params)
-    seen_hashes.add(g.edges)
-    return g, params, gt
+    for attempt, rng in zip(range(MAX_QUERY_ATTEMPTS), rngs):
+        try:
+            n = sample_n(spec, split, rng)
+            if spec.connected:
+                g = generate_connected(family, n, rng)
+            else:
+                g = generate(family, n, rng)
+            if g.edges in seen_hashes:
+                continue
+            params = spec.sample_params(g, rng)
+            gt = spec.oracle(g, params)
+        except ExhaustedAttempts:
+            continue
+        seen_hashes.add(g.edges)
+        return attempt, g, params, gt
+    raise ExhaustedAttempts(f"could not draw {task.value}/{split.value}/{family.value} "
+                            f"{item}: {MAX_QUERY_ATTEMPTS} attempts were unusable")
 
 
 def build_query(task: TaskKind, split: DifficultySplit, family: GraphFamily,
                 index: int, master_seed: int, seen_hashes: set[frozenset]) -> QuerySpec:
-    """Build one query from its derived seed stream.
+    """Build one query through `draw_item`. Attempt k draws from the stream
+    derived from (master seed, task, split, family, index, k), and the
+    query's `seed` is the seed of the stream that drew it. `seen_hashes`
+    holds the edge sets already used in the cell."""
+    cell = (master_seed, task.value, split.value, family.value, index)
+    rngs = (derive_rng(*cell, attempt) for attempt in itertools.count())
+    attempt, g, params, gt = draw_item(task, split, family, rngs, seen_hashes,
+                                       f"item {index}")
+    return QuerySpec(id=f"{task.value}-{split.value}-{family.value}-{index:05d}", task=task,
+                     difficulty=split, family=family, graph=g, params=params,
+                     ground_truth=gt, seed=derive_seed(*cell, attempt))
 
-    Each attempt draws through `draw_item` from its own derived seed, so
-    `seen_hashes` (the edge sets already used in the cell) gains the new
-    graph's edge set. After MAX_QUERY_ATTEMPTS unusable draws it raises
-    ExhaustedAttempts.
-    """
-    for attempt in range(MAX_QUERY_ATTEMPTS):
-        seed = (master_seed, task.value, split.value, family.value, index, attempt)
-        try:
-            g, params, gt = draw_item(task, split, family, derive_rng(*seed), seen_hashes)
-        except ExhaustedAttempts:
-            continue
-        qid = f"{task.value}-{split.value}-{family.value}-{index:05d}"
-        return QuerySpec(id=qid, task=task, difficulty=split, family=family,
-                         graph=g, params=params, ground_truth=gt,
-                         seed=derive_seed(*seed))
-    raise ExhaustedAttempts(
-        f"could not build {task.value}/{split.value}/{family.value} item {index}")
+
+def draw_bank(task: TaskKind, scheme: str, size: int) -> list[tuple[Graph, dict[str, int], Any]]:
+    """The (graph, params, ground truth) items of the exemplar bank of
+    `task` under the scheme whose token is `scheme`: `size` Easy-split
+    draws through `draw_item`, the task's families taking turns in sorted
+    order, with no edge set repeated in the bank. Every attempt draws from
+    one stream reserved for the bank, derived from the task, the scheme
+    and `size`, so a bank is the same in every command. Nothing keeps a
+    bank's graphs out of a corpus: a query can draw an exemplar's graph."""
+    rng = derive_rng("exemplar-bank", task.value, scheme, size)
+    families = sorted(TASKS[task].families, key=lambda f: f.value)
+    seen: set[frozenset] = set()
+    return [draw_item(task, DifficultySplit.EASY, families[i % len(families)],
+                      itertools.repeat(rng), seen, f"{scheme} exemplar {i}")[1:]
+            for i in range(size)]
 
 
 def build_corpus(tasks: Sequence[TaskKind], splits: Sequence[DifficultySplit],

@@ -14,9 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import MAX_QUERY_ATTEMPTS, QuerySpec, draw_item
-from .errors import ExhaustedAttempts, MissingParam
-from .generators import DifficultySplit, derive_rng
+from .corpus import QuerySpec, draw_bank
+from .errors import MissingParam
 from .graphs import Graph
 from .serialize import SerializationFormat, serialize
 from .tasks import TASKS, TaskKind
@@ -150,33 +149,20 @@ class Exemplar:
 
 
 def build_exemplars(task: TaskKind, scheme: PromptScheme) -> list[Exemplar]:
-    """Build EXEMPLARS_PER_BANK oracle-validated exemplars on Easy-split
-    graphs, drawn by the corpus's own `draw_item` rules.
+    """The EXEMPLARS_PER_BANK worked examples of the (task, scheme) bank:
+    the oracle-validated items `corpus.draw_bank` draws, each with its
+    answer, narrated for a narrated scheme and terse otherwise.
 
-    Exemplar graphs come from a reserved seed stream, derived from the task,
-    the scheme and the bank size, so they never collide with evaluation
-    graphs; no bank repeats an edge set.
+    The bank's reserved seed stream makes it the same in every command,
+    but does not keep its graphs apart from evaluation graphs: a query can
+    share its graph, and its parameters too, with an exemplar of its task,
+    and its prompt then shows its own answer worked out.
     """
-    rng = derive_rng("exemplar-bank", task.value, scheme.value, EXEMPLARS_PER_BANK)
     spec = TASKS[task]
-    families = sorted(spec.families, key=lambda f: f.value)
-    seen: set[frozenset] = set()
-    exemplars = []
-    for i in range(EXEMPLARS_PER_BANK):
-        family = families[i % len(families)]
-        for _ in range(MAX_QUERY_ATTEMPTS):
-            try:
-                g, params, gt = draw_item(task, DifficultySplit.EASY, family, rng, seen)
-            except ExhaustedAttempts:
-                continue
-            break
-        else:
-            raise ExhaustedAttempts(
-                f"could not build an exemplar for {task.value}/{family.value}")
-        answer = (spec.narrate(g, params, gt) if scheme.narrated
-                  else spec.render(params, spec.gold(g, params, gt)))
-        exemplars.append(Exemplar(graph=g, params=params, answer=answer))
-    return exemplars
+    return [Exemplar(graph=g, params=params,
+                     answer=(spec.narrate(g, params, gt) if scheme.narrated
+                             else spec.render(params, spec.gold(g, params, gt))))
+            for g, params, gt in draw_bank(task, scheme.value, EXEMPLARS_PER_BANK)]
 
 
 def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,

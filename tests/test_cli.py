@@ -389,6 +389,30 @@ def test_a_corpus_that_changes_between_the_two_reads_is_an_error(tmp_path, monke
                                        f"`{command}` reads it\n")
 
 
+@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_out_that_is_the_corpus_is_refused_and_the_corpus_kept(tmp_path, monkeypatch, capsys,
+                                                               command, spelling):
+    """Opening `--out` would empty the corpus before its second read, so
+    `run` and `render` refuse an `--out` that is the `--queries` file,
+    however it is spelled, before writing or sending anything."""
+    monkeypatch.chdir(tmp_path)
+    q = tmp_path / "q.jsonl"
+    run_cli("generate", "--task", "cycle", "--count", "3", "--out", str(q))
+    corpus = q.read_bytes()
+    out = {"same": str(q), "dotted": "./q.jsonl", "symlink": str(tmp_path / "link.jsonl")}
+    (tmp_path / "link.jsonl").symlink_to(q)
+    backend = CountingMock()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    capsys.readouterr()
+    assert run_cli(command, "--queries", str(q), "--out", out[spelling]) == 1
+    assert capsys.readouterr() == ("", f"error: --out {out[spelling]} is the corpus --queries "
+                                       f"{q} names; `{command}` would empty it before "
+                                       f"reading it\n")
+    assert q.read_bytes() == corpus
+    assert backend.sent == []
+
+
 def test_run_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     """`run` holds the prompts and records of one chunk at a time, so a
     corpus four times larger peaks at about the same traced memory."""

@@ -3,12 +3,16 @@ selfcheck."""
 
 import json
 
+import pytest
+
 from conftest import corpus_stats
-from graphbench.corpus import (QuerySpec, build_corpus, load_queries, read_jsonl, selfcheck,
-                               write_jsonl)
+from graphbench.corpus import (MAX_QUERY_ATTEMPTS, QuerySpec, build_corpus, build_query,
+                               load_queries, read_jsonl, selfcheck, write_jsonl)
+from graphbench.errors import ExhaustedAttempts
 from graphbench.generators import DifficultySplit as D
 from graphbench.generators import GraphFamily as GF
 from graphbench.graphs import is_connected, shortest_distance
+from graphbench.tasks import TASKS
 from graphbench.tasks import TaskKind as T
 
 ALL_TASKS = list(T)
@@ -130,3 +134,20 @@ def test_selfcheck_catches_inadmissible_family():
                        family=GF.BAG, graph=q.graph, params={"u": 0, "v": 1},
                        ground_truth=True, seed=q.seed)
     assert hacked.id in selfcheck([hacked])
+
+
+def test_a_query_that_cannot_be_drawn_names_its_cell_and_item(monkeypatch):
+    """Every attempt is made, each from its own stream, before the query's
+    cell and index are named."""
+    streams = []
+
+    def never_usable(g, rng):
+        streams.append(rng)
+        raise ExhaustedAttempts("no usable parameters")
+
+    monkeypatch.setattr(TASKS[T.SHORTEST_PATH], "sample_params", never_usable)
+    with pytest.raises(ExhaustedAttempts) as exc:
+        build_query(T.SHORTEST_PATH, D.MEDIUM, GF.ERP, 7, 3, set())
+    assert str(exc.value) == (f"could not draw shortest_path/medium/erp item 7: "
+                              f"{MAX_QUERY_ATTEMPTS} attempts were unusable")
+    assert len({id(rng) for rng in streams}) == len(streams) == MAX_QUERY_ATTEMPTS

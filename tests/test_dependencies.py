@@ -368,8 +368,9 @@ def test_only_run_batch_keys_reads_and_writes_the_cache():
 def test_only_draw_item_draws_items():
     """Corpus queries and exemplars are drawn by one function,
     `corpus.draw_item`, so both follow the same admissibility rules;
-    `generate_connected` also redraws through `generate`."""
-    names = {"sample_n", "sample_params", "generate", "generate_connected"}
+    `generate_connected` also redraws through `generate`. Only `corpus`
+    calls it, for a query and for an exemplar bank."""
+    names = {"sample_n", "sample_params", "generate", "generate_connected", "draw_item"}
     found = {name: set() for name in names}
     for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
         for name, scopes in callers(ast.parse(path.read_text("utf-8")), names).items():
@@ -377,7 +378,45 @@ def test_only_draw_item_draws_items():
     assert found == {"sample_n": {"corpus.draw_item"},
                      "sample_params": {"corpus.draw_item"},
                      "generate_connected": {"corpus.draw_item"},
-                     "generate": {"corpus.draw_item", "generators.generate_connected"}}
+                     "generate": {"corpus.draw_item", "generators.generate_connected"},
+                     "draw_item": {"corpus.build_query", "corpus.draw_bank"}}
+
+
+def handlers_of(tree: ast.Module, name: str) -> list[str]:
+    """Dotted paths of the defs (a class's methods as `Class.method`) that
+    hold an `except` clause catching the bare name `name`, once per clause."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(isinstance(c, ast.Name) and c.id == name for c in caught):
+                    out.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_one_attempt_loop_retries_draws():
+    """An unusable draw is retried in one loop, `corpus.draw_item`'s, for
+    corpus items and exemplars alike: it is the one `except` that catches
+    ExhaustedAttempts, and `prompts`, which renders the banks, imports
+    nothing a draw needs."""
+    found = []
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}.{scope}"
+                  for scope in handlers_of(ast.parse(path.read_text("utf-8")), "ExhaustedAttempts")]
+    assert found == ["corpus.draw_item"]
+    tree = ast.parse((Path(graphbench.__file__).parent / "prompts.py").read_text("utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"MAX_QUERY_ATTEMPTS", "ExhaustedAttempts", "derive_rng",
+                           "DifficultySplit"}
 
 
 def test_only_the_fold_reads_record_fields():

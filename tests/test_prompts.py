@@ -9,7 +9,8 @@ import pytest
 
 from graphbench import answer_eval
 from graphbench.corpus import QuerySpec, build_corpus
-from graphbench.errors import MissingParam
+from graphbench.corpus import MAX_QUERY_ATTEMPTS
+from graphbench.errors import ExhaustedAttempts, MissingParam
 from graphbench.gateway import Gateway, MockBackend
 from graphbench.generators import DifficultySplit, GraphFamily
 from graphbench.graphs import Graph
@@ -269,6 +270,28 @@ def test_prompts_match_the_pinned_digest():
     """Every scheme x format x decoration prompt for one easy query per task
     is byte-identical to the pinned rendering."""
     assert prompt_digests() == PROMPT_DIGESTS
+
+
+def test_an_exemplar_that_cannot_be_drawn_names_its_task_scheme_and_family(monkeypatch):
+    """A bank's attempts all draw from its one reserved stream, and the
+    exemplar that cannot be drawn is named with the scheme and the family
+    whose turn it is: the third of shortest_path's sorted families."""
+    spec, streams = TASKS[TaskKind.SHORTEST_PATH], []
+    sample_params = spec.sample_params
+
+    def usable_twice(g, rng):
+        streams.append(rng)
+        if len(streams) > 2:
+            raise ExhaustedAttempts("no usable parameters")
+        return sample_params(g, rng)
+
+    monkeypatch.setattr(spec, "sample_params", usable_twice)
+    with pytest.raises(ExhaustedAttempts) as exc:
+        build_exemplars(TaskKind.SHORTEST_PATH, PromptScheme.COT)
+    assert str(exc.value) == (f"could not draw shortest_path/easy/berm CoT exemplar 2: "
+                              f"{MAX_QUERY_ATTEMPTS} attempts were unusable")
+    assert len(streams) == 2 + MAX_QUERY_ATTEMPTS
+    assert len({id(rng) for rng in streams}) == 1
 
 
 def test_every_bank_follows_the_corpus_draw_rules():
