@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from . import baselines as baselines_mod
 from . import corpus as corpus_mod
@@ -52,11 +52,38 @@ def _make_gateway(args, config: dict) -> Gateway:
     if args.backend == "http":
         backend = HttpBackend(endpoint=config.get("endpoint"), api_key=config.get("api_key"))
     elif args.backend == "mock-oracle":
-        backend = MockBackend(mode="oracle")
+        backend = MockBackend()
     else:
-        backend = MockBackend(mode="bernoulli", error_rate=args.error_rate, seed=args.seed)
+        backend = MockBackend(error_rate=args.error_rate, seed=args.seed)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or config.get("cache_dir")
     return Gateway(backend, cache_dir=cache_dir)
+
+
+def _create(args, flag: str, newline: str | None = None) -> TextIO:
+    """The file the output flag `flag` names, emptied and opened for
+    writing; every file a command writes is opened here. A path that is
+    one of the command's input files, however it is spelled, raises
+    ValueError before anything is opened, so no command writes over a
+    file it reads. `run` and `render` read their `--queries` corpus again
+    after opening `--out`; every other input is read before the output is
+    opened."""
+    out = getattr(args, flag[2:].replace("-", "_"))
+    reward = getattr(args, "reward", "")
+    # Each file the command may read: what it holds, the text before its
+    # path on the command line, and the path (None when not given).
+    inputs = (("corpus", "--queries ", getattr(args, "queries", None)),
+              ("results", "--results ", getattr(args, "results", None)),
+              ("config", "--config ", getattr(args, "config", None)),
+              ("factors", "--factors-file ", getattr(args, "factors_file", None)),
+              ("reward table", "--reward table:",
+               reward.removeprefix("table:") if reward.startswith("table:") else None))
+    for what, named, path in inputs:
+        if path and os.path.exists(path) and os.path.exists(out) and os.path.samefile(path, out):
+            fate = ("empty it before reading it" if (flag, what) == ("--out", "corpus")
+                    else "write over it")
+            raise ValueError(f"{flag} {out} is the {what} {named}{path} names; "
+                             f"`{args.command}` would {fate}")
+    return open(out, "w", encoding="utf-8", newline=newline)
 
 
 def cmd_generate(args) -> int:
@@ -68,24 +95,22 @@ def cmd_generate(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     queries = corpus_mod.build_corpus(tasks, splits, families, args.count,
                                       master_seed=args.seed, per_cell=args.per_cell)
-    n = corpus_mod.write_jsonl((q.to_record() for q in queries), args.out)
+    with _create(args, "--out") as out:
+        n = corpus_mod.write_jsonl((q.to_record() for q in queries), out)
     print(f"wrote {n} queries to {args.out}")
     return 0
 
 
-def _read_twice(path: str, out: str, command: str, use: str) -> Iterator[corpus_mod.QuerySpec]:
-    """The corpus's queries, for a command that must not start on a corpus
-    with a bad record. This call reads the file once, checking and
-    counting every record, so a bad one raises before the command opens
-    its output `out` or sends anything. The iterator it returns reads the
-    file again one query at a time; a second read that ends with a
-    different number of records (a pipe, or a file rewritten in between)
+def _read_twice(args, use: str) -> Iterator[corpus_mod.QuerySpec]:
+    """The queries of the `--queries` corpus, for a command that must not
+    start on a corpus with a bad record. This call reads the file once,
+    checking and counting every record, so a bad one raises before the
+    command opens its output or sends anything. The iterator it returns
+    reads the file again one query at a time; a second read that ends with
+    a different number of records (a pipe, or a file rewritten in between)
     raises ValueError, naming the command and what it did with the
-    records. An `out` that is the corpus file raises ValueError first, as
-    opening it would empty the corpus before the second read."""
-    if os.path.exists(out) and os.path.samefile(path, out):
-        raise ValueError(f"--out {out} is the corpus --queries {path} names; `{command}` "
-                         f"would empty it before reading it")
+    records."""
+    path, command = args.queries, args.command
     total = sum(1 for _ in corpus_mod.load_queries(path))
 
     def again() -> Iterator[corpus_mod.QuerySpec]:
@@ -111,7 +136,7 @@ def cmd_render(args) -> int:
     which a task-major corpus, as `generate` writes, never does. Each
     prompt is written as it is composed, so only one joined prompt is held
     at a time."""
-    queries = _read_twice(args.queries, args.out, "render", "composed")
+    queries = _read_twice(args, "composed")
     schemes = parse_names(PromptScheme, args.schemes, "--schemes")
     formats = parse_names(SerializationFormat, args.formats, "--formats")
     renderer = Renderer()
@@ -120,7 +145,8 @@ def cmd_render(args) -> int:
             for query in queries
             for _, scheme, fmt, head, body in compose_cells([query], schemes, formats,
                                                             renderer=renderer))
-    n = corpus_mod.write_jsonl(rows, args.out)
+    with _create(args, "--out") as out:
+        n = corpus_mod.write_jsonl(rows, out)
     print(f"wrote {n} prompts to {args.out}")
     return 0
 
@@ -151,7 +177,7 @@ def cmd_run(args) -> int:
     soon as its last one is scored, and the file is flushed once per
     chunk, so an interrupted run leaves whole queries in `--out`."""
     config = _load_config(args.config)
-    queries = _read_twice(args.queries, args.out, "run", "evaluated")
+    queries = _read_twice(args, "evaluated")
     schemes = parse_names(PromptScheme, args.schemes, "--schemes")
     formats = parse_names(SerializationFormat, args.formats, "--formats")
     if args.max_in_flight < 1:
@@ -162,7 +188,7 @@ def cmd_run(args) -> int:
     n = score = errors = 0
     gateway = _make_gateway(args, config)
     try:
-        with open(args.out, "w", encoding="utf-8") as out:
+        with _create(args, "--out") as out:
             while chunk := list(itertools.islice(queries, per_chunk)):
                 records = run_evaluation(chunk, schemes, formats, gateway, model=args.model,
                                          max_in_flight=args.max_in_flight, renderer=renderer)
@@ -191,14 +217,15 @@ def cmd_baseline(args) -> int:
         sub = cells[(task, split)]
         rows.append({"task": task.value, "difficulty": split.value, "queries": len(sub),
                      "analytic": baselines_mod.random_baseline(sub)})
-    return _emit_csv(rows, args.csv_out)
+    return _emit_csv(args, rows)
 
 
-def _emit_csv(rows: list[dict], csv_out: str | None) -> int:
-    """Print the rows as CSV, and write the same text to csv_out if given."""
+def _emit_csv(args, rows: list[dict]) -> int:
+    """Print the rows as CSV, and write the same text to `--csv-out` if given."""
     text = reporting.rows_to_csv(rows)
-    if csv_out:
-        Path(csv_out).write_text(text, "utf-8")
+    if args.csv_out:
+        with _create(args, "--csv-out") as out:
+            out.write(text)
     print(text, end="")
     return 0
 
@@ -291,8 +318,7 @@ def cmd_rlopt(args) -> int:
         # Opened (and emptied) once every setting is checked, but before the
         # live corpus is built or a request is sent, so a path that cannot
         # be written costs nothing.
-        episodes = (stack.enter_context(open(args.episodes_csv, "w", newline="",
-                                             encoding="utf-8"))
+        episodes = (stack.enter_context(_create(args, "--episodes-csv", newline=""))
                     if args.episodes_csv else None)
         result = rlopt.run_dqn((task.value, split.value), space, reward_fn, cfg)
         cost, rate = rlopt.cost_rate(result, space, args.acc_max)
@@ -336,7 +362,7 @@ def cmd_report(args) -> int:
     except EmptyGroup:
         print("no records after filtering", file=sys.stderr)
         return 1
-    return _emit_csv(rows, args.csv_out)
+    return _emit_csv(args, rows)
 
 
 def cmd_selfcheck(args) -> int:

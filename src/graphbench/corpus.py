@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,17 +83,9 @@ def _names(names: Iterable[str]) -> str:
     return ", ".join(sorted(names)) or "none"
 
 
-def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path | TextIO) -> int:
-    """Write one JSON line per record and return how many. A path is
-    created or replaced; a text file already open for writing is appended
-    to and left open."""
-    if not isinstance(path, (str, os.PathLike)):
-        return _write_lines(records, path)
-    with open(path, "w", encoding="utf-8") as fh:
-        return _write_lines(records, fh)
-
-
-def _write_lines(records: Iterable[dict[str, Any]], fh: TextIO) -> int:
+def write_jsonl(records: Iterable[dict[str, Any]], fh: TextIO) -> int:
+    """Write one JSON line per record to `fh`, a text file open for
+    writing, and return how many; the file is left open."""
     count = 0
     for rec in records:
         fh.write(json.dumps(rec) + "\n")

@@ -195,9 +195,11 @@ class MockBackend:
     rendered by the same `render` of the query's task as the gold one
     (see `tasks.Task.wrong`).
 
-    mode="oracle" always answers correctly; mode="bernoulli" answers
-    incorrectly with probability error_rate, decided by a stable hash of the
-    prompt so repeats (and cache hits) agree. It reports the words of the
+    It answers incorrectly with probability error_rate, decided by a
+    stable hash of the prompt and the seed so repeats (and cache hits)
+    agree; the hash never falls below 0, so at error_rate 0 (the default,
+    and `--backend mock-oracle`) it always answers correctly. Its identity
+    names the draw, the error rate and the seed. It reports the words of the
     prompt as input tokens and the words of the answer as output tokens, and
     never fails a request, except that one without a query cannot be
     answered and raises ValueError. An error_rate outside [0, 1], NaN
@@ -215,15 +217,12 @@ class MockBackend:
 
     waits_on_io = False
 
-    def __init__(self, mode: str = "oracle", error_rate: float = 0.0, seed: int = 0):
-        if mode not in ("oracle", "bernoulli"):
-            raise ValueError(f"unknown mock mode {mode!r}")
+    def __init__(self, error_rate: float = 0.0, seed: int = 0):
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"the mock's error rate must be in [0, 1], got {error_rate!r}")
-        self.mode = mode
         self.error_rate = error_rate
         self.seed = seed
-        self.identity = f"mock\x00{mode}\x00{error_rate!r}\x00{seed!r}"
+        self.identity = f"mock\x00bernoulli\x00{error_rate!r}\x00{seed!r}"
         # (query, gold value, {wrong: (answer text, its word count)}).
         self._memo: tuple[QuerySpec, Any, dict[bool, tuple[str, int]]] | None = None
 
@@ -236,8 +235,7 @@ class MockBackend:
         if q is None:
             raise ValueError("the mock backend answers from the request's query, "
                              "and this request carries none")
-        wrong = (self.mode == "bernoulli"
-                 and self._unit(req) < self.error_rate)
+        wrong = self._unit(req) < self.error_rate
         memo = self._memo
         spec = TASKS[q.task]
         if memo is None or memo[0] is not q:

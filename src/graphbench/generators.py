@@ -74,37 +74,39 @@ def _weighted_choice(rng: random.Random, weights: list[int]) -> int:
     return len(weights) - 1
 
 
+def _sample_pairs(n: int, pairs: list[tuple[int, int]], rng: random.Random) -> Graph:
+    """m ~ U{1..len(pairs)} of the pairs, drawn without replacement."""
+    return Graph.from_edges(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+
+
+def _keep_pairs(n: int, pairs: list[tuple[int, int]], rng: random.Random) -> Graph:
+    """Each pair kept with one probability p ~ U[0, 1)."""
+    p = rng.random()
+    return Graph.from_edges(n, [pair for pair in pairs if rng.random() < p])
+
+
+def _bipartite_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Every pair across a random split of the nodes into a left and a
+    right side; each side gets at least 2 nodes so the structure is
+    nontrivial."""
+    left = rng.randint(2, n - 2)
+    return [(u, v) for u in range(left) for v in range(left, n)]
+
+
 def _gen_erm(n: int, rng: random.Random) -> Graph:
-    pairs = _all_pairs(n)
-    m = rng.randint(1, len(pairs))
-    return Graph.from_edges(n, rng.sample(pairs, m))
+    return _sample_pairs(n, _all_pairs(n), rng)
 
 
 def _gen_erp(n: int, rng: random.Random) -> Graph:
-    p = rng.random()
-    edges = [pair for pair in _all_pairs(n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
-def _bipartite_sides(n: int, rng: random.Random) -> tuple[list[int], list[int]]:
-    # Each side gets at least 2 nodes so the structure is nontrivial.
-    left_size = rng.randint(2, n - 2)
-    nodes = list(range(n))
-    return nodes[:left_size], nodes[left_size:]
+    return _keep_pairs(n, _all_pairs(n), rng)
 
 
 def _gen_berm(n: int, rng: random.Random) -> Graph:
-    left, right = _bipartite_sides(n, rng)
-    pairs = [(u, v) for u in left for v in right]
-    m = rng.randint(1, len(pairs))
-    return Graph.from_edges(n, rng.sample(pairs, m))
+    return _sample_pairs(n, _bipartite_pairs(n, rng), rng)
 
 
 def _gen_berp(n: int, rng: random.Random) -> Graph:
-    left, right = _bipartite_sides(n, rng)
-    p = rng.random()
-    edges = [(u, v) for u in left for v in right if rng.random() < p]
-    return Graph.from_edges(n, edges)
+    return _keep_pairs(n, _bipartite_pairs(n, rng), rng)
 
 
 def _gen_bag(n: int, rng: random.Random) -> Graph:

@@ -195,13 +195,18 @@ def live_reward_fn(space: FactorSpace, gateway: Gateway, *, task: TaskKind,
 
     Every factor of the space is applied to the evaluation; a setting the
     space has no factor for keeps its default (`0-shot`, `adjacency_list`,
-    `model`, no decoration). The call checks every factor name and option,
-    and raises ValueError for a name the evaluation has no setting for,
-    an option it cannot apply, or two options of one factor that name the
+    `model`, no decoration). The call checks its settings and every factor
+    name and option, and raises ValueError for `samples` or
+    `max_in_flight` below 1, a name the evaluation has no setting for, an
+    option it cannot apply, or two options of one factor that name the
     same setting. It builds and sends nothing: the corpus is built at the
     first reward. A batch with a failed request raises GraphBenchError
     rather than score the failure as a wrong answer.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
     unknown = [name for name in space.names if name not in _LIVE_DIMS]
     if unknown:
         raise ValueError(f"live reward cannot apply factor(s) {', '.join(unknown)}; "

@@ -120,19 +120,13 @@ class DecorationFactors:
 IDENTITY_DECORATION = DecorationFactors()
 
 
-def question_text(task: TaskKind, params: dict[str, int] | None = None) -> str:
-    """The task's question sentence with node parameters substituted."""
+def task_sentence(task: TaskKind, part: str, params: dict[str, int]) -> str:
+    """The task's `part` sentence, its "question" or its "framing", with
+    node parameters substituted."""
     try:
-        return TASKS[task].question.format(**(params or {}))
+        return getattr(TASKS[task], part).format(**params)
     except KeyError as exc:
-        raise MissingParam(f"{task.value} question needs parameter {exc}") from None
-
-
-def framing_text(task: TaskKind, params: dict[str, int] | None = None) -> str:
-    try:
-        return TASKS[task].framing.format(**(params or {}))
-    except KeyError as exc:
-        raise MissingParam(f"{task.value} framing needs parameter {exc}") from None
+        raise MissingParam(f"{task.value} {part} needs parameter {exc}") from None
 
 
 # Worked examples in every shot-bearing prompt.
@@ -168,12 +162,12 @@ def build_exemplars(task: TaskKind, scheme: PromptScheme) -> list[Exemplar]:
 def _item_text(task: TaskKind, fmt: SerializationFormat, graph_text: str,
                params: dict[str, int], deco: DecorationFactors,
                instruct_line: bool, answer: str | None, suffix: str | None) -> str:
-    head = deco.join([framing_text(task, params),
+    head = deco.join([task_sentence(task, "framing", params),
                       GRAPH_CONNECTOR.format(fmt=fmt.display_name)])
     parts = [f"{head} \n{graph_text}\n\n"]
     if instruct_line:
         parts.append(f"{deco.text(INSTRUCT_ITEM_LINE)}\n\n")
-    parts.append(f"{deco.q_marker(question_text(task, params))}\n\n")
+    parts.append(deco.q_marker(task_sentence(task, "question", params)) + "\n\n")
     if answer is not None:
         parts.append(deco.a_marker(deco.text(answer)))
     elif suffix is not None:

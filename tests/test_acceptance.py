@@ -210,14 +210,14 @@ def test_criterion_8_mock_pipeline():
     schemes = list(S)
     formats = list(F)
 
-    bern = Gateway(MockBackend(mode="bernoulli", error_rate=0.2, seed=1))
+    bern = Gateway(MockBackend(error_rate=0.2, seed=1))
     records = list(run_evaluation(queries, schemes, formats, bern, max_in_flight=8))
     n = len(records)
     acc = accuracy(records)
     sigma = math.sqrt(0.8 * 0.2 / n)
     ok = n >= 5000 and abs(acc - 0.8) <= 3 * sigma
 
-    oracle = Gateway(MockBackend(mode="oracle"))
+    oracle = Gateway(MockBackend())
     oracle_records = list(run_evaluation(queries[:2 * len(list(T))], schemes, formats,
                                          oracle, max_in_flight=8))
     pivots_ok = True
@@ -287,6 +287,7 @@ def test_criterion_10_determinism(tmp_path):
     target = next(r for r in records if r["task"] == "diameter")
     target["ground_truth"] += 1
     corrupted = tmp_path / "c.jsonl"
-    write_jsonl(records, corrupted)
+    with open(corrupted, "w", encoding="utf-8") as fh:
+        write_jsonl(records, fh)
     ok &= cli_main(["selfcheck", str(corrupted)]) == 1
     report(10, ok, "generate byte-identical on repeat; selfcheck 0 clean / 1 corrupted GT")

@@ -54,7 +54,8 @@ def test_selfcheck_clean_and_corrupted(tmp_path, capsys):
     records = list(read_jsonl(out))
     records[3]["ground_truth"] += 2
     bad = tmp_path / "bad.jsonl"
-    write_jsonl(records, bad)
+    with open(bad, "w", encoding="utf-8") as fh:
+        write_jsonl(records, fh)
     capsys.readouterr()
     assert run_cli("selfcheck", str(bad)) == 1
     printed = capsys.readouterr().out
@@ -104,7 +105,8 @@ def test_report_rejects_a_file_that_is_not_results(tmp_path, capsys):
     run_cli("run", "--queries", str(q), "--out", str(r))
     records = list(read_jsonl(r))
     del records[1]["score"]
-    write_jsonl(records, r)
+    with open(r, "w", encoding="utf-8") as fh:
+        write_jsonl(records, fh)
     capsys.readouterr()
     assert run_cli("report", "--results", str(r)) == 1
     assert capsys.readouterr().err.startswith(f"error: {r}: record 2 has no 'score'")
@@ -213,6 +215,27 @@ class CountingMock(MockBackend):
         return super().complete(req)
 
 
+# sha256 of `generate --per-cell --count 2 --seed 11` over every family a
+# task draws from: the six polynomial tasks at every split, and the two
+# NP-hard tasks at easy and medium. Recorded from the generators that drew
+# the bipartite families apart from the Erdos-Renyi ones.
+EVERY_FAMILY_GOLDENS = {
+    ("connectivity,cycle,diameter,bfs_order,shortest_path,triangle", "easy,medium,hard"):
+        "d3801856e4a44c1ea7a1de5a0e6f97b163f6cc22906df6a2f8e3d268cab84079",
+    ("hamiltonian,max_cut", "easy,medium"):
+        "f89ffc4f877e692f0df4fac67402d0d02637db8473d7c8cced621db042fbe3f2",
+}
+
+
+@pytest.mark.parametrize("tasks, splits", sorted(EVERY_FAMILY_GOLDENS))
+def test_generate_matches_golden_for_every_family_and_split(tmp_path, tasks, splits):
+    out = tmp_path / "q.jsonl"
+    assert run_cli("generate", "--task", tasks, "--difficulty", splits, "--per-cell",
+                   "--count", "2", "--seed", "11", "--out", str(out)) == 0
+    assert {rec["graph_type"] for rec in read_jsonl(out)} == {f.value for f in GraphFamily}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVERY_FAMILY_GOLDENS[(tasks, splits)]
+
+
 # The corpus of make_corpus(count=4) and the sha256 of `run`'s results on
 # it: mock-bernoulli at error rate 0.2 and seed 3, every cell, at
 # --max-in-flight 2, where its 24 queries make three chunks. Recorded from
@@ -296,7 +319,7 @@ def test_an_interrupted_run_keeps_whole_queries_and_a_rerun_sends_the_rest(
                 raise KeyboardInterrupt
             return super().complete(req)
 
-    backend = Interrupted(mode="bernoulli", error_rate=0.2)
+    backend = Interrupted(error_rate=0.2)
     monkeypatch.setattr(cli, "_make_gateway",
                         lambda args, config: Gateway(backend, cache_dir=cache))
     with pytest.raises(KeyboardInterrupt):
@@ -410,6 +433,60 @@ def test_out_that_is_the_corpus_is_refused_and_the_corpus_kept(tmp_path, monkeyp
                                        f"{q} names; `{command}` would empty it before "
                                        f"reading it\n")
     assert q.read_bytes() == corpus
+    assert backend.sent == []
+
+
+# Commands whose output flag names one of their own input files: the
+# argument list ("{d}" is the directory of the inputs), the input's file
+# name, and the refusal. The inputs are `q.jsonl`, a corpus; `r.jsonl`, its
+# results; `c.json`, an empty config; `f.json`, a one-factor space; and
+# `t.json`, that space's reward table.
+OVERWRITES = {
+    "report-results": (["report", "--results", "{d}/r.jsonl", "--csv-out", "{d}/r.jsonl"],
+                       "r.jsonl", "--csv-out {d}/r.jsonl is the results --results "
+                                  "{d}/r.jsonl names; `report` would write over it"),
+    "baseline-corpus": (["baseline", "--queries", "{d}/q.jsonl", "--csv-out", "{d}/q.jsonl"],
+                        "q.jsonl", "--csv-out {d}/q.jsonl is the corpus --queries "
+                                   "{d}/q.jsonl names; `baseline` would write over it"),
+    "run-config": (["run", "--queries", "{d}/q.jsonl", "--config", "{d}/c.json",
+                    "--out", "{d}/c.json"],
+                   "c.json", "--out {d}/c.json is the config --config {d}/c.json names; "
+                             "`run` would write over it"),
+    "rlopt-factors": (["rlopt", "--factors-file", "{d}/f.json", "--reward", "table:{d}/t.json",
+                       "--episodes", "3", "--episodes-csv", "{d}/f.json"],
+                      "f.json", "--episodes-csv {d}/f.json is the factors --factors-file "
+                                "{d}/f.json names; `rlopt` would write over it"),
+    "rlopt-table": (["rlopt", "--factors-file", "{d}/f.json", "--reward", "table:{d}/t.json",
+                     "--episodes", "3", "--episodes-csv", "{d}/t.json"],
+                    "t.json", "--episodes-csv {d}/t.json is the reward table --reward "
+                              "table:{d}/t.json names; `rlopt` would write over it"),
+    "rlopt-config": (["rlopt", "--reward", "live", "--config", "{d}/c.json", "--samples", "2",
+                      "--episodes", "3", "--episodes-csv", "{d}/c.json"],
+                     "c.json", "--episodes-csv {d}/c.json is the config --config "
+                               "{d}/c.json names; `rlopt` would write over it"),
+}
+
+
+@pytest.mark.parametrize("case", OVERWRITES)
+def test_no_command_writes_over_a_file_it_reads(tmp_path, monkeypatch, capsys, case):
+    """An output that is one of the command's inputs, however the command
+    reads it, is refused with exit 1 before it is opened: the input keeps
+    its bytes and nothing is sent."""
+    q, r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+    run_cli("generate", "--task", "cycle", "--count", "3", "--out", str(q))
+    run_cli("run", "--queries", str(q), "--out", str(r))
+    (tmp_path / "c.json").write_text("{}")
+    (tmp_path / "f.json").write_text(json.dumps([{"name": "prompt_scheme",
+                                                  "options": ["0-shot", "k-shot"]}]))
+    (tmp_path / "t.json").write_text(json.dumps({"0-shot": 0.4, "k-shot": 0.6}))
+    argv, name, message = OVERWRITES[case]
+    kept = (tmp_path / name).read_bytes()
+    backend = CountingMock()
+    monkeypatch.setattr(cli, "_make_gateway", lambda args, config: Gateway(backend))
+    capsys.readouterr()
+    assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(d=tmp_path)}\n")
+    assert (tmp_path / name).read_bytes() == kept
     assert backend.sent == []
 
 
@@ -541,7 +618,7 @@ def test_live_reward_applies_decoration_factors(tmp_path):
     # Each case option changes every prompt, so no combo may be served from
     # another combo's cache entries.
     space = FactorSpace((("case", CASE_FUNCTIONS),))
-    gateway = Gateway(MockBackend(mode="oracle"), cache_dir=tmp_path)
+    gateway = Gateway(MockBackend(), cache_dir=tmp_path)
     reward = live_reward(space, gateway)
     assert [reward(combo) for combo in combos(space)] == [1.0] * 4
     assert (gateway.network_calls, gateway.cache_hits) == (20, 0)
@@ -562,6 +639,27 @@ def test_live_reward_builds_and_sends_nothing_until_the_first_reward(monkeypatch
     reward(("k-shot", "gmol", "phi-4"))
     assert (len(built), len(backend.sent)) == (1, 6)
     assert [req.query.id for req in backend.sent[:3]] == [req.query.id for req in backend.sent[3:]]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"samples": 0}, "samples must be >= 1, got 0"),
+    ({"samples": -2}, "samples must be >= 1, got -2"),
+    ({"max_in_flight": 0}, "max_in_flight must be >= 1, got 0"),
+])
+def test_live_reward_refuses_a_setting_below_one_when_it_is_made(monkeypatch, setting, message):
+    """With no samples every combination would score 0, and with no
+    requests in flight the first reward would fail; either is refused when
+    the reward is made, before a corpus is built or a request sent."""
+    built, backend = [], CountingMock()
+    build_corpus = cli.corpus_mod.build_corpus
+    monkeypatch.setattr(cli.corpus_mod, "build_corpus",
+                        lambda *a, **k: built.append(a) or build_corpus(*a, **k))
+    settings = {"task": TaskKind.CYCLE, "split": DifficultySplit.EASY, "samples": 5, "seed": 0,
+                "model": "mock", "max_in_flight": 4, **setting}
+    with pytest.raises(ValueError) as err:
+        pipeline.live_reward_fn(default_space(), Gateway(backend), **settings)
+    assert str(err.value) == message
+    assert (built, backend.sent) == ([], [])
 
 
 def test_live_reward_refuses_failed_requests(monkeypatch, capsys):
@@ -611,7 +709,7 @@ def test_live_reward_rejects_an_unusable_option_before_any_request(
             return super().complete(req)
 
     monkeypatch.setattr(cli, "_make_gateway",
-                        lambda args, config: Gateway(Recording(mode="oracle")))
+                        lambda args, config: Gateway(Recording()))
     factors = tmp_path / "factors.json"
     factors.write_text(json.dumps([{"name": name, "options": options}]))
     assert run_cli("rlopt", "--factors-file", str(factors), "--samples", "2",
@@ -889,7 +987,8 @@ def test_report_names_the_file_and_record_it_cannot_fold_in(tmp_path, capsys, pi
         del records[2][field]
     else:
         records[2][field] = value
-    write_jsonl(records, r)
+    with open(r, "w", encoding="utf-8") as fh:
+        write_jsonl(records, fh)
     capsys.readouterr()
     argv = ["report", "--results", str(r), "--pivot", pivot]
     if pivot == "sensitivity":

@@ -22,8 +22,10 @@ def test_build_corpus_determinism(tmp_path):
     a = build_corpus([T.CYCLE, T.BFS_ORDER], [D.EASY], None, 8, master_seed=7)
     b = build_corpus([T.CYCLE, T.BFS_ORDER], [D.EASY], None, 8, master_seed=7)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl((q.to_record() for q in a), pa)
-    write_jsonl((q.to_record() for q in b), pb)
+    with open(pa, "w", encoding="utf-8") as fh:
+        write_jsonl((q.to_record() for q in a), fh)
+    with open(pb, "w", encoding="utf-8") as fh:
+        write_jsonl((q.to_record() for q in b), fh)
     assert pa.read_bytes() == pb.read_bytes()
     c = build_corpus([T.CYCLE, T.BFS_ORDER], [D.EASY], None, 8, master_seed=8)
     assert [q.to_record() for q in c] != [q.to_record() for q in a]
@@ -32,7 +34,8 @@ def test_build_corpus_determinism(tmp_path):
 def test_jsonl_round_trip(tmp_path):
     qs = build_corpus([T.SHORTEST_PATH], [D.MEDIUM], None, 6, master_seed=3)
     path = tmp_path / "q.jsonl"
-    write_jsonl((q.to_record() for q in qs), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_jsonl((q.to_record() for q in qs), fh)
     loaded = load_queries(path)
     assert [q.to_record() for q in loaded] == [q.to_record() for q in qs]
 
@@ -40,7 +43,8 @@ def test_jsonl_round_trip(tmp_path):
 def test_jsonl_field_order_is_stable(tmp_path):
     qs = build_corpus([T.CYCLE], [D.EASY], None, 2, master_seed=1)
     path = tmp_path / "q.jsonl"
-    write_jsonl((q.to_record() for q in qs), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_jsonl((q.to_record() for q in qs), fh)
     first = path.read_text().splitlines()[0]
     keys = list(json.loads(first).keys())
     assert keys == ["id", "task", "difficulty", "graph_type", "n", "edges",
@@ -112,11 +116,13 @@ def test_corpus_stats_directions():
 def test_selfcheck_catches_single_field_corruption(tmp_path):
     qs = build_corpus([T.TRIANGLE], [D.EASY], None, 6, master_seed=10)
     path = tmp_path / "q.jsonl"
-    write_jsonl((q.to_record() for q in qs), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_jsonl((q.to_record() for q in qs), fh)
     records = list(read_jsonl(path))
     records[2]["ground_truth"] += 1
     corrupted = tmp_path / "bad.jsonl"
-    write_jsonl(records, corrupted)
+    with open(corrupted, "w", encoding="utf-8") as fh:
+        write_jsonl(records, fh)
     bad = selfcheck(load_queries(corrupted))
     assert bad == [records[2]["id"]]
 

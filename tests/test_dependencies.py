@@ -382,6 +382,46 @@ def test_only_draw_item_draws_items():
                      "draw_item": {"corpus.build_query", "corpus.draw_bank"}}
 
 
+def file_writers(tree: ast.Module) -> list[str]:
+    """Dotted paths of the defs (a class's methods as `Class.method`) that
+    open a file for writing: an `open` or `<x>.open` call whose mode
+    writes, appends or creates, or a `write_text` or `write_bytes` call;
+    once per call."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                # A bare `open` takes its mode second, a method `open` first.
+                at = 1 if isinstance(func, ast.Name) else 0
+                modes = [k.value for k in child.keywords if k.arg == "mode"]
+                modes += child.args[at:at + 1]
+                writes = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                             for m in modes)
+                if (name == "open" and writes) or name in ("write_text", "write_bytes"):
+                    out.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_one_opener_writes_every_file():
+    """Every file a command writes is opened by `cli._create`, which
+    refuses a path that is one of the command's inputs, so no other code
+    can write over a file a command reads."""
+    found = []
+    for path in sorted(Path(graphbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        found += [f"{path.stem}.{scope}" for scope in file_writers(tree)]
+    assert found == ["cli._create"]
+
+
 def handlers_of(tree: ast.Module, name: str) -> list[str]:
     """Dotted paths of the defs (a class's methods as `Class.method`) that
     hold an `except` clause catching the bare name `name`, once per clause."""

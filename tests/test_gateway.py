@@ -571,10 +571,10 @@ def test_a_batch_of_mock_misses_starts_no_thread_and_commits_every_completion(
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    gw = Gateway(Recording(mode="bernoulli", error_rate=0.5, seed=2), cache_dir=tmp_path)
+    gw = Gateway(Recording(error_rate=0.5, seed=2), cache_dir=tmp_path)
     results = gw.run_batch(reqs + reqs[:3], max_in_flight=4)
     monkeypatch.undo()
-    expected = [MockBackend(mode="bernoulli", error_rate=0.5, seed=2).complete(r)
+    expected = [MockBackend(error_rate=0.5, seed=2).complete(r)
                 for r in reqs + reqs[:3]]
     assert [r.response for r in results] == expected
     assert threads == [caller] * len(reqs)
@@ -618,7 +618,7 @@ def test_run_evaluation_scores_each_distinct_response_once(monkeypatch):
 
     monkeypatch.setattr(answer_eval, "extract", counting_extract)
     records = list(run_evaluation(queries, [S.ZERO_SHOT, S.ZERO_COT], list(F),
-                                  Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=4))))
+                                  Gateway(MockBackend(error_rate=0.5, seed=4))))
     monkeypatch.undo()
     by_id = {q.id: q for q in queries}
     pairs = {(r["query_id"], r["response"]) for r in records}
@@ -671,7 +671,7 @@ def test_a_mock_counts_the_words_of_every_prompt():
     """`tokens_in` is the prompt's word count as `str.split()` makes it,
     for every task, scheme and format, decorated or not."""
     queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=6)
-    backend = MockBackend(mode="bernoulli", error_rate=0.5, seed=1)
+    backend = MockBackend(error_rate=0.5, seed=1)
     for deco in (DecorationFactors(), DecorationFactors(word_delim="\t", case="upper",
                                                         sentence_delim=" \n ", qa_delim=" \t")):
         for query, _, _, head, body in compose_cells(queries, list(S), list(F), deco=deco):
@@ -693,12 +693,12 @@ def test_the_mock_renders_each_querys_answers_once(monkeypatch):
             monkeypatch.setattr(spec, name, lambda *a, _f=original, _log=log, _task=spec.kind:
                                 _log.append(_task) or _f(*a))
     records = list(run_evaluation(queries, list(S), list(F),
-                                  Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=3)),
+                                  Gateway(MockBackend(error_rate=0.5, seed=3)),
                                   renderer=renderer))
     monkeypatch.undo()
     assert calls["gold"] == [q.task for q in queries]
     assert len(calls["render"]) <= 2 * len(queries)
-    fresh = [MockBackend(mode="bernoulli", error_rate=0.5, seed=3).complete(
+    fresh = [MockBackend(error_rate=0.5, seed=3).complete(
         CompletionRequest("mock", join_prompt(head, body), query=q))
         for q, _, _, head, body in cells]
     assert [r["response"] for r in records] == [resp.text for resp in fresh]
@@ -713,7 +713,7 @@ def test_a_shot_bearing_run_holds_each_prompt_part_once():
     queries = build_corpus([T.SHORTEST_PATH], [D.EASY], None, 20, master_seed=4)
     schemes = [s for s in S if s.shot_bearing]
     renderer = Renderer()
-    gw = Gateway(MockBackend(mode="bernoulli", error_rate=0.5))
+    gw = Gateway(MockBackend(error_rate=0.5))
     # A first pass builds the banks and their heads, which every pass shares.
     first = list(run_evaluation(queries, schemes, list(F), gw, renderer=renderer))
     joined = sum(len(join_prompt(head, body)) for *_, head, body in
@@ -819,7 +819,7 @@ def test_bounded_concurrency():
 
 def test_retry_on_rate_limit():
     q, prompt = sample_prompt()
-    backend = RateLimitedMock(1.0, mode="oracle")
+    backend = RateLimitedMock(1.0)
     sleeps = []
     gw = Gateway(backend, sleep=sleeps.append)
     resp = gw.complete(CompletionRequest("m", prompt, query=q))
@@ -847,7 +847,7 @@ def test_retry_budget_exhausted():
 
 def test_batch_fault_injection_all_succeed():
     qs = build_corpus([T.CYCLE], [D.EASY], None, 10, master_seed=8)
-    backend = RateLimitedMock(0.4, mode="oracle")
+    backend = RateLimitedMock(0.4)
     gw = Gateway(backend, sleep=lambda s: None)
     reqs = [CompletionRequest("m", join_prompt(*compose_prompt(q, S.ZERO_SHOT, F.EDGE_LIST)),
                               query=q)
@@ -860,20 +860,20 @@ def test_batch_fault_injection_all_succeed():
 def test_mock_oracle_scores_one():
     for task in T:
         q, prompt = sample_prompt(task=task)
-        resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt, query=q))
+        resp = MockBackend().complete(CompletionRequest("m", prompt, query=q))
         _, s = score_response(q, resp.text)
         assert s == 1, (task, resp.text)
 
 
 def test_mock_bernoulli_is_deterministic_per_prompt():
     q, prompt = sample_prompt()
-    backend = MockBackend(mode="bernoulli", error_rate=0.5, seed=7)
+    backend = MockBackend(error_rate=0.5, seed=7)
     texts = {backend.complete(CompletionRequest("m", prompt, query=q)).text for _ in range(5)}
     assert len(texts) == 1
 
 
 def test_mock_wrong_answers_score_zero():
-    backend = MockBackend(mode="bernoulli", error_rate=1.0, seed=0)
+    backend = MockBackend(error_rate=1.0, seed=0)
     for task in T:
         q, prompt = sample_prompt(task=task, seed=9)
         resp = backend.complete(CompletionRequest("m", prompt, query=q))
@@ -883,7 +883,7 @@ def test_mock_wrong_answers_score_zero():
 
 def test_mock_fixed_token_reporting():
     q, prompt = sample_prompt()
-    resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt, query=q))
+    resp = MockBackend().complete(CompletionRequest("m", prompt, query=q))
     assert resp.tokens_out == len(resp.text.split()) > 0
     assert resp.tokens_in == len(prompt.split())
 
@@ -896,7 +896,7 @@ def test_parse_prompt_round_trip_all_formats():
         for task in (T.BFS_ORDER, T.CONNECTIVITY, T.DIAMETER, T.MAX_CUT):
             q, prompt = sample_prompt(task=task, fmt=fmt, seed=4)
             assert serialize(q.graph, fmt) in prompt
-            resp = MockBackend(mode="oracle").complete(CompletionRequest("m", prompt, query=q))
+            resp = MockBackend().complete(CompletionRequest("m", prompt, query=q))
             _, s = score_response(q, resp.text)
             assert s == 1, (task, fmt, resp.text)
 
@@ -909,13 +909,13 @@ def test_parse_prompt_uses_last_item():
     shot = join_prompt(*compose_prompt(q, S.K_SHOT, F.ADJACENCY_LIST))
     last_answer = bank[-1].answer
     assert serialize(q.graph, F.ADJACENCY_LIST) in shot[shot.rindex(last_answer):]
-    resp = MockBackend(mode="oracle").complete(CompletionRequest("m", shot, query=q))
+    resp = MockBackend().complete(CompletionRequest("m", shot, query=q))
     answer, s = score_response(q, resp.text)
     assert s == 1 and answer == q.ground_truth
 
 def test_mock_without_query_is_an_item_error():
     q, prompt = sample_prompt()
-    gw = Gateway(MockBackend(mode="oracle"))
+    gw = Gateway(MockBackend())
     results = gw.run_batch([CompletionRequest("m", prompt),
                             CompletionRequest("m", prompt, query=q)])
     assert not results[0].ok and "query" in results[0].error
@@ -928,7 +928,7 @@ def test_mock_without_query_is_an_item_error():
 def test_mock_oracle_answers_decorated_prompts(deco):
     queries = build_corpus(list(T), [D.EASY], None, 1, master_seed=0)
     records = list(run_evaluation(queries, [S.ZERO_SHOT, S.K_SHOT], list(F),
-                                  Gateway(MockBackend(mode="oracle")), deco=deco))
+                                  Gateway(MockBackend()), deco=deco))
     assert len(records) == len(queries) * 2 * len(F)
     assert [r["error"] for r in records if "error" in r] == []
     assert accuracy(records) == 1.0

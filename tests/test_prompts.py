@@ -18,7 +18,7 @@ from graphbench.pipeline import compose_cells, run_evaluation
 from graphbench import prompts
 from graphbench.prompts import (CASE_FUNCTIONS, DecorationFactors, IDENTITY_DECORATION,
                                 PromptScheme, QA_DELIMS, Renderer, SENTENCE_DELIMS, WORD_DELIMS,
-                                build_exemplars, compose_prompt, join_prompt, question_text)
+                                build_exemplars, compose_prompt, join_prompt, task_sentence)
 from graphbench.serialize import SerializationFormat as F
 from graphbench.serialize import serialize
 from graphbench.tasks import TASKS, TaskKind
@@ -39,22 +39,31 @@ def make_query(task=TaskKind.BFS_ORDER, params=None, graph=None):
 
 
 def test_question_texts():
-    assert question_text(TaskKind.CYCLE) == "Is there a cycle in this graph?"
-    assert question_text(TaskKind.SHORTEST_PATH, {"u": 5, "v": 8}) == \
+    assert task_sentence(TaskKind.CYCLE, "question", {}) == "Is there a cycle in this graph?"
+    assert task_sentence(TaskKind.SHORTEST_PATH, "question", {"u": 5, "v": 8}) == \
         "Give the shortest path from node 5 to node 8."
-    assert question_text(TaskKind.DIAMETER) == "What is the diameter of this graph?"
-    assert question_text(TaskKind.BFS_ORDER, {"start": 4}) == \
+    assert task_sentence(TaskKind.DIAMETER, "question", {}) == \
+        "What is the diameter of this graph?"
+    assert task_sentence(TaskKind.BFS_ORDER, "question", {"start": 4}) == \
         "Give the bfs traversal order starting from node 4."
-    assert question_text(TaskKind.TRIANGLE) == "How many triangles are in this graph?"
-    assert question_text(TaskKind.CONNECTIVITY, {"u": 1, "v": 5}) == \
+    assert task_sentence(TaskKind.TRIANGLE, "question", {}) == \
+        "How many triangles are in this graph?"
+    assert task_sentence(TaskKind.CONNECTIVITY, "question", {"u": 1, "v": 5}) == \
         "Is there a path between node 1 and node 5?"
 
 
 def test_question_missing_param():
     with pytest.raises(MissingParam):
-        question_text(TaskKind.BFS_ORDER, {})
+        task_sentence(TaskKind.BFS_ORDER, "question", {})
     with pytest.raises(MissingParam):
-        question_text(TaskKind.SHORTEST_PATH, {"u": 1})
+        task_sentence(TaskKind.SHORTEST_PATH, "question", {"u": 1})
+
+
+@pytest.mark.parametrize("part", ["question", "framing"])
+def test_a_missing_parameter_is_named_with_the_sentence_that_needs_it(part):
+    with pytest.raises(MissingParam) as err:
+        task_sentence(TaskKind.BFS_ORDER, part, {})
+    assert str(err.value) == f"bfs_order {part} needs parameter 'start'"
 
 
 def test_each_scheme_is_one_row():
@@ -314,7 +323,7 @@ def test_run_evaluation_renders_each_graph_once_per_format(monkeypatch):
     monkeypatch.setattr(prompts, "serialize", lambda g, fmt: calls.update([(id(g), fmt)])
                         or serialize(g, fmt))
     records = list(run_evaluation(queries, list(PromptScheme), list(F),
-                                  Gateway(MockBackend(mode="oracle"))))
+                                  Gateway(MockBackend())))
     assert len(records) == len(queries) * len(PromptScheme) * len(F) == 504
     assert all(r["score"] == 1 for r in records)
     assert [calls[id(q.graph), fmt] for q in queries for fmt in F] == [1] * (8 * 7)
@@ -363,7 +372,7 @@ def test_a_task_major_run_in_chunks_builds_each_bank_once(monkeypatch):
     assert tasks == sorted(tasks, key=tasks.index)
     built = counted_banks(monkeypatch)
     renderer = Renderer()
-    gateway = Gateway(MockBackend(mode="bernoulli", error_rate=0.5, seed=2))
+    gateway = Gateway(MockBackend(error_rate=0.5, seed=2))
     for start in range(0, len(queries), 3):
         records = list(run_evaluation(queries[start:start + 3], list(PromptScheme), list(F),
                                       gateway, renderer=renderer))

@@ -152,7 +152,7 @@ def test_a_split_prompt_keys_draws_and_counts_as_its_joined_text(head, body, mod
     request that carries a head and a body are those of their joined text."""
     prompt = body if head is None else head + "\n\n" + body
     req = CompletionRequest(model, body, head, query=MOCK_QUERY)
-    mock = MockBackend(mode="bernoulli", error_rate=0.5, seed=seed)
+    mock = MockBackend(error_rate=0.5, seed=seed)
     assert req.prompt == prompt
     assert req.cache_key() == joined_cache_key(model, prompt)
     assert mock._unit(req) == joined_draw(seed, prompt)
